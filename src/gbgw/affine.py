@@ -27,7 +27,7 @@ from math import factorial
 from .pfaffian import pfaffian
 from .poly import ParamPoly, ONE, ZERO, H, V
 from .schurq import theta, hypergeom_coeff
-from .series import LaurentSeries, BiSeries, series_eq_on_overlap
+from .series import LaurentSeries, BiSeries, accumulate, series_eq_on_overlap
 
 __all__ = [
     "theta",
@@ -128,14 +128,14 @@ def gen_A(form, wlo, xlo, xhi, T=None):
             c = affine_coeff(0, n)
             half = Fraction(1, 2) if n % 2 == 0 else Fraction(-1, 2)
             if n <= -wlo:
-                _acc(a, (-n, 0), half * c)
+                accumulate(a, (-n, 0), half * c)
             if n <= -xlo:
-                _acc(a, (0, -n), -half * c)
+                accumulate(a, (0, -n), -half * c)
         A = BiSeries(("w", "x"), a, (wlo, 0), (xlo, xhi))
         at = dict(A.coeffs)
-        _acc(at, (0, 0), ParamPoly.const(Fraction(-1, 4)))
+        accumulate(at, (0, 0), ParamPoly.const(Fraction(-1, 4)))
         for i in range(1, min(-wlo, xhi) + 1):
-            _acc(at, (-i, i), _tail_coeff(i))
+            accumulate(at, (-i, i), _tail_coeff(i))
         At = BiSeries(("w", "x"), at, (wlo, 0), (xlo, xhi))
         return A, At
 
@@ -151,10 +151,10 @@ def gen_A(form, wlo, xlo, xhi, T=None):
     num = {(1, 0): ONE, (0, 1): -ONE}
     for j, cx in p1n.coeffs.items():
         for i, cw in p2n.coeffs.items():
-            _acc(num, (i, j), cx * cw)
+            accumulate(num, (i, j), cx * cw)
     for i, cw in p1n.coeffs.items():
         for j, cx in p2n.coeffs.items():
-            _acc(num, (i, j), -(cw * cx))
+            accumulate(num, (i, j), -(cw * cx))
     # divide by (w + x): q[i,j] = num[i+1, j] - q[i+1, j-1], descending in i
     q = {}
     jmax = T
@@ -175,20 +175,11 @@ def gen_A(form, wlo, xlo, xhi, T=None):
     a = {k: quarter * c for k, c in q.items() if k[1] <= 0}
     A = BiSeries(("w", "x"), a, (wlo, 0), (xlo, xhi), min_total=2 - T)
     at = dict(A.coeffs)
-    _acc(at, (0, 0), ParamPoly.const(Fraction(-1, 4)))
+    accumulate(at, (0, 0), ParamPoly.const(Fraction(-1, 4)))
     for i in range(1, min(-wlo, xhi) + 1):
-        _acc(at, (-i, i), _tail_coeff(i))
+        accumulate(at, (-i, i), _tail_coeff(i))
     At = BiSeries(("w", "x"), at, (wlo, 0), (xlo, xhi), min_total=2 - T)
     return A, At
-
-
-def _acc(d, key, value):
-    r = d.get(key)
-    r = value if r is None else r + value
-    if r:
-        d[key] = r
-    else:
-        d.pop(key, None)
 
 
 def verify_wronskian(T):

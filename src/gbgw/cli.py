@@ -106,7 +106,7 @@ def _check(checks, name, fn):
     except Exception as exc:  # present failures, do not hide them
         ok, detail = False, f"exception: {exc}"
     dt = time.perf_counter() - t0
-    print(f"  [{'pass' if ok else 'FAIL'}] {name} ({dt:.2f}s)", file=sys.stderr)
+    print(f"  [{'pass' if ok else 'FAIL'}] {name} ({dt:.6f}s)", file=sys.stderr)
     if ok:
         detail = ""
     elif not isinstance(detail, str):

@@ -10,6 +10,13 @@ seeded by <p_1>_0 = -s/2, <p_1>_1 = 1/8, <p_1>_g = 0 for g >= 2, with
 genus -1 correlators zero.  Every right-hand key has strictly smaller
 weight, which is asserted.  Values are monomials c * s^e with
 e = (|mu| - n + 2 - 2g)/2 (zero when that exponent would be negative).
+
+The recursion table is stored at s = 1, as bare Fractions c, and s^e is
+attached only where a value leaves the module.  This is exact because the
+recursion is graded: every term on the right has the same |mu| - n + 2 - 2g
+as the left side, and the seeds are monomials with that exponent halved.  So
+each correlator is the single monomial c * s^e with e known from its key,
+and evaluating at s = 1 loses nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from itertools import combinations
 from math import comb
 
 from .poly import ParamPoly, ONE, ZERO, S
-from .series import LaurentSeries, SparseTensor
+from .series import LaurentSeries, SparseTensor, accumulate
 
 __all__ = [
     "check_odd_partition",
@@ -34,9 +41,8 @@ __all__ = [
     "odd_partitions",
 ]
 
-_cache = {}
-MINUS_HALF_S = ParamPoly.monomial(Fraction(-1, 2), es=1)
-EIGHTH = ParamPoly.const(Fraction(1, 8))
+_cache = {}  # (g, parts) -> the correlator's coefficient c at s = 1
+_SEEDS = {0: Fraction(-1, 2), 1: Fraction(1, 8)}  # <p_1>_g at s = 1
 
 
 def check_odd_partition(parts):
@@ -51,45 +57,56 @@ def check_odd_partition(parts):
 
 def correlator(g, parts):
     """<p_{mu_1} ... p_{mu_n}>_g as an exact polynomial (monomial) in s."""
+    e, c = correlator_monomial(g, parts)
+    return ZERO if e is None else ParamPoly.monomial(c, es=e)
+
+
+def correlator_monomial(g, parts):
+    """(exponent, coefficient) of the single s-monomial, or (None, 0) if zero."""
     parts = check_odd_partition(parts)
     if g < 0:
-        return ZERO
+        return None, Fraction(0)
     if not parts:
         raise ValueError("empty correlator is not defined")
-    return _corr(g, parts)
+    return _graded(g, parts, _corr(g, parts))
+
+
+def _graded(g, parts, c):
+    """(e, c) for the coefficient c of <p_parts>_g stored at s = 1, or
+    (None, 0) if it is zero.  A nonzero c at a negative e breaks the grading."""
+    if not c:
+        return None, Fraction(0)
+    e = (sum(parts) - len(parts) + 2 - 2 * g) // 2
+    if e < 0:
+        raise ArithmeticError(f"<p_{parts}>_{g} = {c} at negative s-exponent {e}")
+    return e, c
 
 
 def _corr(g, parts):
     key = (g, parts)
     out = _cache.get(key)
-    if out is not None:
-        return out
-    if parts == (1,):
-        out = MINUS_HALF_S if g == 0 else (EIGHTH if g == 1 else ZERO)
+    if out is None:
+        out = _SEEDS.get(g, Fraction(0)) if parts == (1,) else _expand(g, parts, 0)
         _cache[key] = out
-        return out
-    out = _expand(g, parts, 0)
-    _cache[key] = out
     return out
 
 
 def _expand(g, parts, pick):
     """One recursion step distinguishing the part at position ``pick`` of the
-    descending-sorted tuple.  Every sub-key must drop in weight."""
+    descending-sorted tuple, at s = 1.  Every sub-key must drop in weight."""
     big = parts[pick]
     rest = parts[:pick] + parts[pick + 1:]
     k = (big - 1) // 2
     weight = sum(parts)
-    total = ZERO
+    pairs = total = Fraction(0)  # pairs is halved once, at the end
 
     if k > 0:
-        half = Fraction(1, 2)
         for a in range(1, 2 * k, 2):
             b = 2 * k - a
             merged = tuple(sorted(rest + (a, b), reverse=True))
             assert sum(merged) < weight
             if g >= 1:
-                total = total + half * _corr(g - 1, merged)
+                pairs += _corr(g - 1, merged)
             for g1 in range(g + 1):
                 g2 = g - g1
                 for r in range(len(rest) + 1):
@@ -102,14 +119,14 @@ def _expand(g, parts, pick):
                         if cl:
                             cr = _corr(g2, right)
                             if cr:
-                                total = total + half * (cl * cr)
+                                pairs += cl * cr
     for i in range(len(rest)):
         merged = tuple(sorted(rest[:i] + (rest[i] + 2 * k,) + rest[i + 1:], reverse=True))
         assert sum(merged) < weight
         c = _corr(g, merged)
         if c:
-            total = total + rest[i] * c
-    return total
+            total += rest[i] * c
+    return total + pairs / 2
 
 
 def correlator_expand_distinguishing(g, parts, which="smallest"):
@@ -117,23 +134,10 @@ def correlator_expand_distinguishing(g, parts, which="smallest"):
     distinguished-part-independence check); sub-calls hit the main memo."""
     parts = check_odd_partition(parts)
     if parts == (1,):
-        return _corr(g, parts)
+        return correlator(g, parts)
     pick = len(parts) - 1 if which == "smallest" else 0
-    return _expand(g, parts, pick)
-
-
-def correlator_monomial(g, parts):
-    """(exponent, coefficient) of the single s-monomial, or (None, 0) if zero."""
-    value = correlator(g, parts)
-    if not value:
-        return None, Fraction(0)
-    terms = value.terms
-    if len(terms) != 1:
-        raise AssertionError(f"correlator is not an s-monomial: {value}")
-    ((eh, eu, es, ev), c), = terms.items()
-    if eh or eu or ev:
-        raise AssertionError(f"correlator involves generators other than s: {value}")
-    return es, c
+    e, c = _graded(g, parts, _expand(g, parts, pick))
+    return ZERO if e is None else ParamPoly.monomial(c, es=e)
 
 
 def one_point_closed(n):
@@ -200,11 +204,11 @@ def w02_closed(depth):
     for i, cx in inv_sqrt.coeffs.items():
         for j, cy in inv_sqrt.coeffs.items():
             prod = cx * cy
-            _acc2(num, (i + 2, j), prod)
-            _acc2(num, (i, j + 2), prod)
-            _acc2(num, (i, j), 2 * S * prod)
-    _acc2(num, (2, 0), -ONE)
-    _acc2(num, (0, 2), -ONE)
+            accumulate(num, (i + 2, j), prod)
+            accumulate(num, (i, j + 2), prod)
+            accumulate(num, (i, j), 2 * S * prod)
+    accumulate(num, (2, 0), -ONE)
+    accumulate(num, (0, 2), -ONE)
     # divide by x^4 - 2 x^2 y^2 + y^4:  q[i,j] = n[i+4,j] + 2 q[i+2,j-2] - q[i+4,j-4]
     q = {}
     for i in range(-2, -d - 1, -2):
@@ -222,15 +226,6 @@ def w02_closed(depth):
             if recon != num.get((i, j), ZERO):
                 raise ArithmeticError("nonzero remainder dividing by (x^2-y^2)^2")
     return {k: v for k, v in q.items() if k[0] >= -depth and k[1] >= -depth}
-
-
-def _acc2(d, key, value):
-    r = d.get(key)
-    r = value if r is None else r + value
-    if r:
-        d[key] = r
-    else:
-        d.pop(key, None)
 
 
 def free_energy(g, degree, max_weight):

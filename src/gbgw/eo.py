@@ -20,19 +20,26 @@ The type-B variant replaces the unstable two-point part by its z -> -z
 symmetrization, whose diagonal value is singular; its (1,1) entry is
 therefore seeded, not recursed.  Both variants must produce identical
 tables, which compare_kernels checks.
+
+The recursion tables are stored at s = 1, as bare Fractions, and s^e is
+attached only where a table leaves the module (omega, omega_closed_step).
+This is exact because the recursion is graded: with s of weight 2 and
+z, z_i of weight 1, the kernel, omega_{0,2} and the seeds are homogeneous,
+so the entry of omega_{g,n} at k is the single monomial c * s^(|k|+1-g).
+At s = 1 the kernel factor (1/2)(s c_{-2m} - c_{-2m-2}) becomes
+(1/2)(c_{-2m} - c_{-2m-2}).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .correlators import correlator
-from .poly import ParamPoly, ONE, S, ZERO, double_factorial, binomial
-from .series import SparseTensor
+from .poly import ParamPoly, ZERO, double_factorial
+from .series import SparseTensor, accumulate
 
 __all__ = [
-    "kernel_series",
     "omega",
     "omega_closed_step",
     "omega_support_bound",
@@ -45,32 +52,16 @@ __all__ = [
     "clear_caches",
 ]
 
+# (kind, g, n) and (g, n) -> {index tuple k: coefficient at s = 1}
 _omega_cache = {}
 _closed_cache = {}
 
-_W11 = {(0,): ParamPoly.const(Fraction(-1, 8)), (1,): ParamPoly.monomial(Fraction(1, 8), es=1)}
+_W11 = {(0,): Fraction(-1, 8), (1,): Fraction(1, 8)}
 
 
 def clear_caches():
     _omega_cache.clear()
     _closed_cache.clear()
-
-
-def kernel_series(kind, max_m):
-    """Kernel coefficients {(z0 exponent, z exponent): value} up to z0^(-2*max_m-2).
-
-    Both Bergman kernels integrate to the same kernel; the type-B route is
-    computed from its own two-sided primitive and must agree termwise.
-    """
-    if kind not in ("standard", "typeB"):
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    out = {}
-    for m in range(max_m + 1):
-        # numerator of the primitive: standard int_{-z}^{z} B = 2z/(z0^2-z^2);
-        # type-B: (1/2)(2z + 2z)/(z0^2-z^2) -- identical by construction.
-        out[(-2 * m - 2, 2 * m - 1)] = ParamPoly.monomial(Fraction(-1, 2), es=1)
-        out[(-2 * m - 2, 2 * m + 1)] = ParamPoly.const(Fraction(1, 2))
-    return out
 
 
 def _unstable_02(sign, kind):
@@ -95,11 +86,27 @@ def omega_support_bound(g, n):
     return 3 * g - 3 + n
 
 
+def _with_s(g, n, table):
+    """The public tensor of a table stored at s = 1: entry k gets s^(|k|+1-g).
+    A (nonzero) entry at a negative exponent breaks the grading."""
+    t = SparseTensor(n)
+    for kk, v in table.items():
+        e = sum(kk) + 1 - g
+        if e < 0:
+            raise ArithmeticError(f"omega_({g},{n}) entry {kk} = {v} at negative s-exponent {e}")
+        t.coeffs[kk] = ParamPoly.monomial(v, es=e)
+    return t
+
+
 def omega(g, n, kind="standard"):
     """Raw coefficient tensor of omega_{g,n}: value at (k_1..k_n) multiplies
     prod z_i^(-2 k_i - 2)."""
     if 2 * g - 2 + n <= 0 or g < 0 or n < 1:
         raise ValueError(f"({g},{n}) is not stable")
+    return _with_s(g, n, _omega(g, n, kind))
+
+
+def _omega(g, n, kind):
     key = (kind, g, n)
     out = _omega_cache.get(key)
     if out is not None:
@@ -108,14 +115,11 @@ def omega(g, n, kind="standard"):
         if kind == "typeB":
             # the symmetrized two-point part is singular on the diagonal,
             # so this entry is seeded with the known invariant
-            out = SparseTensor(1, dict(_W11))
+            out = dict(_W11)
         else:
             # bracket is omega_{0,2}(z,-z) = 1/(4 z^2): c_{-2} = 1/4
-            t = SparseTensor(1)
-            quarter = ParamPoly.const(Fraction(1, 4))
-            t.coeffs[(0,)] = Fraction(1, 2) * (-quarter)
-            t.coeffs[(1,)] = Fraction(1, 2) * (S * quarter)
-            out = t
+            quarter = Fraction(1, 4)
+            out = {(0,): -quarter / 2, (1,): quarter / 2}
     else:
         out = _recurse(g, n, kind)
     _omega_cache[key] = out
@@ -133,24 +137,15 @@ def _bracket(g, next_n, kind):
     n = next_n - 1
     c = {}
 
-    def acc(key, value):
-        r = c.get(key)
-        r = value if r is None else r + value
-        if r:
-            c[key] = r
-        else:
-            c.pop(key, None)
-
     # 1. the (g-1, n+2) term evaluated at (z, -z, externals)
     if g >= 1:
         if (g - 1, n + 2) == (0, 2):
-            acc((-2,), ParamPoly.const(Fraction(1, 4)))
+            accumulate(c, (-2,), Fraction(1, 4))
         elif 2 * (g - 1) - 2 + (n + 2) > 0:
-            low = omega(g - 1, n + 2, kind)
-            for kk, v in low.coeffs.items():
+            for kk, v in _omega(g - 1, n + 2, kind).items():
                 a, b = kk[0], kk[1]
                 ext = tuple(-2 * k - 2 for k in kk[2:])
-                acc((-2 * a - 2 * b - 4,) + ext, v)
+                accumulate(c, (-2 * a - 2 * b - 4,) + ext, v)
 
     # 2. ordered splittings; each factor is omega_{0,2} with one external
     #    variable, or a stable entry; omega_{0,1} factors are excluded.
@@ -171,7 +166,7 @@ def _bracket(g, next_n, kind):
                         ext[i] = e
                     for i, e in ext2:
                         ext[i] = e
-                    acc((ez1 + ez2,) + tuple(ext), v1 * v2)
+                    accumulate(c, (ez1 + ez2,) + tuple(ext), v1 * v2)
     return c
 
 
@@ -184,11 +179,10 @@ def _factor(gf, idxs, sign, kind, max_depth):
         i = idxs[0]
         out = []
         for (m, ei, q) in _unstable_02(sign, kind)(max_depth):
-            out.append(((m, ((i, ei),)), ParamPoly.const(q)))
+            out.append(((m, ((i, ei),)), q))
         return out
-    t = omega(gf, nf + 1, kind)
     out = []
-    for kk, v in t.coeffs.items():
+    for kk, v in _omega(gf, nf + 1, kind).items():
         ez = -2 * kk[0] - 2
         ext = tuple((i, -2 * k - 2) for i, k in zip(idxs, kk[1:]))
         out.append(((ez, ext), v))
@@ -201,17 +195,16 @@ def _recurse(g, next_n, kind):
     bound = omega_support_bound(g, next_n)
     ext_keys = {k[1:] for k in c}
     ext_keys = [e for e in ext_keys if not any(x % 2 or x > -2 for x in e)]
-    t = SparseTensor(next_n)
+    t = {}
     for m in range(bound + 3 + 1):
         for ext_key in ext_keys:
-            v1 = c.get((-2 * m,) + ext_key, ZERO)
-            v2 = c.get((-2 * m - 2,) + ext_key, ZERO)
-            val = Fraction(1, 2) * (S * v1 - v2)
-            if val:
+            v1 = c.get((-2 * m,) + ext_key, 0)
+            v2 = c.get((-2 * m - 2,) + ext_key, 0)
+            if v1 != v2:
                 kk = (m,) + tuple((-e - 2) // 2 for e in ext_key)
-                t.coeffs[kk] = val
+                t[kk] = (v1 - v2) / 2
     # finiteness: the slots just past the expected support must be empty
-    for kk in t.coeffs:
+    for kk in t:
         if kk[0] > bound:
             raise ArithmeticError(f"omega_({g},{next_n}) support exceeds pole bound at {kk}")
     return t
@@ -237,6 +230,10 @@ def omega_closed_step(g, n):
     """
     if 2 * g - 2 + n <= 0 or g < 0 or n < 1:
         raise ValueError(f"({g},{n}) is not stable")
+    return _with_s(g, n, _closed(g, n))
+
+
+def _closed(g, n):
     key = (g, n)
     out = _closed_cache.get(key)
     if out is not None:
@@ -244,14 +241,11 @@ def omega_closed_step(g, n):
     if (g, n) == (1, 1):
         # Res K(z0,z) * omega_{0,2}(z,-z) with bracket the constant 1/(4z^2):
         # A^0 = -1/8, A^1 = (s/8)/3!!
-        out = SparseTensor(1, {
-            (0,): ParamPoly.const(Fraction(-1, 8)),
-            (1,): ParamPoly.monomial(Fraction(1, 24), es=1),
-        })
+        out = {(0,): Fraction(-1, 8), (1,): Fraction(1, 24)}
     elif (g, n) == (0, 3):
         # Res K(z0,z) (omega02(z,z1) omega02(-z,z2) + omega02(z,z2) omega02(-z,z1))
         # = s/(z0^2 z1^2 z2^2): a single normalized coefficient
-        out = SparseTensor(3, {(0, 0, 0): ParamPoly.gen("s")})
+        out = {(0, 0, 0): Fraction(1)}
     else:
         out = _closed_solve(g, n)
     _closed_cache[key] = out
@@ -266,18 +260,15 @@ def _closed_solve(g, n):
     from itertools import product as iproduct
 
     ext_candidates = [kk for kk in iproduct(range(bound + 1), repeat=ext_n) if sum(kk) <= bound]
-    mhalf = ParamPoly.monomial(Fraction(-1, 2), es=1)
     mmax = bound + 3
-    mh_pow = [ONE]
-    for _ in range(mmax + 2):
-        mh_pow.append(mh_pow[-1] * mhalf)
-    t = SparseTensor(n)
+    mh_pow = [Fraction(-1, 2) ** j for j in range(mmax + 3)]  # (-s/2)^j at s = 1
+    t = {}
     for kvec in ext_candidates:
         # bracket values depend on (a, b) only: hoist them out of the m-loop
         inner_ab = {}
         for a in range(mmax):
             for b in range(mmax - a):
-                inner = ZERO
+                inner = 0
                 if g >= 1 and 2 * (g - 1) - 2 + (ext_n + 2) > 0:
                     inner = inner + _sub_lookup(g - 1, ext_n + 2, (a, b) + kvec)
                 for g1 in range(g + 1):
@@ -308,19 +299,18 @@ def _closed_solve(g, n):
                 if sub:
                     weight = Fraction(double_factorial(2 * ki + 2 * k0 - 1),
                                       2 ** k0 * double_factorial(2 * ki - 1))
-                    sub_d.setdefault(k0, ZERO)
-                    sub_d[k0] = sub_d[k0] + weight * sub
+                    sub_d[k0] = sub_d.get(k0, 0) + weight * sub
         solved = {}
         for m in range(mmax + 1):
-            rhs = ZERO
+            rhs = 0
             for k0, sub in sub_d.items():
                 if k0 > m + 1:
                     continue
-                rhs = rhs - binomial(m + 1, k0) * (mh_pow[m + 1 - k0] * sub)
+                rhs = rhs - comb(m + 1, k0) * (mh_pow[m + 1 - k0] * sub)
             for (a, b), inner in inner_ab.items():
                 if a + b > m - 1:
                     continue
-                coef = Fraction(binomial(m + 1, a + b + 2)
+                coef = Fraction(comb(m + 1, a + b + 2)
                                 * double_factorial(2 * a + 1) * double_factorial(2 * b + 1),
                                 2 ** (a + b + 3))
                 rhs = rhs - coef * (mh_pow[m - 1 - a - b] * inner)
@@ -329,7 +319,7 @@ def _closed_solve(g, n):
             for k0 in range(m):
                 prev = solved.get(k0)
                 if prev:
-                    coef = Fraction(binomial(m, k0) * double_factorial(2 * k0 + 1), 2 ** (k0 + 1))
+                    coef = Fraction(comb(m, k0) * double_factorial(2 * k0 + 1), 2 ** (k0 + 1))
                     acc = acc - coef * (mh_pow[m - k0] * prev)
             lead = Fraction(2 ** (m + 1), double_factorial(2 * m + 1))
             solved[m] = lead * acc
@@ -337,14 +327,14 @@ def _closed_solve(g, n):
             if v:
                 if m > bound:
                     raise ArithmeticError(f"closed-step support exceeds pole bound for ({g},{n})")
-                t.coeffs[(m,) + kvec] = v
+                t[(m,) + kvec] = v
     return t
 
 
 def _sub_lookup(g, n, kk):
     if 2 * g - 2 + n <= 0:
-        return ZERO
-    return omega_closed_step(g, n).get(kk)
+        return 0
+    return _closed(g, n).get(kk, 0)
 
 
 def normalized(tensor):

@@ -26,9 +26,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from .affine import affine_coeff, gen_A
-from .correlators import check_odd_partition, correlator, correlator_monomial, odd_partitions
+from .correlators import check_odd_partition, correlator_monomial, odd_partitions
 from .poly import ParamPoly, ZERO
-from .series import SparseTensor
+from .series import SparseTensor, accumulate
 
 __all__ = [
     "correction_term",
@@ -221,7 +221,7 @@ def _npoint_once(n, max_weight, tail_hi, u_value=None):
         # diagonal band (-m, +m) survives and is exactly the correction term
         # (the positive slot always carries the larger variable index, x_2)
         for key, c in correction_term(max_weight).coeffs.items():
-            out.add_to(key, -c)
+            accumulate(out.coeffs, key, -c)
     return out
 
 
@@ -271,9 +271,8 @@ def bridge(mu, u_value=None):
         e, c = correlator_monomial(g, mu)
         if e is None:
             continue
-        hexp = n + 2 * g - 2 + 2 * e
-        assert hexp == w, "h-degree of a bridged term must equal |mu|"
-        out = out + ParamPoly.monomial(c * Fraction(1, 2 ** n), eh=hexp, eu=e)
+        # e = (|mu| - n + 2 - 2g)/2, so the h-degree n + 2g - 2 + 2e is |mu|
+        out = out + ParamPoly.monomial(c * Fraction(1, 2 ** n), eh=w, eu=e)
     if u_value is not None:
         out = out.subs_u(u_value)
     return out

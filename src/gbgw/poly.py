@@ -21,7 +21,7 @@ v^2 = u, so every element has a canonical form with v-exponent 0 or 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, comb
+from math import factorial
 
 __all__ = [
     "ParamPoly",
@@ -203,9 +203,6 @@ class ParamPoly:
     def coeff(self, eh=0, eu=0, es=0, ev=0):
         return self.terms.get(_reduce_key((eh, eu, es, ev)), Fraction(0))
 
-    def is_const(self):
-        return not self.terms or set(self.terms) == {(0, 0, 0, 0)}
-
     def const_value(self):
         if not self.terms:
             return Fraction(0)
@@ -380,7 +377,3 @@ def double_factorial(n):
         n -= 2
     return result
 
-
-def binomial(n, m):
-    """C(n, m) for integer n >= 0."""
-    return comb(n, m)

@@ -21,7 +21,17 @@ from fractions import Fraction
 
 from .poly import ParamPoly
 
-__all__ = ["LaurentSeries", "BiSeries", "SparseTensor", "series_eq_on_overlap"]
+__all__ = ["LaurentSeries", "BiSeries", "SparseTensor", "accumulate", "series_eq_on_overlap"]
+
+
+def accumulate(coeffs, key, value):
+    """coeffs[key] += value in a sparse dict, dropping the key when the sum is zero."""
+    r = coeffs.get(key)
+    r = value if r is None else r + value
+    if r:
+        coeffs[key] = r
+    else:
+        coeffs.pop(key, None)
 
 
 class WindowError(ValueError):
@@ -108,14 +118,6 @@ class LaurentSeries:
             self.lo,
             self.hi,
         )
-
-    def rename(self, var):
-        return LaurentSeries(var, dict(self.coeffs), self.lo, self.hi)
-
-    def truncate(self, lo):
-        if lo < self.lo:
-            raise WindowError("cannot widen a window by truncation")
-        return LaurentSeries(self.var, {e: c for e, c in self.coeffs.items() if e >= lo}, lo, self.hi)
 
     def derivative(self):
         out = {}
@@ -266,15 +268,6 @@ class BiSeries:
             raise WindowError(f"({i},{j}) outside window of BiSeries in {self.vars}")
         return self.coeffs.get((i, j), 0)
 
-    def swap(self):
-        return BiSeries(
-            (self.vars[1], self.vars[0]),
-            {(j, i): c for (i, j), c in self.coeffs.items()},
-            self.window2,
-            self.window1,
-            self.min_total,
-        )
-
     def __add__(self, other):
         assert self.vars == other.vars
         w1 = (max(self.window1[0], other.window1[0]), min(self.window1[1], other.window1[1]))
@@ -324,22 +317,6 @@ class SparseTensor:
 
     def get(self, key):
         return self.coeffs.get(tuple(key), 0)
-
-    def add_to(self, key, value):
-        key = tuple(key)
-        r = self.coeffs.get(key)
-        r = value if r is None else r + value
-        if r:
-            self.coeffs[key] = r
-        else:
-            self.coeffs.pop(key, None)
-
-    def map_values(self, f):
-        return SparseTensor(self.arity, {k: f(c) for k, c in self.coeffs.items()})
-
-    def permuted(self, perm):
-        """Relabel slots: new key[i] = old key[perm[i]]."""
-        return SparseTensor(self.arity, {tuple(k[p] for p in perm): c for k, c in self.coeffs.items()})
 
     def is_symmetric(self):
         from itertools import permutations

@@ -143,3 +143,17 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert '"-1/2"' in proc.stdout
+
+
+def test_verify_under_optimize_flag(tmp_path):
+    # the invariants that guard the recursions are raises, which python -O keeps
+    outs = []
+    for flags in (["-O"], []):
+        out = tmp_path / f"verify{len(outs)}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "gbgw.cli", "verify", "--suite", "all",
+             "--weight-max", "5", "--window", "8", "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

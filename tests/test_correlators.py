@@ -165,3 +165,14 @@ def test_free_energy_coefficients():
 def test_special_deformation_small():
     ok, failures = verify_special_deformation(degree=3, min_order=-10, part_cap=7)
     assert ok, failures[:5]
+
+
+def test_negative_s_exponent_raises(monkeypatch):
+    # <p_1>_2 sits at s-exponent -1, so a nonzero table value there is an error
+    import gbgw.correlators as corr
+
+    monkeypatch.setitem(corr._cache, (2, (1,)), Fraction(1, 8))
+    with pytest.raises(ArithmeticError):
+        correlator(2, (1,))
+    with pytest.raises(ArithmeticError):
+        correlator_monomial(2, (1,))

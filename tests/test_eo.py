@@ -10,7 +10,6 @@ from gbgw.eo import (
     b02_closed,
     compare_kernels,
     from_x_coords,
-    kernel_series,
     normalized,
     omega,
     omega_closed_step,
@@ -23,18 +22,6 @@ from gbgw.eo import (
 
 def mono(c, e=0):
     return ParamPoly.monomial(Fraction(c), es=e)
-
-
-def test_kernel_m0_term():
-    k = kernel_series("standard", 3)
-    assert k[(-2, -1)] == mono(Fraction(-1, 2), 1)
-    assert k[(-2, 1)] == mono(Fraction(1, 2))
-    # only odd z-exponents
-    assert all(ze % 2 for (_, ze) in k)
-
-
-def test_kernels_identical_termwise():
-    assert kernel_series("standard", 6) == kernel_series("typeB", 6)
 
 
 def test_omega_11():
@@ -184,3 +171,15 @@ def test_unstable_instability_rejected():
         omega(0, 2)
     with pytest.raises(ValueError):
         omega(0, 1)
+
+
+def test_negative_s_exponent_raises(monkeypatch):
+    # the entry k = (0,) of omega_{2,1} sits at s-exponent -1
+    import gbgw.eo as eo
+
+    monkeypatch.setitem(eo._omega_cache, ("standard", 2, 1), {(0,): Fraction(1)})
+    monkeypatch.setitem(eo._closed_cache, (2, 1), {(0,): Fraction(1)})
+    with pytest.raises(ArithmeticError):
+        omega(2, 1)
+    with pytest.raises(ArithmeticError):
+        omega_closed_step(2, 1)
