@@ -1,8 +1,8 @@
 """Command-line interface: compute tables, run verification suites, emit JSON/CSV.
 
-Exit codes: 0 all requested work passed, 1 a verification failed, 2 usage
-errors.  Output written with --out (or to stdout) is byte-deterministic
-for a fixed configuration; timings go to stderr only.
+Exit codes: 0 all requested work passed, 1 a verification or computation
+failed, 2 usage errors.  Output written with --out (or to stdout) is
+byte-deterministic for a fixed configuration; timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -242,15 +242,19 @@ def _suite_eo(cfg):
     _check(checks, "eo/closed-form-invariants", goldens)
 
     def equivalence():
+        total = 0
         for (g, n) in pairs:
-            ok, mism, _ = eo.verify_equivalence_theorem(g, n, cfg.weight_max, cfg.kernel)
+            ok, mism, checked = eo.verify_equivalence_theorem(g, n, cfg.weight_max, cfg.kernel)
             if not ok:
                 return False, f"({g},{n}): {mism[:2]}"
-        return True, ""
+            total += checked
+        return (True, "") if total else (False, "no instance checked")
 
     _check(checks, f"eo/equivalence-with-virasoro-weight<={cfg.weight_max}", equivalence)
 
     def closed_step():
+        if not pairs:
+            return False, "no stable pair"
         for (g, n) in pairs:
             if eo.omega_closed_step(g, n) != eo.normalized(eo.omega(g, n, cfg.kernel)):
                 return False, f"({g},{n})"
@@ -260,7 +264,7 @@ def _suite_eo(cfg):
 
     def kernels():
         ok, mism = eo.compare_kernels(pairs)
-        return ok, mism
+        return ok, mism or "no pair besides (1,1) to compare"
 
     _check(checks, "eo/kernel-comparison", kernels)
     return checks
@@ -412,14 +416,19 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     cfg = parser.parse_args(argv)
-    for bound in ("genus_max", "arity_max", "weight_max", "window"):
+    for bound in ("genus_max", "arity_max", "weight_max"):
         if getattr(cfg, bound) < 0:
             parser.error(f"--{bound.replace('_', '-')} must be nonnegative")
+    if cfg.window < 1:
+        parser.error("--window must be positive")
     try:
         return cfg.func(cfg)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a computation failed, not the usage
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ With the largest part 2k+1 distinguished, the recursion reads
 
 seeded by <p_1>_0 = -s/2, <p_1>_1 = 1/8, <p_1>_g = 0 for g >= 2, with
 genus -1 correlators zero.  Every right-hand key has strictly smaller
-weight, which is asserted.  Values are monomials c * s^e with
-e = (|mu| - n + 2 - 2g)/2 (zero when that exponent would be negative).
+weight by construction: a + b = 2k is one less than the distinguished
+part 2k+1, and a merged part mu_i + 2k replaces both mu_i and 2k+1.
+Values are monomials c * s^e with e = (|mu| - n + 2 - 2g)/2 (zero when
+that exponent would be negative).
 
 The recursion table is stored at s = 1, as bare Fractions c, and s^e is
 attached only where a value leaves the module.  This is exact because the
@@ -93,18 +95,17 @@ def _corr(g, parts):
 
 def _expand(g, parts, pick):
     """One recursion step distinguishing the part at position ``pick`` of the
-    descending-sorted tuple, at s = 1.  Every sub-key must drop in weight."""
+    descending-sorted tuple, at s = 1.  Every sub-key drops in weight by one
+    or more (see the module docstring)."""
     big = parts[pick]
     rest = parts[:pick] + parts[pick + 1:]
     k = (big - 1) // 2
-    weight = sum(parts)
     pairs = total = Fraction(0)  # pairs is halved once, at the end
 
     if k > 0:
         for a in range(1, 2 * k, 2):
             b = 2 * k - a
             merged = tuple(sorted(rest + (a, b), reverse=True))
-            assert sum(merged) < weight
             if g >= 1:
                 pairs += _corr(g - 1, merged)
             for g1 in range(g + 1):
@@ -114,7 +115,6 @@ def _expand(g, parts, pick):
                         Iset = set(I)
                         left = tuple(sorted((a,) + tuple(rest[i] for i in I), reverse=True))
                         right = tuple(sorted((b,) + tuple(rest[i] for i in range(len(rest)) if i not in Iset), reverse=True))
-                        assert sum(left) < weight and sum(right) < weight
                         cl = _corr(g1, left)
                         if cl:
                             cr = _corr(g2, right)
@@ -122,7 +122,6 @@ def _expand(g, parts, pick):
                                 pairs += cl * cr
     for i in range(len(rest)):
         merged = tuple(sorted(rest[:i] + (rest[i] + 2 * k,) + rest[i + 1:], reverse=True))
-        assert sum(merged) < weight
         c = _corr(g, merged)
         if c:
             total += rest[i] * c

@@ -19,7 +19,7 @@ kernel cancel), the new entry at z0^(-2m-2) is (1/2)(s c_{-2m} - c_{-2m-2}).
 The type-B variant replaces the unstable two-point part by its z -> -z
 symmetrization, whose diagonal value is singular; its (1,1) entry is
 therefore seeded, not recursed.  Both variants must produce identical
-tables, which compare_kernels checks.
+tables above (1,1), which compare_kernels checks.
 
 The recursion tables are stored at s = 1, as bare Fractions, and s^e is
 attached only where a table leaves the module (omega, omega_closed_step).
@@ -27,16 +27,20 @@ This is exact because the recursion is graded: with s of weight 2 and
 z, z_i of weight 1, the kernel, omega_{0,2} and the seeds are homogeneous,
 so the entry of omega_{g,n} at k is the single monomial c * s^(|k|+1-g).
 At s = 1 the kernel factor (1/2)(s c_{-2m} - c_{-2m-2}) becomes
-(1/2)(c_{-2m} - c_{-2m-2}).
+(1/2)(c_{-2m} - c_{-2m-2}).  The flat-coordinate transform is graded too:
+each shift m_i of an index multiplies by s^(m_i), so the B-entry at l sits
+at s^(|l|+1-g) as well: the transform runs on the s = 1 tables, and
+x_tensor attaches s^e at the same boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, prod
 
-from .correlators import correlator
-from .poly import ParamPoly, ZERO, double_factorial
+from .correlators import correlator_monomial
+from .poly import ParamPoly, double_factorial
 from .series import SparseTensor, accumulate
 
 __all__ = [
@@ -55,8 +59,6 @@ __all__ = [
 # (kind, g, n) and (g, n) -> {index tuple k: coefficient at s = 1}
 _omega_cache = {}
 _closed_cache = {}
-
-_W11 = {(0,): Fraction(-1, 8), (1,): Fraction(1, 8)}
 
 
 def clear_caches():
@@ -80,6 +82,11 @@ def _unstable_02(sign, kind):
     return gen
 
 
+def _check_stable(g, n):
+    if 2 * g - 2 + n <= 0 or g < 0 or n < 1:
+        raise ValueError(f"({g},{n}) is not stable")
+
+
 def omega_support_bound(g, n):
     """Upper bound for the z-pole order of a stable entry: poles have order
     at most 6g - 4 + 2n, i.e. indices k <= 3g - 3 + n."""
@@ -101,8 +108,7 @@ def _with_s(g, n, table):
 def omega(g, n, kind="standard"):
     """Raw coefficient tensor of omega_{g,n}: value at (k_1..k_n) multiplies
     prod z_i^(-2 k_i - 2)."""
-    if 2 * g - 2 + n <= 0 or g < 0 or n < 1:
-        raise ValueError(f"({g},{n}) is not stable")
+    _check_stable(g, n)
     return _with_s(g, n, _omega(g, n, kind))
 
 
@@ -112,14 +118,10 @@ def _omega(g, n, kind):
     if out is not None:
         return out
     if (g, n) == (1, 1):
-        if kind == "typeB":
-            # the symmetrized two-point part is singular on the diagonal,
-            # so this entry is seeded with the known invariant
-            out = dict(_W11)
-        else:
-            # bracket is omega_{0,2}(z,-z) = 1/(4 z^2): c_{-2} = 1/4
-            quarter = Fraction(1, 4)
-            out = {(0,): -quarter / 2, (1,): quarter / 2}
+        # the standard bracket is omega_{0,2}(z,-z) = 1/(4 z^2), so c_{-2} = 1/4;
+        # the type-B bracket is singular on the diagonal, so both kernels
+        # take this seed
+        out = {(0,): Fraction(-1, 8), (1,): Fraction(1, 8)}
     else:
         out = _recurse(g, n, kind)
     _omega_cache[key] = out
@@ -172,9 +174,9 @@ def _bracket(g, next_n, kind):
 
 def _factor(gf, idxs, sign, kind, max_depth):
     """Entries of omega_{gf, len(idxs)+1}(sign*z, externals) as a list of
-    ((z exponent, ((slot, ext exponent), ...)), value); None if excluded."""
+    ((z exponent, ((slot, ext exponent), ...)), value).  The caller excludes
+    omega_{0,1}."""
     nf = len(idxs)
-    assert not (gf == 0 and nf == 0), "omega_{0,1} must be excluded by the caller"
     if gf == 0 and nf == 1:
         i = idxs[0]
         out = []
@@ -228,8 +230,7 @@ def omega_closed_step(g, n):
     residue instances instead.  Tables store normalized A-values
     (W = A * prod (2k_i+1)!!).
     """
-    if 2 * g - 2 + n <= 0 or g < 0 or n < 1:
-        raise ValueError(f"({g},{n}) is not stable")
+    _check_stable(g, n)
     return _with_s(g, n, _closed(g, n))
 
 
@@ -257,9 +258,7 @@ def _closed_solve(g, n):
     bound = omega_support_bound(g, n)
     # candidate external tuples: total index bounded by the pole order of
     # (g, n); the entrywise comparison against the residue route guards this
-    from itertools import product as iproduct
-
-    ext_candidates = [kk for kk in iproduct(range(bound + 1), repeat=ext_n) if sum(kk) <= bound]
+    ext_candidates = [kk for kk in product(range(bound + 1), repeat=ext_n) if sum(kk) <= bound]
     mmax = bound + 3
     mh_pow = [Fraction(-1, 2) ** j for j in range(mmax + 3)]  # (-s/2)^j at s = 1
     t = {}
@@ -337,119 +336,103 @@ def _sub_lookup(g, n, kk):
     return _closed(g, n).get(kk, 0)
 
 
+def _dfact(kk):
+    """prod (2k_i + 1)!! over an index tuple."""
+    return prod(double_factorial(2 * k + 1) for k in kk)
+
+
 def normalized(tensor):
     """Divide raw coefficients by prod (2k_i + 1)!!: the A-normalization."""
     out = SparseTensor(tensor.arity)
     for kk, v in tensor.coeffs.items():
-        d = 1
-        for k in kk:
-            d *= double_factorial(2 * k + 1)
-        out.coeffs[kk] = Fraction(1, d) * v
-    return out
-
-
-def raw_from_normalized(tensor):
-    out = SparseTensor(tensor.arity)
-    for kk, v in tensor.coeffs.items():
-        d = 1
-        for k in kk:
-            d *= double_factorial(2 * k + 1)
-        out.coeffs[kk] = d * v
+        out.coeffs[kk] = Fraction(1, _dfact(kk)) * v
     return out
 
 
 def to_x_coords(a_tensor, max_weight):
     """B from A:  B^l = sum_{k+m=l} prod (-s)^(m_i)/(2^(m_i) m_i!) A^k,
-    for all l with sum(2l_i + 1) <= max_weight."""
+    for all l with sum(2l_i + 1) <= max_weight.  Both tensors are taken
+    at s = 1 (Fraction entries)."""
     return _transform(a_tensor, max_weight, Fraction(-1, 2))
 
 
 def from_x_coords(b_tensor, max_weight):
-    """Inverse transform (s -> -s in the weights)."""
+    """Inverse transform (s -> -s in the weights), at s = 1."""
     return _transform(b_tensor, max_weight, Fraction(1, 2))
 
 
 def _transform(tensor, max_weight, half_sign):
+    """Scatter each entry k to every l = k + m inside the weight budget
+    sum(2l_i + 1) <= max_weight, with weight prod half_sign^(m_i)/m_i!.
+    The s^(|m|) of the shift is implied by the grading."""
     n = tensor.arity
+    lmax = (max_weight - n) // 2
+    weights = [half_sign ** m / factorial(m) for m in range(lmax + 1)]
+    shifts = [(sum(mvec), mvec, prod(weights[m] for m in mvec))
+              for mvec in product(range(lmax + 1), repeat=n) if sum(mvec) <= lmax]
     out = SparseTensor(n)
-    from itertools import product as iproduct
-
-    kmax = (max_weight - n) // 2
-    if kmax < 0:
-        return out
-    for lvec in iproduct(range(kmax + 1), repeat=n):
-        if sum(2 * l + 1 for l in lvec) > max_weight:
-            continue
-        acc = ZERO
-        for kvec, v in tensor.coeffs.items():
-            if any(k > l for k, l in zip(kvec, lvec)):
-                continue
-            c = Fraction(1)
-            es = 0
-            for k, l in zip(kvec, lvec):
-                mi = l - k
-                c *= half_sign ** mi / factorial(mi)
-                es += mi
-            acc = acc + ParamPoly.monomial(c, es=es) * v
-        if acc:
-            out.coeffs[lvec] = acc
+    for kvec, v in tensor.coeffs.items():
+        budget = lmax - sum(kvec)
+        for size, mvec, w in shifts:
+            if size <= budget:
+                accumulate(out.coeffs, tuple(k + m for k, m in zip(kvec, mvec)), w * v)
     return out
+
+
+def _b01(k):
+    return -Fraction((-1) ** (k + 1), 2 ** (k + 1) * factorial(k + 1) * (2 * k + 1))
+
+
+def _b02(k1, k2):
+    w = k1 + k2 + 1
+    return Fraction((-1) ** w, 2 ** w * factorial(k1) * factorial(k2) * w)
 
 
 def b01_closed(k):
     """B^k_{0,1} = -(-s)^(k+1) / (2^(k+1) (k+1)! (2k+1))."""
-    c = -Fraction((-1) ** (k + 1), 2 ** (k + 1) * factorial(k + 1) * (2 * k + 1))
-    return ParamPoly.monomial(c, es=k + 1)
+    return ParamPoly.monomial(_b01(k), es=k + 1)
 
 
 def b02_closed(k1, k2):
     """B^{k1,k2}_{0,2} = (-s)^(k1+k2+1) / (2^(k1+k2+1) k1! k2! (k1+k2+1))."""
-    w = k1 + k2 + 1
-    c = Fraction((-1) ** w, 2 ** w * factorial(k1) * factorial(k2) * w)
-    return ParamPoly.monomial(c, es=w)
+    return ParamPoly.monomial(_b02(k1, k2), es=k1 + k2 + 1)
 
 
 def x_tensor(g, n, max_weight, kind="standard"):
     """Normalized B-coefficients of omega_{g,n} in the flat coordinate."""
+    return _with_s(g, n, _x_table(g, n, max_weight, kind))
+
+
+def _x_table(g, n, max_weight, kind):
+    """x_tensor at s = 1."""
     if (g, n) == (0, 1):
-        t = SparseTensor(1)
-        for k in range((max_weight - 1) // 2 + 1):
-            t.coeffs[(k,)] = b01_closed(k)
-        return t
+        return {(k,): _b01(k) for k in range((max_weight - 1) // 2 + 1)}
     if (g, n) == (0, 2):
-        t = SparseTensor(2)
         kmax = (max_weight - 2) // 2
-        for k1 in range(kmax + 1):
-            for k2 in range(kmax - k1 + 1):
-                t.coeffs[(k1, k2)] = b02_closed(k1, k2)
-        return t
-    return to_x_coords(normalized(omega(g, n, kind)), max_weight)
+        return {(k1, k2): _b02(k1, k2) for k1 in range(kmax + 1) for k2 in range(kmax - k1 + 1)}
+    _check_stable(g, n)
+    a = SparseTensor(n, {kk: v / _dfact(kk) for kk, v in _omega(g, n, kind).items()})
+    return to_x_coords(a, max_weight).coeffs
 
 
 def verify_equivalence_theorem(g, n, max_weight, kind="standard"):
     """Check B^k prod(2k_i+1)!! = (-1)^n <p_{2k_1+1} ... p_{2k_n+1}>_g
-    for every k with sum (2k_i + 1) <= max_weight.
+    for every k with sum (2k_i + 1) <= max_weight.  Both sides are compared
+    at s = 1: they sit at the same s-exponent |k|+1-g by the grading.
 
     Returns (ok, mismatches, checked).
     """
-    b = x_tensor(g, n, max_weight, kind)
+    b = _x_table(g, n, max_weight, kind)
     sign = (-1) ** n
     mismatches = []
     checked = 0
-    from itertools import product as iproduct
-
     kmax = (max_weight - n) // 2
-    for kvec in iproduct(range(kmax + 1), repeat=n):
+    for kvec in product(range(kmax + 1), repeat=n):
         mu = tuple(sorted((2 * k + 1 for k in kvec), reverse=True))
         if sum(mu) > max_weight:
             continue
-        d = 1
-        for k in kvec:
-            d *= double_factorial(2 * k + 1)
-        lhs = d * b.get(kvec)
-        rhs = correlator(g, mu)
-        if sign < 0:
-            rhs = -rhs
+        lhs = _dfact(kvec) * b.get(kvec, 0)
+        rhs = sign * correlator_monomial(g, mu)[1]
         checked += 1
         if lhs != rhs:
             mismatches.append((kvec, lhs, rhs))
@@ -457,11 +440,13 @@ def verify_equivalence_theorem(g, n, max_weight, kind="standard"):
 
 
 def compare_kernels(pairs):
-    """omega tables must agree between the two kernels on the given (g,n) pairs."""
+    """omega tables must agree between the two kernels on the given (g,n)
+    pairs.  (1,1) is skipped: both kernels share its seed.  Fails when no
+    pair is left to compare."""
+    compared = [(g, n) for (g, n) in pairs if (g, n) != (1, 1)]
     mismatches = []
-    for (g, n) in pairs:
-        a = omega(g, n, "standard")
-        b = omega(g, n, "typeB")
-        if a != b:
+    for (g, n) in compared:
+        _check_stable(g, n)
+        if _omega(g, n, "standard") != _omega(g, n, "typeB"):
             mismatches.append((g, n))
-    return not mismatches, mismatches
+    return bool(compared) and not mismatches, mismatches

@@ -63,7 +63,7 @@ def one_point_affine(max_weight, u_value=None):
 
     Computed as the odd projection -[A(x,-x)]_odd (equivalently A(-x,x);
     the two agree by antisymmetry of the coordinate table, which is
-    asserted here).  Returns {exponent: value} for odd exponents.
+    checked here).  Returns {exponent: value} for odd exponents.
     """
     out = {}
     # A(x,-x) = sum_{n,m>0} (-1)^(n+1) a_{n,m} x^(-n-m) - sum_{n odd} a_{0,n} x^-n
@@ -83,7 +83,8 @@ def one_point_affine(max_weight, u_value=None):
             c = affine_coeff(n, m)
             if c:
                 other = other + (-c if m % 2 == 0 else c)
-        assert acc == other, "one-point forms disagree: coordinate table not antisymmetric"
+        if acc != other:
+            raise ArithmeticError("one-point forms disagree: coordinate table not antisymmetric")
         if u_value is not None:
             acc = acc.subs_u(u_value)
         if acc:

@@ -157,3 +157,41 @@ def test_verify_under_optimize_flag(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_window_below_one_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "virasoro", "--window", "0"])
+    assert exc.value.code == 2
+
+
+def test_eo_suite_fails_on_empty_pair_list(tmp_path):
+    rc, text = run_cli(["verify", "--suite", "eo", "--genus-max", "0", "--arity-max", "0"],
+                       tmp_path, "empty.json")
+    assert rc == 1
+    failed = {c["identity"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
+    assert failed == {"eo/equivalence-with-virasoro-weight<=9",
+                      "eo/residue-vs-coefficient-recursion", "eo/kernel-comparison"}
+
+
+def test_eo_equivalence_fails_when_nothing_checked(tmp_path):
+    # weight 0 admits no index, so every pair checks zero instances
+    rc, text = run_cli(["verify", "--suite", "eo", "--genus-max", "1", "--arity-max", "2",
+                        "--weight-max", "0"], tmp_path, "w0.json")
+    assert rc == 1
+    status = {c["identity"]: c["status"] for c in json.loads(text)["checks"]}
+    assert status["eo/equivalence-with-virasoro-weight<=0"] == "fail"
+
+
+def test_computational_failure_exit_code(monkeypatch, tmp_path, capsys):
+    import gbgw.cli as cli
+    from gbgw.npoint import WindowInstabilityError
+
+    def unstable(*args, **kwargs):
+        raise WindowInstabilityError("window too small")
+
+    monkeypatch.setattr(cli.npoint, "npoint_affine", unstable)
+    rc = main(["npoint", "--pipeline", "affine", "--arity-max", "1", "--weight-max", "3",
+               "--out", str(tmp_path / "a.json")])
+    assert rc == 1
+    assert "WindowInstabilityError" in capsys.readouterr().err
