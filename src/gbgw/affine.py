@@ -131,55 +131,49 @@ def gen_A(form, wlo, xlo, xhi, T=None):
                 accumulate(a, (-n, 0), half * c)
             if n <= -xlo:
                 accumulate(a, (0, -n), -half * c)
-        A = BiSeries(("w", "x"), a, (wlo, 0), (xlo, xhi))
-        at = dict(A.coeffs)
-        accumulate(at, (0, 0), ParamPoly.const(Fraction(-1, 4)))
-        for i in range(1, min(-wlo, xhi) + 1):
-            accumulate(at, (-i, i), _tail_coeff(i))
-        At = BiSeries(("w", "x"), at, (wlo, 0), (xlo, xhi))
-        return A, At
-
-    if form != "closed":
+        min_total = None
+    elif form == "closed":
+        if T is None:
+            T = max(-wlo, -xlo) + 2
+        phi1, phi2 = basis_pair(T)
+        p1n = phi1.sub_neg()  # phi1(-z)
+        p2n = phi2.sub_neg()  # phi2(-z)
+        # dividend D(w,x) = w - x + phi1(-x) phi2(-w) - phi1(-w) phi2(-x);
+        # D vanishes at w = -x (the Wronskian identity), so division is exact.
+        num = {(1, 0): ONE, (0, 1): -ONE}
+        for j, cx in p1n.coeffs.items():
+            for i, cw in p2n.coeffs.items():
+                accumulate(num, (i, j), cx * cw)
+        for i, cw in p1n.coeffs.items():
+            for j, cx in p2n.coeffs.items():
+                accumulate(num, (i, j), -(cw * cx))
+        # divide by (w + x): q[i,j] = num[i+1, j] - q[i+1, j-1], descending in i
+        q = {}
+        jmax = T
+        for i in range(0, -T - 1, -1):
+            for j in range(jmax, -T - 1, -1):
+                val = num.get((i + 1, j), ZERO) - q.get((i + 1, j - 1), ZERO)
+                if val:
+                    q[(i, j)] = val
+        # Exactness of the division shows up as the absence of positive x-powers
+        # in the quotient (a nonzero remainder would leak an infinite diagonal
+        # tail of them).  Check it on the sound triangle.
+        for (i, j), val in q.items():
+            if j > 0 and i + j >= 2 - T:
+                raise ArithmeticError("nonzero remainder dividing by (w + x): convention bug")
+            if val.uses("v"):
+                raise ArithmeticError("v survived the antisymmetrized quotient: convention bug")
+        quarter = Fraction(1, 4)
+        a = {k: quarter * c for k, c in q.items() if k[1] <= 0}
+        min_total = 2 - T
+    else:
         raise ValueError(f"unknown form {form!r}")
-    if T is None:
-        T = max(-wlo, -xlo) + 2
-    phi1, phi2 = basis_pair(T)
-    p1n = phi1.sub_neg()  # phi1(-z)
-    p2n = phi2.sub_neg()  # phi2(-z)
-    # dividend D(w,x) = w - x + phi1(-x) phi2(-w) - phi1(-w) phi2(-x);
-    # D vanishes at w = -x (the Wronskian identity), so division is exact.
-    num = {(1, 0): ONE, (0, 1): -ONE}
-    for j, cx in p1n.coeffs.items():
-        for i, cw in p2n.coeffs.items():
-            accumulate(num, (i, j), cx * cw)
-    for i, cw in p1n.coeffs.items():
-        for j, cx in p2n.coeffs.items():
-            accumulate(num, (i, j), -(cw * cx))
-    # divide by (w + x): q[i,j] = num[i+1, j] - q[i+1, j-1], descending in i
-    q = {}
-    jmax = T
-    for i in range(0, -T - 1, -1):
-        for j in range(jmax, -T - 1, -1):
-            val = num.get((i + 1, j), ZERO) - q.get((i + 1, j - 1), ZERO)
-            if val:
-                q[(i, j)] = val
-    # Exactness of the division shows up as the absence of positive x-powers
-    # in the quotient (a nonzero remainder would leak an infinite diagonal
-    # tail of them).  Check it on the sound triangle.
-    for (i, j), val in q.items():
-        if j > 0 and i + j >= 2 - T:
-            raise ArithmeticError("nonzero remainder dividing by (w + x): convention bug")
-        if val.uses("v"):
-            raise ArithmeticError("v survived the antisymmetrized quotient: convention bug")
-    quarter = Fraction(1, 4)
-    a = {k: quarter * c for k, c in q.items() if k[1] <= 0}
-    A = BiSeries(("w", "x"), a, (wlo, 0), (xlo, xhi), min_total=2 - T)
+    A = BiSeries(("w", "x"), a, (wlo, 0), (xlo, xhi), min_total)
     at = dict(A.coeffs)
     accumulate(at, (0, 0), ParamPoly.const(Fraction(-1, 4)))
     for i in range(1, min(-wlo, xhi) + 1):
         accumulate(at, (-i, i), _tail_coeff(i))
-    At = BiSeries(("w", "x"), at, (wlo, 0), (xlo, xhi), min_total=2 - T)
-    return A, At
+    return A, BiSeries(("w", "x"), at, (wlo, 0), (xlo, xhi), min_total)
 
 
 def verify_wronskian(T):

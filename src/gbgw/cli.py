@@ -421,6 +421,8 @@ def main(argv=None):
             parser.error(f"--{bound.replace('_', '-')} must be nonnegative")
     if cfg.window < 1:
         parser.error("--window must be positive")
+    if cfg.command == "npoint" and cfg.arity_max < 1:
+        parser.error("--arity-max must be positive for npoint")
     try:
         return cfg.func(cfg)
     except ValueError as exc:

@@ -108,115 +108,72 @@ def _xi_factor(p, q, at):
     return out
 
 
-def _contract_cycle(order, at, lo, hi, budget):
+def _contract_cycle(order, at, budget):
     """Multiply the xi factors along one cycle under an exact weight budget.
 
-    Every entry of the generating series is h-homogeneous of degree
-    -(i + j) >= 0, so the degree of a partial product is minus the sum of
-    its exponents and can only grow as further factors are multiplied in.
+    Every entry of ``at`` is h-homogeneous of degree -(i + j), with
+    0 <= -(i + j) <= budget, so the degree of a partial product is minus
+    the sum of its exponents and can only grow as further factors are
+    multiplied in.
     Partial states whose degree exceeds ``budget`` can therefore never
     reach an output key of degree <= budget and are dropped exactly.
 
-    Finalized exponents keep only odd values within [-budget, budget] (the
-    odd projection commutes with summation, and tail-artifact cancellation
-    at a key is complete once the window covers max |e_i|, which the caller
-    guarantees for that band); open exponents stay within [lo, hi].
-    Returns {tuple of exponents indexed by variable 1..n: coeff}.
+    A state is keyed (e_first, e_open, finals...): the open exponents of
+    order[0] and of the current variable, then the finalized exponents of
+    order[1..t-1].  Step t (t = 1..n-1) multiplies in factor t, finalizes
+    order[t] and opens order[t+1]; the last step instead closes the cycle
+    on order[0].  Finalized exponents keep only odd values within
+    [-budget, budget] (the odd projection commutes with summation, and
+    tail-artifact cancellation at a key is complete once the window covers
+    max |e_i|, which the caller guarantees for that band).  Open exponents
+    are slots of ``at`` entries and need no check.
+    Returns {tuple of exponents indexed by cycle position: coeff}.
     """
     n = len(order)
-    factors = []
-    for t in range(n):
-        p = order[t]
-        q = order[(t + 1) % n]
-        factors.append(_xi_factor(p, q, at))
-
-    # state: {(e_first_open, e_cur_open, finals...): coeff}; finals are the
-    # exponents of order[1..t-1] in cycle order.
-    state = {}
-    for (e1, e2), c in factors[0].items():
-        if -(e1 + e2) <= budget:
-            state[(e1, e2)] = c
-    for t in range(1, n - 1):
+    state = _xi_factor(order[0], order[1], at)
+    for t in range(1, n):
+        last = t == n - 1
+        fac = _xi_factor(order[t], order[(t + 1) % n], at)
         nxt = {}
-        fac = factors[t]
         for key, c in state.items():
-            efirst, ecur = key[0], key[1]
-            finals = key[2:]
             base = sum(key)
             for (i, j), d in fac.items():
                 if -(base + i + j) > budget:
                     continue
-                efin = ecur + i
-                if efin % 2 == 0 or efin < -budget or efin > budget:
+                efin = key[1] + i
+                if efin % 2 == 0 or not -budget <= efin <= budget:
                     continue
-                if j < lo or j > hi:
-                    continue
-                newkey = (efirst, j) + finals + (efin,)
-                prod = c * d
-                r = nxt.get(newkey)
-                r = prod if r is None else r + prod
-                if r:
-                    nxt[newkey] = r
+                if last:
+                    efirst = key[0] + j
+                    if efirst % 2 == 0 or not -budget <= efirst <= budget:
+                        continue
+                    newkey = (efirst,) + key[2:] + (efin,)
                 else:
-                    del nxt[newkey]
+                    newkey = (key[0], j) + key[2:] + (efin,)
+                accumulate(nxt, newkey, c * d)
         state = nxt
-    # last factor closes the cycle: contributes to order[n-1] and order[0]
-    result = {}
-    fac = factors[n - 1]
-    for key, c in state.items():
-        efirst, ecur = key[0], key[1]
-        finals = key[2:]
-        base = sum(key)
-        for (i, j), d in fac.items():
-            if -(base + i + j) > budget:
-                continue
-            elast = ecur + i
-            e1 = efirst + j
-            if elast % 2 == 0 or e1 % 2 == 0:
-                continue
-            if not (-budget <= elast <= budget and -budget <= e1 <= budget):
-                continue
-            newkey = (e1,) + finals + (elast,)
-            prod = c * d
-            r = result.get(newkey)
-            r = prod if r is None else r + prod
-            if r:
-                result[newkey] = r
-            else:
-                del result[newkey]
-    # reindex from cycle positions to variables 1..n
-    out = {}
-    for key, c in result.items():
-        exps = [0] * n
-        for pos, var in enumerate(order):
-            exps[var - 1] = key[pos]
-        out[tuple(exps)] = c
-    return out
+    return state
 
 
 def _npoint_once(n, max_weight, tail_hi, u_value=None):
-    if n == 1:
-        return SparseTensor(1, {(e,): c for e, c in one_point_affine(max_weight, u_value).items()})
-    lo = -(max_weight + tail_hi)
-    _, At = gen_A("direct", lo, lo, tail_hi)
+    """One cycle-sum pass (n >= 2) on the window [-tail_hi, 0] x [-max_weight, tail_hi].
+
+    That window is the bounding box of what the sum reads: entries with
+    n + m <= max_weight, the boundary entries (-n, 0) and (0, -m), the
+    constant (0, 0), and the tail (-i, i) for i <= tail_hi.
+    """
+    _, At = gen_A("direct", -tail_hi, -max_weight, tail_hi)
     # entries of degree beyond the weight budget can never contribute
     at = {k: c for k, c in At.coeffs.items() if -(k[0] + k[1]) <= max_weight}
     if u_value is not None:
         at = {k: v for k, v in ((k, c.subs_u(u_value)) for k, c in at.items()) if v}
     total = {}
     for order in cycles(n):
-        part = _contract_cycle(order, at, lo, tail_hi, max_weight)
-        for key, c in part.items():
-            r = total.get(key)
-            r = c if r is None else r + c
-            if r:
-                total[key] = r
-            else:
-                del total[key]
+        where = [order.index(v) for v in range(1, n + 1)]
+        for key, c in _contract_cycle(order, at, max_weight).items():
+            accumulate(total, tuple(key[p] for p in where), c)
     factor = -(2 ** (n - 1))
-    out = SparseTensor(n)
-    for key, c in total.items():
-        out.coeffs[key] = factor * c
+    out = SparseTensor(n, {key: factor * c for key, c in total.items()})
     if n == 2:
         # off-diagonal tail artifacts self-cancel within the window; the
         # diagonal band (-m, +m) survives and is exactly the correction term
@@ -226,37 +183,33 @@ def _npoint_once(n, max_weight, tail_hi, u_value=None):
     return out
 
 
-def npoint_affine(n, max_weight, tail_hi=None, u_value=None, stability=True):
+def npoint_affine(n, max_weight, u_value=None):
     """Cycle-sum n-point tensor with negative odd exponents up to |mu| <= max_weight.
 
-    The window protocol recomputes at tail_hi + 4 and demands identical
-    target coefficients (and that every positive-exponent artifact has
-    cancelled); WindowInstabilityError reports violations.
+    n = 1 is the direct one-point sum.  For n >= 2 the window protocol
+    recomputes at tail_hi + 4 and demands identical target coefficients
+    (and that every positive-exponent artifact has cancelled);
+    WindowInstabilityError reports violations.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tail_hi is None:
-        # tail artifacts inside the certified band cancel once the window
-        # covers the wandering range, which grows with the cycle length;
-        # 2W is enough for n = 3 empirically, and the stability pass guards it
-        tail_hi = max_weight if n <= 2 else 2 * max_weight + 1
-    runs = [_npoint_once(n, max_weight, tail_hi, u_value)]
-    if stability and n >= 2:
-        runs.append(_npoint_once(n, max_weight, tail_hi + 4, u_value))
+    if n == 1:
+        return SparseTensor(1, {(e,): c for e, c in one_point_affine(max_weight, u_value).items()})
+    # tail artifacts inside the certified band cancel once the window
+    # covers the wandering range, which grows with the cycle length;
+    # 2W is enough for n = 3 empirically, and the stability pass guards it
+    tail_hi = max_weight if n <= 2 else 2 * max_weight + 1
+    runs = [_npoint_once(n, max_weight, t, u_value) for t in (tail_hi, tail_hi + 4)]
 
     def targets(t):
-        kept = SparseTensor(n)
-        for key, c in t.coeffs.items():
-            if all(e <= -1 for e in key):
-                kept.coeffs[key] = c
-        return kept
+        return SparseTensor(n, {k: c for k, c in t.coeffs.items() if all(e <= -1 for e in k)})
 
     cleaned = [targets(t) for t in runs]
-    if len(cleaned) == 2 and cleaned[0] != cleaned[1]:
+    if cleaned[0] != cleaned[1]:
         raise WindowInstabilityError("target coefficients changed when widening the window")
     # tail artifacts with a positive exponent must have cancelled; the weight
     # pruning already confines all surviving keys to the trusted band
-    for key, c in runs[-1].coeffs.items():
+    for key, c in runs[1].coeffs.items():
         if any(e >= 1 for e in key):
             raise WindowInstabilityError(f"uncancelled positive exponent at {key}: {c!r}")
     return cleaned[0]

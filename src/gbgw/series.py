@@ -42,7 +42,8 @@ class LaurentSeries:
     __slots__ = ("var", "coeffs", "lo", "hi")
 
     def __init__(self, var, coeffs, lo, hi):
-        assert lo <= hi + 1
+        if lo > hi + 1:
+            raise ValueError(f"window lo={lo} exceeds hi + 1 = {hi + 1}")
         self.var = var
         self.coeffs = {e: c for e, c in coeffs.items() if c and lo <= e <= hi}
         self.lo = lo
@@ -269,7 +270,8 @@ class BiSeries:
         return self.coeffs.get((i, j), 0)
 
     def __add__(self, other):
-        assert self.vars == other.vars
+        if self.vars != other.vars:
+            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
         w1 = (max(self.window1[0], other.window1[0]), min(self.window1[1], other.window1[1]))
         w2 = (max(self.window2[0], other.window2[0]), min(self.window2[1], other.window2[1]))
         mt = self.min_total
@@ -312,7 +314,8 @@ class SparseTensor:
         if coeffs:
             for k, c in coeffs.items():
                 if c:
-                    assert len(k) == arity
+                    if len(k) != arity:
+                        raise ValueError(f"key {k} does not have arity {arity}")
                     self.coeffs[k] = c
 
     def get(self, key):

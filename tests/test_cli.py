@@ -165,6 +165,13 @@ def test_window_below_one_rejected():
     assert exc.value.code == 2
 
 
+def test_npoint_arity_below_one_rejected():
+    for pipeline in ("affine", "virasoro", "eo"):
+        with pytest.raises(SystemExit) as exc:
+            main(["npoint", "--pipeline", pipeline, "--arity-max", "0", "--weight-max", "3"])
+        assert exc.value.code == 2, pipeline
+
+
 def test_eo_suite_fails_on_empty_pair_list(tmp_path):
     rc, text = run_cli(["verify", "--suite", "eo", "--genus-max", "0", "--arity-max", "0"],
                        tmp_path, "empty.json")

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from gbgw.correlators import odd_partitions
 from gbgw.poly import ParamPoly
 from gbgw.schurq import theta
 from gbgw.npoint import (
@@ -83,6 +85,17 @@ def test_three_point_small_matches_bridge():
     ok, mismatches, checked = crosscheck_affine_vs_virasoro(3, 5)
     assert ok, mismatches
     assert checked > 0
+
+
+def test_four_point_matches_bridge():
+    # the only cycle sums with two middle factors in the contraction loop
+    t = npoint_affine(4, 6)
+    want = {}
+    for mu in odd_partitions(6, 4):
+        if len(mu) == 4:
+            want.update(dict.fromkeys(permutations(tuple(-m for m in mu)), bridge(mu)))
+    assert len(want) == 5
+    assert t.coeffs == want
 
 
 def test_crosscheck_small_range():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gbgw.poly import ParamPoly, ONE, S, half_binomial
-from gbgw.series import LaurentSeries, WindowError, series_eq_on_overlap
+from gbgw.series import BiSeries, LaurentSeries, SparseTensor, WindowError, series_eq_on_overlap
 
 
 def test_mul_trivial():
@@ -34,6 +34,24 @@ def test_variable_mismatch():
     b = LaurentSeries.one("x", -2)
     with pytest.raises(ValueError):
         a * b
+
+
+def test_window_below_empty_rejected():
+    LaurentSeries.zero("z", 1, 0)  # lo = hi + 1 is the empty window
+    with pytest.raises(ValueError):
+        LaurentSeries.zero("z", 2, 0)
+
+
+def test_biseries_variable_mismatch():
+    a = BiSeries(("w", "x"), {(0, 0): Fraction(1)}, (-2, 0), (-2, 0))
+    b = BiSeries(("x", "w"), {(0, 0): Fraction(1)}, (-2, 0), (-2, 0))
+    with pytest.raises(ValueError):
+        a + b
+
+
+def test_sparse_tensor_key_arity_checked():
+    with pytest.raises(ValueError):
+        SparseTensor(2, {(-1, -1, -1): Fraction(1)})
 
 
 def test_inverse_geometric():
