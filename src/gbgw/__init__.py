@@ -19,6 +19,17 @@ __all__ = [
     "SparseTensor",
     "pfaffian",
     "determinant",
+    "reset_caches",
 ]
 
 __version__ = "0.1.0"
+
+
+def reset_caches():
+    """Empty the five module memos: the Virasoro table, the two EO tables
+    and the affine coordinates with their theta products."""
+    from . import affine, correlators, eo
+
+    for memo in (correlators._cache, eo._omega_cache, eo._closed_cache,
+                 affine._affine_cache, affine._theta_prod_cache):
+        memo.clear()

@@ -39,12 +39,14 @@ __all__ = [
     "verify_pfaffian_expansion",
 ]
 
-_theta_prod_cache = {0: ONE}
+_theta_prod_cache = {}
 _affine_cache = {}
 
 
 def theta_prod(n):
     """prod_{k=1}^n theta(k), memoized."""
+    if n == 0:
+        return ONE
     out = _theta_prod_cache.get(n)
     if out is None:
         out = theta_prod(n - 1) * theta(n)

@@ -295,6 +295,8 @@ def _suite_qsc(cfg):
 
     def span():
         rep = quantum.verify_ks(min(10, cfg.window // 2), cfg.window)
+        if not rep["p_checked"] + rep["q_checked"]:
+            return False, "no coefficient checked"
         return rep["p_ok"] and rep["q_ok"], rep["failures"]
 
     _check(checks, "qsc/span-stability", span)
@@ -428,7 +430,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:  # a computation failed, not the usage
+    except (ArithmeticError, RecursionError, MemoryError) as exc:  # a computation failed
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

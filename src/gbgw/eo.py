@@ -229,6 +229,11 @@ def omega_closed_step(g, n):
     unstable bracket, (1,1) and (0,3), are evaluated from their explicit
     residue instances instead.  Tables store normalized A-values
     (W = A * prod (2k_i+1)!!).
+
+    The sub-tables are scattered, not probed: each is indexed once by its
+    external tuple (head (a, b) for (g-1, n+1), one head index otherwise),
+    and for each kvec only the stored left x right products with a + b < mmax
+    and the (g, n-1) entries at kvec less one index enter the sums.
     """
     _check_stable(g, n)
     return _with_s(g, n, _closed(g, n))
@@ -261,44 +266,35 @@ def _closed_solve(g, n):
     ext_candidates = [kk for kk in product(range(bound + 1), repeat=ext_n) if sum(kk) <= bound]
     mmax = bound + 3
     mh_pow = [Fraction(-1, 2) ** j for j in range(mmax + 3)]  # (-s/2)^j at s = 1
+    upper = _scatter(g - 1, n + 1, 2) if g >= 1 else {}
+    lower = _scatter(g, n - 1, 1) if ext_n else {}
+    halves = [(tuple(i for i in range(ext_n) if mask >> i & 1),
+               tuple(i for i in range(ext_n) if not mask >> i & 1)) for mask in range(1 << ext_n)]
+    # the splittings exclude one- and two-point factors
+    splits = [(I, J, _scatter(g1, len(I) + 1, 1), _scatter(g - g1, len(J) + 1, 1))
+              for g1 in range(g + 1) for I, J in halves if (g1 or len(I) > 1) and (g1 < g or len(J) > 1)]
     t = {}
     for kvec in ext_candidates:
         # bracket values depend on (a, b) only: hoist them out of the m-loop
         inner_ab = {}
-        for a in range(mmax):
-            for b in range(mmax - a):
-                inner = 0
-                if g >= 1 and 2 * (g - 1) - 2 + (ext_n + 2) > 0:
-                    inner = inner + _sub_lookup(g - 1, ext_n + 2, (a, b) + kvec)
-                for g1 in range(g + 1):
-                    g2 = g - g1
-                    for mask in range(1 << ext_n):
-                        I = tuple(i for i in range(ext_n) if mask >> i & 1)
-                        J = tuple(i for i in range(ext_n) if not mask >> i & 1)
-                        if (g1 == 0 and len(I) + 1 <= 2) or (g2 == 0 and len(J) + 1 <= 2):
-                            continue
-                        left = _sub_lookup(g1, len(I) + 1, (a,) + tuple(kvec[i] for i in I))
-                        if not left:
-                            continue
-                        right = _sub_lookup(g2, len(J) + 1, (b,) + tuple(kvec[i] for i in J))
-                        if not right:
-                            continue
-                        inner = inner + left * right
-                if inner:
-                    inner_ab[(a, b)] = inner
+        for ab, v in upper.get(kvec, {}).items():
+            if sum(ab) < mmax:
+                accumulate(inner_ab, ab, v)
+        for I, J, left, right in splits:
+            rights = right.get(tuple(kvec[i] for i in J), {})
+            for (a,), lv in left.get(tuple(kvec[i] for i in I), {}).items():
+                for (b,), rv in rights.items():
+                    if a + b < mmax:
+                        accumulate(inner_ab, (a, b), lv * rv)
+        # the (g, n-1) entries at (k_i + k0 - 1, rest) for 0 <= k0 <= mmax + 1
         sub_d = {}
-        for pos in range(ext_n):
-            ki = kvec[pos]
-            rest = kvec[:pos] + kvec[pos + 1:]
-            for k0 in range(mmax + 2):
-                idx = ki + k0 - 1
-                if idx < 0:
-                    continue
-                sub = _sub_lookup(g, n - 1, (idx,) + rest)
-                if sub:
-                    weight = Fraction(double_factorial(2 * ki + 2 * k0 - 1),
+        for pos, ki in enumerate(kvec):
+            for (idx,), sub in lower.get(kvec[:pos] + kvec[pos + 1:], {}).items():
+                k0 = idx - ki + 1
+                if 0 <= k0 <= mmax + 1:
+                    weight = Fraction(double_factorial(2 * idx + 1),
                                       2 ** k0 * double_factorial(2 * ki - 1))
-                    sub_d[k0] = sub_d.get(k0, 0) + weight * sub
+                    accumulate(sub_d, k0, weight * sub)
         solved = {}
         for m in range(mmax + 1):
             rhs = 0
@@ -330,10 +326,14 @@ def _closed_solve(g, n):
     return t
 
 
-def _sub_lookup(g, n, kk):
-    if 2 * g - 2 + n <= 0:
-        return 0
-    return _closed(g, n).get(kk, 0)
+def _scatter(g, n, head):
+    """The closed table of (g, n) indexed by its external tuple, as
+    {kk[head:]: {kk[:head]: value}}; empty when (g, n) is unstable."""
+    out = {}
+    if 2 * g - 2 + n > 0:
+        for kk, v in _closed(g, n).items():
+            out.setdefault(kk[head:], {})[kk[:head]] = v
+    return out
 
 
 def _dfact(kk):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .affine import affine_coeff
 from .poly import ParamPoly, ONE, ZERO
 from .schurq import theta
-from .series import LaurentSeries
+from .series import LaurentSeries, accumulate
 
 __all__ = [
     "RatFunc",
@@ -161,15 +161,8 @@ def apply_P(f):
     out = {}
     for e, c in f.coeffs.items():
         for e2, w in p_monomial(e):
-            if not w:
-                continue
-            v = c * w
-            r = out.get(e2)
-            r = v if r is None else r + v
-            if r:
-                out[e2] = r
-            else:
-                del out[e2]
+            if w:
+                accumulate(out, e2, c * w)
     return LaurentSeries(f.var, out, f.lo - 1, f.hi - 1)
 
 
@@ -209,10 +202,13 @@ def verify_ks(k_max, depth):
       Q(PhiB_k) = c_{k+1} PhiB_{k+1} + d_k PhiB_0, with c_{k+1} read off the
       leading exponent and d_k from the residual constant term.
 
-    Returns a report dict with pass flags and the recorded coefficients.
+    Returns a report dict with pass flags, the recorded coefficients and
+    the number of exponents compared for P and for Q (the two exponents
+    that fix c_{k+1} and d_k are not counted: they cannot fail).
     """
     phis = [phiB(k, depth) for k in range(k_max + 2)]
-    report = {"p_ok": True, "q_ok": True, "q_leading": [], "q_phi0": [], "failures": []}
+    report = {"p_ok": True, "q_ok": True, "q_leading": [], "q_phi0": [], "failures": [],
+              "p_checked": 0, "q_checked": 0}
     for k in range(k_max + 1):
         got = apply_P(phis[k])
         th = theta(k)
@@ -222,7 +218,8 @@ def verify_ks(k_max, depth):
         if k >= 2:
             want = want + phis[k - 2].scale(ParamPoly.monomial(Fraction(-1, 32), eh=4) * (th * theta(k - 1)))
         diff = got - want
-        lo = max(got.lo, -depth)
+        lo = max(diff.lo, -depth)
+        report["p_checked"] += max(diff.hi + 1 - lo, 0)
         bad = [e for e in diff.coeffs if e >= lo]
         if bad:
             report["p_ok"] = False
@@ -230,23 +227,14 @@ def verify_ks(k_max, depth):
 
         got_q = apply_Q(phis[k])
         c_lead = got_q.coeff(k + 1)
-        resid = {}
-        for e, c in got_q.coeffs.items():
-            resid[e] = c
+        resid = dict(got_q.coeffs)
         for e, c in phis[k + 1].coeffs.items():
-            v = resid.get(e, RatFunc(ZERO)) - c_lead * c
-            if v:
-                resid[e] = v
-            else:
-                resid.pop(e, None)
+            accumulate(resid, e, -(c_lead * c))
         d0 = resid.get(0, RatFunc(ZERO))
         for e, c in phis[0].coeffs.items():
-            v = resid.get(e, RatFunc(ZERO)) - d0 * c
-            if v:
-                resid[e] = v
-            else:
-                resid.pop(e, None)
+            accumulate(resid, e, -(d0 * c))
         lo_sound = got_q.lo
+        report["q_checked"] += sum(1 for e in range(lo_sound, got_q.hi + 1) if e not in (0, k + 1))
         bad = [e for e in resid if e >= lo_sound]
         if bad:
             report["q_ok"] = False
@@ -265,26 +253,14 @@ def _poly2_mul(a, b):
     out = {}
     for (i1, j1), c1 in a.items():
         for (i2, j2), c2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            v = c1 * c2
-            r = out.get(k)
-            r = v if r is None else r + v
-            if r:
-                out[k] = r
-            else:
-                del out[k]
+            accumulate(out, (i1 + i2, j1 + j2), c1 * c2)
     return out
 
 
 def _poly2_sub(a, b):
     out = dict(a)
     for k, v in b.items():
-        r = out.get(k)
-        r = -v if r is None else r - v
-        if r:
-            out[k] = r
-        else:
-            out.pop(k, None)
+        accumulate(out, k, -v)
     return out
 
 

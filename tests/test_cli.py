@@ -202,3 +202,29 @@ def test_computational_failure_exit_code(monkeypatch, tmp_path, capsys):
                "--out", str(tmp_path / "a.json")])
     assert rc == 1
     assert "WindowInstabilityError" in capsys.readouterr().err
+
+
+def test_resource_errors_exit_one(monkeypatch, tmp_path, capsys):
+    import gbgw.cli as cli
+
+    for exc in (RecursionError("maximum recursion depth exceeded"), MemoryError("out of memory")):
+        def failing(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.eo, "x_tensor", failing)
+        rc = main(["npoint", "--pipeline", "eo", "--out", str(tmp_path / "e.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def test_span_stability_fails_when_nothing_compared(monkeypatch, tmp_path):
+    import gbgw.cli as cli
+
+    def empty(k_max, depth):
+        return {"p_ok": True, "q_ok": True, "failures": [], "p_checked": 0, "q_checked": 0}
+
+    monkeypatch.setattr(cli.quantum, "verify_ks", empty)
+    rc, text = run_cli(["verify", "--suite", "qsc", "--window", "4"], tmp_path, "qsc.json")
+    assert rc == 1
+    checks = {c["identity"]: c for c in json.loads(text)["checks"]}
+    assert checks["qsc/span-stability"]["detail"] == "no coefficient checked"

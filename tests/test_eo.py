@@ -189,3 +189,39 @@ def test_negative_s_exponent_raises(monkeypatch):
         omega(2, 1)
     with pytest.raises(ArithmeticError):
         omega_closed_step(2, 1)
+
+
+def test_closed_step_reads_no_residue_table():
+    # the coefficient route is an independent pipeline: it builds no omega table
+    import gbgw.eo as eo
+
+    eo.clear_caches()
+    omega_closed_step(3, 3)
+    assert eo._omega_cache == {}
+
+
+def test_closed_step_pole_bound_guard(monkeypatch):
+    # one planted (1,2) entry beyond its pole bound pushes (1,3) past its own
+    import gbgw.eo as eo
+
+    planted = {**eo._closed(1, 2), (4, 0): Fraction(1)}
+    monkeypatch.setitem(eo._closed_cache, (1, 2), planted)
+    monkeypatch.delitem(eo._closed_cache, (1, 3), raising=False)
+    with pytest.raises(ArithmeticError):
+        omega_closed_step(1, 3)
+
+
+def test_reset_caches_empties_every_memo():
+    import gbgw
+    from gbgw import affine, correlators, eo
+
+    memos = (correlators._cache, eo._omega_cache, eo._closed_cache,
+             affine._affine_cache, affine._theta_prod_cache)
+    correlator(1, (3,))
+    omega(1, 2)
+    affine.affine_coeff(2, 1)
+    before = omega_closed_step(2, 2)
+    assert all(memos)
+    gbgw.reset_caches()
+    assert all(memo == {} for memo in memos)
+    assert omega_closed_step(2, 2) == before

@@ -123,3 +123,13 @@ def test_phiB0_equals_phi1_mirrored():
 def test_semiclassical_identity():
     ok, detail = semiclassical_identity()
     assert ok, detail
+
+
+def test_verify_ks_counts_compared_exponents():
+    # P(PhiB_k) is compared on [-depth, k-1]; Q(PhiB_k) on [1-depth, k+1]
+    # less the two exponents that fix c_{k+1} and d_k
+    report = verify_ks(4, 16)
+    assert report["p_checked"] == sum(k + 16 for k in range(5))
+    assert report["q_checked"] == sum(k + 15 for k in range(5))
+    empty = verify_ks(-1, 5)
+    assert empty["p_checked"] + empty["q_checked"] == 0
