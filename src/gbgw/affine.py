@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 
 from .pfaffian import pfaffian
-from .poly import ParamPoly, ONE, ZERO, H, V
+from .poly import ParamPoly, ONE, ZERO, H, V, u_add, u_mul, u_scale
 from .schurq import theta, hypergeom_coeff
 from .series import LaurentSeries, BiSeries, accumulate, series_eq_on_overlap
 
@@ -76,35 +76,105 @@ def affine_coeff(n, m):
     return out
 
 
+def _int_basis(T):
+    """phi1 and phi2 through z^-T at h = 1, on dense int u-tuples.
+
+    Returns (d1, p1, d2, p2u, p2v) with d1 = 8^T T! and d2 = 8^(T+1) (T+1)!,
+    which clear every denominator: phi1 at z^-k is h^k p1[-k] / d1, and
+    phi2 at z^(1-k) is h^k (p2u[1-k] + v p2v[1-k]) / d2.
+    """
+    if T < 1:
+        raise ValueError("window must be at least 1")
+    d1 = 8 ** T * factorial(T)
+    d2 = 8 * (T + 1) * d1
+    p1, p2u, p2v = {0: (d1,)}, {1: (d2,)}, {1: ()}
+    # (-1)^k prod (4u - (2i-1)^2) = prod theta(i), and for phi2
+    # (-1)^k prod (4(1-v)^2 - (2i-1)^2) = prod ((2i-1)^2 - 4 - 4u + 8v)
+    prod1, prod2u, prod2v = (1,), (1,), ()
+    for k in range(1, T + 2):
+        odd2 = (2 * k - 1) ** 2
+        if k <= T:
+            prod1 = u_mul(prod1, (odd2, -4))
+            p1[-k] = u_scale(prod1, d1 // (8 ** k * factorial(k)))
+        # (a + v b)(f + 8v) = a f + 8u b + v (8a + b f), with v^2 = u
+        f = (odd2 - 4, -4)
+        prod2u, prod2v = (
+            u_add(u_mul(prod2u, f), (0,) + u_scale(prod2v, 8) if prod2v else ()),
+            u_add(u_scale(prod2u, 8), u_mul(prod2v, f)),
+        )
+        scale = d2 // (8 ** k * factorial(k))
+        p2u[1 - k], p2v[1 - k] = u_scale(prod2u, scale), u_scale(prod2v, scale)
+    return d1, p1, d2, p2u, p2v
+
+
 def basis_pair(T):
     """The first two basis series of the KdV point, exact through z^-T.
 
     phi1(z) = 1 + sum_k (-h)^k/(8^k k!) prod_{i<=k} (4u - (2i-1)^2) z^-k
     phi2(z) = z + sum_k (-h)^k/(8^k k!) prod_{i<=k} (4(1-v)^2 - (2i-1)^2) z^(1-k)
+
+    This is the ParamPoly view of the integer basis the closed form of
+    ``gen_A`` divides, so the Wronskian checks test those very numbers.
     """
-    if T < 1:
-        raise ValueError("window must be at least 1")
-    phi1 = {0: ONE}
-    prod1 = ONE
-    four_u = ParamPoly.gen("u") * 4
-    for k in range(1, T + 1):
-        prod1 = prod1 * (four_u - (2 * k - 1) ** 2)
-        phi1[-k] = ParamPoly.monomial(Fraction((-1) ** k, 8 ** k * factorial(k)), eh=k) * prod1
-    phi2 = {1: ONE}
-    prod2 = ONE
-    sq = (ONE - V) * (ONE - V) * 4
-    for k in range(1, T + 2):
-        prod2 = prod2 * (sq - (2 * k - 1) ** 2)
-        phi2[1 - k] = ParamPoly.monomial(Fraction((-1) ** k, 8 ** k * factorial(k)), eh=k) * prod2
+    d1, p1, d2, p2u, p2v = _int_basis(T)
+    phi1 = {e: ParamPoly.from_u(c, d1, eh=-e) for e, c in p1.items()}
+    phi2 = {
+        e: ParamPoly.from_u(c, d2, eh=1 - e) + ParamPoly.from_u(p2v[e], d2, eh=1 - e, ev=1)
+        for e, c in p2u.items()
+    }
     return (
         LaurentSeries("z", phi1, -T, 0),
         LaurentSeries("z", phi2, -T, 1),
     )
 
 
-def _tail_coeff(i):
-    """Coefficient of w^-i x^i in At - A, i >= 1: the tail -1/2 (-1)^i."""
-    return ParamPoly.const(Fraction(1, 2) if i % 2 else Fraction(-1, 2))
+def _direct_a(keys):
+    """Entries of the direct A at ``keys``, pairs (i, j) with i, j <= 0.
+
+    The sign and half-weight rules of the coordinate double sum:
+    (-1)^(n+m+1) a_{n,m} at (-n, -m), and (-1)^n/2 a_{0,n} at (-n, 0) and
+    minus that at (0, -n).
+    """
+    a = {}
+    for i, j in keys:
+        n, m = -i, -j
+        if n and m:
+            c = affine_coeff(n, m)
+            if c:
+                a[(i, j)] = -c if (m + n) % 2 == 0 else c
+        elif n or m:
+            half = Fraction(1, 2) if (n + m) % 2 == 0 else Fraction(-1, 2)
+            a[(i, j)] = (half if n else -half) * affine_coeff(0, n + m)
+    return a
+
+
+def _with_tail(a, tail_hi):
+    """Entries of At = A - 1/4 - 1/2 sum_{i=1}^{tail_hi} (-1)^i w^-i x^i."""
+    at = dict(a)
+    accumulate(at, (0, 0), ParamPoly.const(Fraction(-1, 4)))
+    for i in range(1, tail_hi + 1):
+        accumulate(at, (-i, i), ParamPoly.const(Fraction(1, 2) if i % 2 else Fraction(-1, 2)))
+    return at
+
+
+def _antisym_quotient(p1, p2, T, wx=0):
+    """(wx (w - x) + p1(x) p2(w) - p1(w) p2(x)) / (w + x) on int u-tuples.
+
+    Long division in w: q[i, j] = num[i+1, j] - q[i+1, j-1], descending in i.
+    """
+    num = {(1, 0): (wx,), (0, 1): (-wx,)} if wx else {}
+    for j, cx in p1.items():
+        for i, cw in p2.items():
+            c = u_mul(cx, cw)
+            num[(i, j)] = u_add(num.get((i, j), ()), c)
+            num[(j, i)] = u_add(num.get((j, i), ()), u_scale(c, -1))
+    q = {}
+    for i in range(0, -T - 1, -1):
+        for j in range(T, -T - 1, -1):
+            val = u_add(num.get((i + 1, j), ()), u_scale(q.get((i + 1, j - 1), ()), -1))
+            if val:
+                q[(i, j)] = val
+    return q
 
 
 def gen_A(form, wlo, xlo, xhi, T=None):
@@ -112,70 +182,45 @@ def gen_A(form, wlo, xlo, xhi, T=None):
 
     form="direct" sums the coordinate table.  form="closed" builds A as the
     exact quotient of w - x + phi1(-x)phi2(-w) - phi1(-w)phi2(-x) by
-    (w + x) -- long division in w, with the zero-remainder assertion that
-    no positive x-powers survive in the quotient -- and derives At from it;
-    the result is sound on the triangle i + j >= 2 - T, recorded via
-    ``min_total``.
+    (w + x) -- long division in w, with the zero-remainder check that no
+    positive x-powers survive in the quotient, and the check that its v-part
+    vanishes -- and derives At from it; the result is sound on the triangle
+    i + j >= 2 - T, recorded via ``min_total``.  The closed form runs at
+    h = 1 on the integer basis of ``basis_pair``: the quotient at (i, j) is
+    h^-(i+j) times an int u-tuple over 4 d1 d2, attached only on the way out.
     """
     if form == "direct":
-        a = {}
-        for n in range(1, -wlo + 1):
-            for m in range(1, -xlo + 1):
-                if n == m:
-                    continue
-                c = affine_coeff(n, m)
-                if c:
-                    a[(-n, -m)] = -c if (m + n) % 2 == 0 else c
-        for n in range(1, -min(wlo, xlo) + 1):
-            c = affine_coeff(0, n)
-            half = Fraction(1, 2) if n % 2 == 0 else Fraction(-1, 2)
-            if n <= -wlo:
-                accumulate(a, (-n, 0), half * c)
-            if n <= -xlo:
-                accumulate(a, (0, -n), -half * c)
+        a = _direct_a((-n, -m) for n in range(-wlo + 1) for m in range(-xlo + 1))
         min_total = None
     elif form == "closed":
         if T is None:
             T = max(-wlo, -xlo) + 2
-        phi1, phi2 = basis_pair(T)
-        p1n = phi1.sub_neg()  # phi1(-z)
-        p2n = phi2.sub_neg()  # phi2(-z)
-        # dividend D(w,x) = w - x + phi1(-x) phi2(-w) - phi1(-w) phi2(-x);
-        # D vanishes at w = -x (the Wronskian identity), so division is exact.
-        num = {(1, 0): ONE, (0, 1): -ONE}
-        for j, cx in p1n.coeffs.items():
-            for i, cw in p2n.coeffs.items():
-                accumulate(num, (i, j), cx * cw)
-        for i, cw in p1n.coeffs.items():
-            for j, cx in p2n.coeffs.items():
-                accumulate(num, (i, j), -(cw * cx))
-        # divide by (w + x): q[i,j] = num[i+1, j] - q[i+1, j-1], descending in i
-        q = {}
-        jmax = T
-        for i in range(0, -T - 1, -1):
-            for j in range(jmax, -T - 1, -1):
-                val = num.get((i + 1, j), ZERO) - q.get((i + 1, j - 1), ZERO)
-                if val:
-                    q[(i, j)] = val
-        # Exactness of the division shows up as the absence of positive x-powers
+        d1, p1, d2, p2u, p2v = _int_basis(T)
+
+        def at_minus_z(p):  # phi(-z): the coefficient at z^e picks up (-1)^e
+            return {e: u_scale(c, -1) if e % 2 else c for e, c in p.items()}
+
+        p1 = at_minus_z(p1)
+        # the dividend vanishes at w = -x (the Wronskian identity), so the
+        # division is exact, which shows up as the absence of positive x-powers
         # in the quotient (a nonzero remainder would leak an infinite diagonal
-        # tail of them).  Check it on the sound triangle.
-        for (i, j), val in q.items():
+        # tail of them); check it on the sound triangle
+        q = _antisym_quotient(p1, at_minus_z(p2u), T, wx=d1 * d2)
+        for i, j in q:
             if j > 0 and i + j >= 2 - T:
                 raise ArithmeticError("nonzero remainder dividing by (w + x): convention bug")
-            if val.uses("v"):
-                raise ArithmeticError("v survived the antisymmetrized quotient: convention bug")
-        quarter = Fraction(1, 4)
-        a = {k: quarter * c for k, c in q.items() if k[1] <= 0}
+        if _antisym_quotient(p1, at_minus_z(p2v), T):
+            raise ArithmeticError("v survived the antisymmetrized quotient: convention bug")
         min_total = 2 - T
+        a = {
+            (i, j): ParamPoly.from_u(c, 4 * d1 * d2, eh=-(i + j))
+            for (i, j), c in q.items()
+            if wlo <= i and xlo <= j <= 0 and i + j >= min_total
+        }
     else:
         raise ValueError(f"unknown form {form!r}")
     A = BiSeries(("w", "x"), a, (wlo, 0), (xlo, xhi), min_total)
-    at = dict(A.coeffs)
-    accumulate(at, (0, 0), ParamPoly.const(Fraction(-1, 4)))
-    for i in range(1, min(-wlo, xhi) + 1):
-        accumulate(at, (-i, i), _tail_coeff(i))
-    return A, BiSeries(("w", "x"), at, (wlo, 0), (xlo, xhi), min_total)
+    return A, BiSeries(("w", "x"), _with_tail(A.coeffs, min(-wlo, xhi)), (wlo, 0), (xlo, xhi), min_total)
 
 
 def verify_wronskian(T):

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
-from .affine import affine_coeff, gen_A
+from .affine import _direct_a, _with_tail, affine_coeff
 from .correlators import check_odd_partition, correlator_monomial, odd_partitions
-from .poly import ParamPoly, ZERO
+from .poly import ParamPoly, ZERO, u_add, u_mul, u_scale
 from .series import SparseTensor, accumulate
 
 __all__ = [
@@ -93,25 +94,25 @@ def one_point_affine(max_weight, u_value=None):
 
 
 def _xi_factor(p, q, at):
-    """Entries of xi(x_p, -x_q) as {(e_p, e_q): coeff}.
+    """Entries of xi(x_p, -x_q) as {(e_p, e_q): int u-tuple}.
 
     p < q: At(x_p, -x_q); p > q: -At(-x_q, x_p) with the slots swapped.
     """
     out = {}
     if p < q:
         for (i, j), c in at.items():
-            out[(i, j)] = -c if j % 2 else c
+            out[(i, j)] = u_scale(c, -1) if j % 2 else c
     else:
         for (i, j), c in at.items():
-            v = -c if i % 2 == 0 else c  # -(-1)^i c
-            out[(j, i)] = v
+            out[(j, i)] = u_scale(c, -1) if i % 2 == 0 else c  # -(-1)^i c
     return out
 
 
 def _contract_cycle(order, at, budget):
     """Multiply the xi factors along one cycle under an exact weight budget.
 
-    Every entry of ``at`` is h-homogeneous of degree -(i + j), with
+    ``at`` holds the entries of At scaled to dense int u-tuples at h = 1;
+    the entry at (i, j) stands for h^-(i+j) times its tuple, with
     0 <= -(i + j) <= budget, so the degree of a partial product is minus
     the sum of its exponents and can only grow as further factors are
     multiplied in.
@@ -127,7 +128,7 @@ def _contract_cycle(order, at, budget):
     tail-artifact cancellation at a key is complete once the window covers
     max |e_i|, which the caller guarantees for that band).  Open exponents
     are slots of ``at`` entries and need no check.
-    Returns {tuple of exponents indexed by cycle position: coeff}.
+    Returns {tuple of exponents indexed by cycle position: int u-tuple}.
     """
     n = len(order)
     state = _xi_factor(order[0], order[1], at)
@@ -150,30 +151,63 @@ def _contract_cycle(order, at, budget):
                     newkey = (efirst,) + key[2:] + (efin,)
                 else:
                     newkey = (key[0], j) + key[2:] + (efin,)
-                accumulate(nxt, newkey, c * d)
+                r = nxt.get(newkey)
+                nxt[newkey] = u_mul(c, d) if r is None else u_add(r, u_mul(c, d))
         state = nxt
     return state
 
 
-def _npoint_once(n, max_weight, tail_hi, u_value=None):
-    """One cycle-sum pass (n >= 2) on the window [-tail_hi, 0] x [-max_weight, tail_hi].
+def _int_core(at):
+    """Scale the entries of At to dense int u-tuples under one integer L.
 
-    That window is the bounding box of what the sum reads: entries with
-    n + m <= max_weight, the boundary entries (-n, 0) and (0, -m), the
-    constant (0, 0), and the tail (-i, i) for i <= tail_hi.
+    Every entry at (i, j) must be h^-(i+j) times a polynomial in u alone
+    (README "Conventions"), so h carries no information inside the cycle
+    sum; L is the lcm of all coefficient denominators.
+    Returns (L, {key: int u-tuple}).
     """
-    _, At = gen_A("direct", -tail_hi, -max_weight, tail_hi)
-    # entries of degree beyond the weight budget can never contribute
-    at = {k: c for k, c in At.coeffs.items() if -(k[0] + k[1]) <= max_weight}
+    scale = 1
+    for (i, j), c in at.items():
+        for (eh, _, es, ev), q in c.terms.items():
+            if eh != -(i + j) or es or ev:
+                raise ArithmeticError(f"At entry at {(i, j)} is not h^{-(i + j)} times a polynomial in u: {c!r}")
+            scale = lcm(scale, q.denominator)
+    out = {}
+    for key, c in at.items():
+        t = [0] * (c.degree("u") + 1)
+        for (_, eu, _, _), q in c.terms.items():
+            t[eu], r = divmod(q.numerator * scale, q.denominator)
+            if r:
+                raise ArithmeticError(f"At entry at {key} is not integral after scaling by {scale}")
+        out[key] = tuple(t)
+    return scale, out
+
+
+def _npoint_once(n, max_weight, tail_hi, u_value=None):
+    """One cycle-sum pass (n >= 2) with the tail of At through tail_hi.
+
+    It builds only the entries of At the sum reads: the triangle
+    n + m <= max_weight (with the boundary entries (-n, 0) and (0, -m)),
+    the constant (0, 0), and the tail (-i, i) for i <= tail_hi.  The
+    contraction runs on int u-tuples under the one scale L of ``_int_core``;
+    every output key is a product of exactly n entries, so it leaves as
+    h^(-sum key) * -2^(n-1) * tuple / L^n.
+    """
+    keys = ((-i, -j) for i in range(max_weight + 1) for j in range(max_weight + 1 - i))
+    at = _with_tail(_direct_a(keys), tail_hi)
     if u_value is not None:
         at = {k: v for k, v in ((k, c.subs_u(u_value)) for k, c in at.items()) if v}
+    scale, at = _int_core(at)
     total = {}
     for order in cycles(n):
         where = [order.index(v) for v in range(1, n + 1)]
         for key, c in _contract_cycle(order, at, max_weight).items():
-            accumulate(total, tuple(key[p] for p in where), c)
-    factor = -(2 ** (n - 1))
-    out = SparseTensor(n, {key: factor * c for key, c in total.items()})
+            k = tuple(key[p] for p in where)
+            r = total.get(k)
+            total[k] = c if r is None else u_add(r, c)
+    factor, den = -(2 ** (n - 1)), scale ** n
+    out = SparseTensor(n, {
+        key: ParamPoly.from_u(u_scale(c, factor), den, eh=-sum(key)) for key, c in total.items()
+    })
     if n == 2:
         # off-diagonal tail artifacts self-cancel within the window; the
         # diagonal band (-m, +m) survives and is exactly the correction term

@@ -33,6 +33,9 @@ __all__ = [
     "V",
     "half_binomial",
     "double_factorial",
+    "u_mul",
+    "u_add",
+    "u_scale",
 ]
 
 _GENS = ("h", "u", "s", "v")
@@ -90,6 +93,11 @@ class ParamPoly:
         if q == 0:
             return _ZERO_P
         return cls({_reduce_key((eh, eu, es, ev)): q})
+
+    @classmethod
+    def from_u(cls, coeffs, den, eh=0, ev=0):
+        """h^eh v^ev sum_k coeffs[k] u^k / den, from a dense int u-tuple."""
+        return cls({(eh, eu, 0, ev): Fraction(c, den) for eu, c in enumerate(coeffs) if c})
 
     # -- ring operations ---------------------------------------------------
 
@@ -349,6 +357,39 @@ H = ParamPoly.gen("h")
 U = ParamPoly.gen("u")
 S = ParamPoly.gen("s")
 V = ParamPoly.gen("v")
+
+
+def u_mul(a, b):
+    """Product of two dense int u-coefficient tuples (index = power of u).
+
+    The empty tuple is zero.  Over the integers the leading coefficient of
+    a product of nonzero factors is nonzero, so no trimming is needed.
+    """
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def u_add(a, b):
+    """Sum of two dense int u-coefficient tuples, trailing zeros trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, y in enumerate(b):
+        out[k] += y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def u_scale(a, k):
+    """A dense int u-coefficient tuple times a nonzero integer k."""
+    return tuple(k * x for x in a)
 
 
 def half_binomial(k, m):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from gbgw.poly import ParamPoly, double_factorial
 from gbgw.schurq import strict_partitions, theta
@@ -140,3 +140,72 @@ def test_pfaffian_expansion_small():
 
 def test_pfaffian_expansion_4341():
     assert verify_pfaffian_expansion((4, 3, 2, 1))
+
+
+# -- an oracle for the closed form, from the paper's formula for a_{n,m} ------
+# Scalar Fraction arithmetic at h = 1 and a rational u; a polynomial entry of
+# u-degree <= d is compared at d + 1 distinct points, which pins it down.
+
+
+def _a_oracle(n, m, u):
+    def thetas(k):
+        return prod((2 * i - 1) ** 2 - 4 * u for i in range(1, k + 1))
+
+    if n == m:
+        return Fraction(0)
+    if m == 0:
+        return -_a_oracle(0, n, u)
+    if n == 0:
+        return thetas(m) / Fraction(2 ** (3 * m + 1) * factorial(m))
+    return (Fraction(m - n, m + n) * thetas(m) * thetas(n)
+            / (2 ** (3 * n + 3 * m + 2) * factorial(n) * factorial(m)))
+
+
+def _A_oracle(i, j, u):
+    """Coefficient of w^i x^j in A, from its defining double and single sums."""
+    n, m = -i, -j
+    if j > 0:
+        return Fraction(0)
+    if n and m:
+        return (-1) ** (m + n + 1) * _a_oracle(n, m, u)
+    if n:
+        return -Fraction((-1) ** n, 2) * _a_oracle(n, 0, u)
+    return Fraction((-1) ** m, 2) * _a_oracle(m, 0, u)
+
+
+def _At_oracle(i, j, u):
+    """At = A - 1/4 - 1/2 sum_{k>=1} (-1)^k w^-k x^k."""
+    if (i, j) == (0, 0):
+        return Fraction(-1, 4)
+    if j > 0 and i == -j:
+        return Fraction(-(-1) ** j, 2)
+    return _A_oracle(i, j, u)
+
+
+def _matches_at_points(c, degree, oracle):
+    """c (a ParamPoly or 0) is h^degree times a polynomial in u of degree
+    <= degree that equals oracle(u) at degree + 1 points."""
+    terms = c.terms if c else {}
+    for (eh, eu, es, ev) in terms:
+        if eh != degree or es or ev or eu > degree:
+            return False
+    return all(sum(q * u ** key[1] for key, q in terms.items()) == oracle(u)
+               for u in (Fraction(k, 3) for k in range(degree + 1)))
+
+
+def test_closed_form_matches_oracle():
+    A, At = gen_A("closed", -8, -8, 8, T=10)
+    known = [(i, j) for i in range(-8, 1) for j in range(-8, 9) if At.known(i, j)]
+    assert len(known) == sum(1 for i in range(-8, 1) for j in range(-8, 9) if i + j >= -8)
+    for i, j in known:
+        d = max(-(i + j), 0)
+        assert _matches_at_points(A.coeff(i, j), d, lambda u: _A_oracle(i, j, u)), (i, j)
+        assert _matches_at_points(At.coeff(i, j), d, lambda u: _At_oracle(i, j, u)), (i, j)
+
+
+def test_basis_phi1_matches_oracle():
+    # phi1 at z^-k is h^k prod theta / (8^k k!) = 2 a_{0,k}
+    phi1, _ = basis_pair(10)
+    assert phi1.coeff(0) == 1
+    for k in range(1, 11):
+        assert _matches_at_points(phi1.coeff(-k), k, lambda u: 2 * _a_oracle(0, k, u)), k

@@ -228,3 +228,14 @@ def test_span_stability_fails_when_nothing_compared(monkeypatch, tmp_path):
     assert rc == 1
     checks = {c["identity"]: c for c in json.loads(text)["checks"]}
     assert checks["qsc/span-stability"]["detail"] == "no coefficient checked"
+
+
+@pytest.mark.parametrize("window", ["1", "2"])
+def test_closed_vs_direct_fails_when_nothing_compared(tmp_path, window):
+    # window 1 leaves the direct window empty; window 2 leaves only the
+    # structural constant -1/4 of At, which is not an entry of A
+    rc, text = run_cli(["verify", "--suite", "affine", "--window", window, "--weight-max", "3"],
+                       tmp_path, "affine.json")
+    assert rc == 1
+    checks = {c["identity"]: c for c in json.loads(text)["checks"]}
+    assert checks["affine/generating-series-closed-vs-direct"]["detail"] == "no entry compared"

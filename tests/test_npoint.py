@@ -3,8 +3,9 @@ from itertools import permutations
 
 import pytest
 
+import gbgw.npoint as npoint_module
 from gbgw.correlators import odd_partitions
-from gbgw.poly import ParamPoly
+from gbgw.poly import H, ParamPoly
 from gbgw.schurq import theta
 from gbgw.npoint import (
     bridge,
@@ -108,3 +109,25 @@ def test_one_point_deep_genus():
     series = one_point_affine(21)
     for m in range(1, 22, 2):
         assert series.get(-m, 0) == bridge((m,)), m
+
+
+def test_rational_u_matches_symbolic_substitution():
+    # a rational point changes the integer scale L of the cycle-sum core
+    u = Fraction(3, 7)
+    symbolic = npoint_affine(3, 7)
+    want = {k: v for k, v in ((k, c.subs_u(u)) for k, c in symbolic.coeffs.items()) if v}
+    assert want
+    assert npoint_affine(3, 7, u_value=u).coeffs == want
+
+
+def test_cycle_sum_rejects_entry_of_wrong_h_degree(monkeypatch):
+    real = npoint_module._direct_a
+
+    def planted(keys):
+        a = real(keys)
+        a[(-1, -2)] = a[(-1, -2)] * H
+        return a
+
+    monkeypatch.setattr(npoint_module, "_direct_a", planted)
+    with pytest.raises(ArithmeticError, match="is not h\\^3 times a polynomial in u"):
+        npoint_affine(2, 5)
