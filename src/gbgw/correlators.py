@@ -13,12 +13,14 @@ part 2k+1, and a merged part mu_i + 2k replaces both mu_i and 2k+1.
 Values are monomials c * s^e with e = (|mu| - n + 2 - 2g)/2 (zero when
 that exponent would be negative).
 
-The recursion table is stored at s = 1, as bare Fractions c, and s^e is
-attached only where a value leaves the module.  This is exact because the
-recursion is graded: every term on the right has the same |mu| - n + 2 - 2g
-as the left side, and the seeds are monomials with that exponent halved.  So
-each correlator is the single monomial c * s^e with e known from its key,
-and evaluating at s = 1 loses nothing.
+The table holds the integers C(g, mu) = 2^(|mu|+2g) * c at s = 1.  On them
+the recursion is C = 4 sum C_{g-1} + sum C_left C_right + 2 sum mu_i C_g,
+seeded by C(0,(1)) = -1 and C(1,(1)) = 1: it never divides, so the
+denominator of c divides 2^(|mu|+2g).  Evaluating at s = 1 is exact because
+the recursion is graded: every term on the right has the same
+|mu| - n + 2 - 2g as the left side, and the seeds are monomials with that
+exponent halved.  So each correlator is the single monomial c * s^e with e
+known from its key; C is divided and s^e attached where a value leaves.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ __all__ = [
     "odd_partitions",
 ]
 
-_cache = {}  # (g, parts) -> the correlator's coefficient c at s = 1
-_SEEDS = {0: Fraction(-1, 2), 1: Fraction(1, 8)}  # <p_1>_g at s = 1
+_cache = {}  # (g, parts) -> the int 2^(|parts|+2g) * coefficient at s = 1
+_SEEDS = {0: -1, 1: 1}  # <p_1>_0 = -s/2 and <p_1>_1 = 1/8, scaled
 
 
 def check_odd_partition(parts):
@@ -73,11 +75,12 @@ def correlator_monomial(g, parts):
     return _graded(g, parts, _corr(g, parts))
 
 
-def _graded(g, parts, c):
-    """(e, c) for the coefficient c of <p_parts>_g stored at s = 1, or
-    (None, 0) if it is zero.  A nonzero c at a negative e breaks the grading."""
-    if not c:
+def _graded(g, parts, scaled):
+    """(e, c) for the scaled table value C = 2^(|parts|+2g) * c of <p_parts>_g,
+    or (None, 0) if it is zero.  A nonzero c at a negative e breaks the grading."""
+    if not scaled:
         return None, Fraction(0)
+    c = Fraction(scaled, 2 ** (sum(parts) + 2 * g))
     e = (sum(parts) - len(parts) + 2 - 2 * g) // 2
     if e < 0:
         raise ArithmeticError(f"<p_{parts}>_{g} = {c} at negative s-exponent {e}")
@@ -88,26 +91,26 @@ def _corr(g, parts):
     key = (g, parts)
     out = _cache.get(key)
     if out is None:
-        out = _SEEDS.get(g, Fraction(0)) if parts == (1,) else _expand(g, parts, 0)
+        out = _SEEDS.get(g, 0) if parts == (1,) else _expand(g, parts, 0)
         _cache[key] = out
     return out
 
 
 def _expand(g, parts, pick):
     """One recursion step distinguishing the part at position ``pick`` of the
-    descending-sorted tuple, at s = 1.  Every sub-key drops in weight by one
-    or more (see the module docstring)."""
+    descending-sorted tuple, on the scaled table.  Every sub-key drops in weight
+    by one or more (see the module docstring)."""
     big = parts[pick]
     rest = parts[:pick] + parts[pick + 1:]
     k = (big - 1) // 2
-    pairs = total = Fraction(0)  # pairs is halved once, at the end
+    upper = pairs = total = 0
 
     if k > 0:
         for a in range(1, 2 * k, 2):
             b = 2 * k - a
             merged = tuple(sorted(rest + (a, b), reverse=True))
             if g >= 1:
-                pairs += _corr(g - 1, merged)
+                upper += _corr(g - 1, merged)
             for g1 in range(g + 1):
                 g2 = g - g1
                 for r in range(len(rest) + 1):
@@ -125,7 +128,7 @@ def _expand(g, parts, pick):
         c = _corr(g, merged)
         if c:
             total += rest[i] * c
-    return total + pairs / 2
+    return 4 * upper + pairs + 2 * total
 
 
 def correlator_expand_distinguishing(g, parts, which="smallest"):

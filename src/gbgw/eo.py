@@ -21,13 +21,15 @@ symmetrization, whose diagonal value is singular; its (1,1) entry is
 therefore seeded, not recursed.  Both variants must produce identical
 tables above (1,1), which compare_kernels checks.
 
-The recursion tables are stored at s = 1, as bare Fractions, and s^e is
-attached only where a table leaves the module (omega, omega_closed_step).
-This is exact because the recursion is graded: with s of weight 2 and
-z, z_i of weight 1, the kernel, omega_{0,2} and the seeds are homogeneous,
-so the entry of omega_{g,n} at k is the single monomial c * s^(|k|+1-g).
-At s = 1 the kernel factor (1/2)(s c_{-2m} - c_{-2m-2}) becomes
-(1/2)(c_{-2m} - c_{-2m-2}).  The flat-coordinate transform is graded too:
+The recursion tables are stored at s = 1, and s^e is attached only where a
+table leaves the module.  This is exact because the recursion is graded:
+with s of weight 2 and z, z_i of weight 1, the kernel, omega_{0,2} and the
+seeds are homogeneous, so the entry of omega_{g,n} at k is the single
+monomial c * s^(|k|+1-g).  The residue route stores D = 2^(3(2g-2+n)) * c:
+each bracket term is a product of tables whose 2g-2+n add up to one less,
+so (1/2)(s c_{-2m} - c_{-2m-2}) becomes 4 (c_{-2m} - c_{-2m-2}) on integers
+and an entry's denominator divides 2^(3(2g-2+n)).  The coefficient route
+keeps Fractions.  The flat-coordinate transform is graded too:
 each shift m_i of an index multiplies by s^(m_i), so the B-entry at l sits
 at s^(|l|+1-g) as well: the transform runs on the s = 1 tables, and
 x_tensor attaches s^e at the same boundary.
@@ -56,30 +58,13 @@ __all__ = [
     "clear_caches",
 ]
 
-# (kind, g, n) and (g, n) -> {index tuple k: coefficient at s = 1}
-_omega_cache = {}
-_closed_cache = {}
+_omega_cache = {}  # (kind, g, n) -> {k: 2^(3(2g-2+n)) * coefficient at s = 1, an int}
+_closed_cache = {}  # (g, n) -> {k: normalized coefficient at s = 1, a Fraction}
 
 
 def clear_caches():
     _omega_cache.clear()
     _closed_cache.clear()
-
-
-def _unstable_02(sign, kind):
-    """Coefficient stream of omega_{0,2}(sign*z, z_i) near z = 0: yields
-    (z exponent, z_i exponent, rational coefficient)."""
-
-    def gen(max_m):
-        for m in range(max_m + 1):
-            if kind == "typeB" and m % 2:
-                continue
-            c = Fraction(m + 1)
-            if sign < 0 and m % 2:
-                c = -c
-            yield (m, -m - 2, c)
-
-    return gen
 
 
 def _check_stable(g, n):
@@ -109,7 +94,8 @@ def omega(g, n, kind="standard"):
     """Raw coefficient tensor of omega_{g,n}: value at (k_1..k_n) multiplies
     prod z_i^(-2 k_i - 2)."""
     _check_stable(g, n)
-    return _with_s(g, n, _omega(g, n, kind))
+    den = 8 ** (2 * g - 2 + n)  # the residue table's scale, divided out once
+    return _with_s(g, n, {kk: Fraction(v, den) for kk, v in _omega(g, n, kind).items()})
 
 
 def _omega(g, n, kind):
@@ -120,8 +106,8 @@ def _omega(g, n, kind):
     if (g, n) == (1, 1):
         # the standard bracket is omega_{0,2}(z,-z) = 1/(4 z^2), so c_{-2} = 1/4;
         # the type-B bracket is singular on the diagonal, so both kernels
-        # take this seed
-        out = {(0,): Fraction(-1, 8), (1,): Fraction(1, 8)}
+        # take this seed: -1/8 and 1/8, times 2^3
+        out = {(0,): -1, (1,): 1}
     else:
         out = _recurse(g, n, kind)
     _omega_cache[key] = out
@@ -129,25 +115,23 @@ def _omega(g, n, kind):
 
 
 def _bracket(g, next_n, kind):
-    """Coefficients of the recursion bracket for the entry (g, next_n).
+    """Coefficients of the recursion bracket for the entry (g, next_n), at
+    scale 2^(3(2g-2+next_n) - 3) (module docstring).
 
     Returns {(e_z, e_1, ..., e_{next_n - 1}): value} with raw exponents for
     the external variables (e_i = -2k_i - 2 for stable contributions; the
     unstable two-point part contributes arbitrary integers, whose odd part
-    never reaches a read position).
+    never reaches a read position).  (1, 1) is seeded, so the (g-1, n+2)
+    term is stable.
     """
     n = next_n - 1
     c = {}
 
     # 1. the (g-1, n+2) term evaluated at (z, -z, externals)
     if g >= 1:
-        if (g - 1, n + 2) == (0, 2):
-            accumulate(c, (-2,), Fraction(1, 4))
-        elif 2 * (g - 1) - 2 + (n + 2) > 0:
-            for kk, v in _omega(g - 1, n + 2, kind).items():
-                a, b = kk[0], kk[1]
-                ext = tuple(-2 * k - 2 for k in kk[2:])
-                accumulate(c, (-2 * a - 2 * b - 4,) + ext, v)
+        for kk, v in _omega(g - 1, n + 2, kind).items():
+            ext = tuple(-2 * k - 2 for k in kk[2:])
+            accumulate(c, (-2 * kk[0] - 2 * kk[1] - 4,) + ext, v)
 
     # 2. ordered splittings; each factor is omega_{0,2} with one external
     #    variable, or a stable entry; omega_{0,1} factors are excluded.
@@ -175,24 +159,16 @@ def _bracket(g, next_n, kind):
 def _factor(gf, idxs, sign, kind, max_depth):
     """Entries of omega_{gf, len(idxs)+1}(sign*z, externals) as a list of
     ((z exponent, ((slot, ext exponent), ...)), value).  The caller excludes
-    omega_{0,1}."""
-    nf = len(idxs)
-    if gf == 0 and nf == 1:
-        i = idxs[0]
-        out = []
-        for (m, ei, q) in _unstable_02(sign, kind)(max_depth):
-            out.append(((m, ((i, ei),)), q))
-        return out
-    out = []
-    for kk, v in _omega(gf, nf + 1, kind).items():
-        ez = -2 * kk[0] - 2
-        ext = tuple((i, -2 * k - 2) for i, k in zip(idxs, kk[1:]))
-        out.append(((ez, ext), v))
-    return out
+    omega_{0,1}; omega_{0,2}(sign*z, z_i) near z = 0 is the integer stream
+    (m+1) (sign z)^m z_i^(-m-2), even m only for the type-B kernel."""
+    if gf == 0 and len(idxs) == 1:
+        return [((m, ((idxs[0], -m - 2),)), -m - 1 if sign < 0 and m % 2 else m + 1)
+                for m in range(0, max_depth + 1, 2 if kind == "typeB" else 1)]
+    return [((-2 * kk[0] - 2, tuple((i, -2 * k - 2) for i, k in zip(idxs, kk[1:]))), v)
+            for kk, v in _omega(gf, len(idxs) + 1, kind).items()]
 
 
 def _recurse(g, next_n, kind):
-    n = next_n - 1
     c = _bracket(g, next_n, kind)
     bound = omega_support_bound(g, next_n)
     ext_keys = {k[1:] for k in c}
@@ -204,7 +180,7 @@ def _recurse(g, next_n, kind):
             v2 = c.get((-2 * m - 2,) + ext_key, 0)
             if v1 != v2:
                 kk = (m,) + tuple((-e - 2) // 2 for e in ext_key)
-                t[kk] = (v1 - v2) / 2
+                t[kk] = 4 * (v1 - v2)
     # finiteness: the slots just past the expected support must be empty
     for kk in t:
         if kk[0] > bound:
@@ -411,7 +387,8 @@ def _x_table(g, n, max_weight, kind):
         kmax = (max_weight - 2) // 2
         return {(k1, k2): _b02(k1, k2) for k1 in range(kmax + 1) for k2 in range(kmax - k1 + 1)}
     _check_stable(g, n)
-    a = SparseTensor(n, {kk: v / _dfact(kk) for kk, v in _omega(g, n, kind).items()})
+    den = 8 ** (2 * g - 2 + n)
+    a = SparseTensor(n, {kk: Fraction(v, den * _dfact(kk)) for kk, v in _omega(g, n, kind).items()})
     return to_x_coords(a, max_weight).coeffs
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -239,3 +240,43 @@ def test_closed_vs_direct_fails_when_nothing_compared(tmp_path, window):
     assert rc == 1
     checks = {c["identity"]: c for c in json.loads(text)["checks"]}
     assert checks["affine/generating-series-closed-vs-direct"]["detail"] == "no entry compared"
+
+
+@pytest.mark.parametrize("weight", ["0", "1"])
+def test_virasoro_checks_fail_when_nothing_compared(tmp_path, weight):
+    # weight <= 1 admits no two-point entry and no partition with two parts
+    rc, text = run_cli(["verify", "--suite", "virasoro", "--weight-max", weight], tmp_path, "v.json")
+    assert rc == 1
+    checks = {c["identity"]: c for c in json.loads(text)["checks"]}
+    for name in ("virasoro/two-point-closed-form", "virasoro/distinguished-part-independence"):
+        assert checks[name]["detail"] == "no instance checked", name
+
+
+def test_two_point_check_reads_every_closed_form_entry(monkeypatch, tmp_path):
+    import gbgw.cli as cli
+
+    wgn = cli.corr.wgn
+
+    def missing_entry(g, n, max_weight):
+        t = wgn(g, n, max_weight)
+        del t.coeffs[(-4, -2)]
+        return t
+
+    monkeypatch.setattr(cli.corr, "wgn", missing_entry)
+    rc, text = run_cli(["verify", "--suite", "virasoro", "--weight-max", "5"], tmp_path, "v.json")
+    assert rc == 1
+    checks = {c["identity"]: c for c in json.loads(text)["checks"]}
+    assert checks["virasoro/two-point-closed-form"]["detail"] == "mismatch at (-4, -2)"
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["correlators", "--genus-max", "4", "--arity-max", "4", "--weight-max", "17"],
+     "6c3073d150899b06449beef87f927595a1ae3028adab2a0932dbd666d4ae8a31"),
+    (["npoint", "--pipeline", "eo", "--genus-max", "3", "--arity-max", "4", "--weight-max", "13"],
+     "fbee3e095e6719fbbab32c6c4f0ca0c07797a9b5160d99bcf6aa025b648d0d9e"),
+])
+def test_out_bytes_are_pinned(tmp_path, args, digest):
+    # the --out bytes of two table commands are fixed; a faster table must not move them
+    out = tmp_path / "out.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -176,3 +177,31 @@ def test_negative_s_exponent_raises(monkeypatch):
         correlator(2, (1,))
     with pytest.raises(ArithmeticError):
         correlator_monomial(2, (1,))
+
+
+def test_correlator_denominators_divide_their_power_of_two():
+    # the table holds C = 2^(|mu|+2g) c, built by a division-free recursion
+    import gbgw.correlators as corr
+
+    for mu in odd_partitions(17, 4):
+        for g in range(5):
+            _, c = correlator_monomial(g, mu)
+            assert (c * 2 ** (sum(mu) + 2 * g)).denominator == 1, (g, mu)
+    assert corr._cache and all(type(v) is int for v in corr._cache.values())
+
+
+def test_scaled_one_point_is_signed_catalan():
+    for n in range(13):
+        _, c = correlator_monomial(0, (2 * n + 1,))
+        assert c * 2 ** (2 * n + 1) == (-1) ** (n + 1) * (comb(2 * n, n) // (n + 1)), n
+
+
+@pytest.mark.parametrize("g, mu", [(1, (5, 3)), (2, (7, 3, 1))])
+def test_distinguished_part_recomputation_bypasses_its_own_memo(monkeypatch, g, mu):
+    # the independence check can fail: a wrong memo value at the key itself
+    # is not read back by the recomputation through another part
+    import gbgw.correlators as corr
+
+    assert correlator(g, mu) == correlator_expand_distinguishing(g, mu)
+    monkeypatch.setitem(corr._cache, (g, mu), corr._cache[(g, mu)] + 1)
+    assert correlator(g, mu) != correlator_expand_distinguishing(g, mu)

@@ -225,3 +225,19 @@ def test_reset_caches_empties_every_memo():
     gbgw.reset_caches()
     assert all(memo == {} for memo in memos)
     assert omega_closed_step(2, 2) == before
+
+
+@pytest.mark.parametrize("kind", ["standard", "typeB"])
+def test_omega_denominators_divide_their_power_of_two(kind):
+    # the residue table holds D = 2^(3(2g-2+n)) W, built without division
+    import gbgw.eo as eo
+
+    for g in range(4):
+        for n in range(1, 5):
+            if 2 * g - 2 + n <= 0:
+                continue
+            scale = 2 ** (3 * (2 * g - 2 + n))
+            for kk, value in omega(g, n, kind).coeffs.items():
+                (_, c), = value.sorted_terms()
+                assert (c * scale).denominator == 1, (g, n, kk)
+    assert all(type(v) is int for table in eo._omega_cache.values() for v in table.values())
