@@ -29,7 +29,10 @@ monomial c * s^(|k|+1-g).  The residue route stores D = 2^(3(2g-2+n)) * c:
 each bracket term is a product of tables whose 2g-2+n add up to one less,
 so (1/2)(s c_{-2m} - c_{-2m-2}) becomes 4 (c_{-2m} - c_{-2m-2}) on integers
 and an entry's denominator divides 2^(3(2g-2+n)).  The coefficient route
-keeps Fractions.  The flat-coordinate transform is graded too:
+stores the same D: in that scale its triangular solve is a division-free
+integer recurrence (omega_closed_step), and the division by
+2^(3(2g-2+n)) prod (2k_i+1)!! happens once, where the table leaves the
+module.  The flat-coordinate transform is graded too:
 each shift m_i of an index multiplies by s^(m_i), so the B-entry at l sits
 at s^(|l|+1-g) as well: the transform runs on the s = 1 tables, and
 x_tensor attaches s^e at the same boundary.
@@ -40,6 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
+from operator import mul
 
 from .correlators import correlator_monomial
 from .poly import ParamPoly, double_factorial
@@ -59,7 +63,7 @@ __all__ = [
 ]
 
 _omega_cache = {}  # (kind, g, n) -> {k: 2^(3(2g-2+n)) * coefficient at s = 1, an int}
-_closed_cache = {}  # (g, n) -> {k: normalized coefficient at s = 1, a Fraction}
+_closed_cache = {}  # (g, n) -> {k: 8^(2g-2+n) * raw coefficient at s = 1, an int}
 
 
 def clear_caches():
@@ -203,8 +207,20 @@ def omega_closed_step(g, n):
     where the splittings exclude one- and two-point factors.  The display
     assumes every referenced sub-entry is stable; the two entries with an
     unstable bracket, (1,1) and (0,3), are evaluated from their explicit
-    residue instances instead.  Tables store normalized A-values
-    (W = A * prod (2k_i+1)!!).
+    residue instances instead.
+
+    The tables store D = 8^(2g-2+n) W at s = 1, with W = A * prod (2k_i+1)!!
+    the raw coefficient (m included), as the residue route does.  Multiplying
+    row m by 2^(m+1) * 8^(2g-2+n) * prod(2k_i+1)!! cancels every double
+    factorial and power of -1/2: with sigma(m, k) = C(m, k) (-1)^(m-k),
+
+      D^{m,kvec} = -[ 8 sum_i sum_{k0<=m+1} sigma(m+1,k0) (2k_i+1) D_{g,n-1}^{k_i+k0-1,rest}
+                      + 4 sum_{a+b<=m-1} sigma(m+1,a+b+2) (D_{g-1,n+1}^{a,b,kvec} + splittings)
+                      + sum_{k0<m} sigma(m,k0) D^{k0,kvec} ],
+
+    a division-free recurrence on integers.  The division by
+    8^(2g-2+n) prod (2k_i+1)!! happens once, here, where the table leaves
+    the module.
 
     The sub-tables are scattered, not probed: each is indexed once by its
     external tuple (head (a, b) for (g-1, n+1), one head index otherwise),
@@ -212,7 +228,8 @@ def omega_closed_step(g, n):
     and the (g, n-1) entries at kvec less one index enter the sums.
     """
     _check_stable(g, n)
-    return _with_s(g, n, _closed(g, n))
+    den = 8 ** (2 * g - 2 + n)
+    return _with_s(g, n, {kk: Fraction(v, den * _dfact(kk)) for kk, v in _closed(g, n).items()})
 
 
 def _closed(g, n):
@@ -222,12 +239,12 @@ def _closed(g, n):
         return out
     if (g, n) == (1, 1):
         # Res K(z0,z) * omega_{0,2}(z,-z) with bracket the constant 1/(4z^2):
-        # A^0 = -1/8, A^1 = (s/8)/3!!
-        out = {(0,): Fraction(-1, 8), (1,): Fraction(1, 24)}
+        # A^0 = -1/8, A^1 = (s/8)/3!!, so W = -1/8 and 1/8, times 8^1
+        out = {(0,): -1, (1,): 1}
     elif (g, n) == (0, 3):
         # Res K(z0,z) (omega02(z,z1) omega02(-z,z2) + omega02(z,z2) omega02(-z,z1))
-        # = s/(z0^2 z1^2 z2^2): a single normalized coefficient
-        out = {(0, 0, 0): Fraction(1)}
+        # = s/(z0^2 z1^2 z2^2): W = 1, times 8^1
+        out = {(0, 0, 0): 8}
     else:
         out = _closed_solve(g, n)
     _closed_cache[key] = out
@@ -241,7 +258,7 @@ def _closed_solve(g, n):
     # (g, n); the entrywise comparison against the residue route guards this
     ext_candidates = [kk for kk in product(range(bound + 1), repeat=ext_n) if sum(kk) <= bound]
     mmax = bound + 3
-    mh_pow = [Fraction(-1, 2) ** j for j in range(mmax + 3)]  # (-s/2)^j at s = 1
+    sigma = [[comb(m, k) * (-1) ** (m - k) for k in range(m + 1)] for m in range(mmax + 2)]
     upper = _scatter(g - 1, n + 1, 2) if g >= 1 else {}
     lower = _scatter(g, n - 1, 1) if ext_n else {}
     halves = [(tuple(i for i in range(ext_n) if mask >> i & 1),
@@ -251,50 +268,31 @@ def _closed_solve(g, n):
               for g1 in range(g + 1) for I, J in halves if (g1 or len(I) > 1) and (g1 < g or len(J) > 1)]
     t = {}
     for kvec in ext_candidates:
-        # bracket values depend on (a, b) only: hoist them out of the m-loop
-        inner_ab = {}
-        for ab, v in upper.get(kvec, {}).items():
-            if sum(ab) < mmax:
-                accumulate(inner_ab, ab, v)
+        # the bracket depends on a + b only: accumulate it by a + b < mmax
+        inner = [0] * mmax
+        for (a, b), v in upper.get(kvec, {}).items():
+            if a + b < mmax:
+                inner[a + b] += v
         for I, J, left, right in splits:
             rights = right.get(tuple(kvec[i] for i in J), {})
             for (a,), lv in left.get(tuple(kvec[i] for i in I), {}).items():
                 for (b,), rv in rights.items():
                     if a + b < mmax:
-                        accumulate(inner_ab, (a, b), lv * rv)
-        # the (g, n-1) entries at (k_i + k0 - 1, rest) for 0 <= k0 <= mmax + 1
-        sub_d = {}
+                        inner[a + b] += lv * rv
+        # (2k_i + 1) times the (g, n-1) entries at (k_i + k0 - 1, rest), 0 <= k0 <= mmax + 1
+        sub = [0] * (mmax + 2)
         for pos, ki in enumerate(kvec):
-            for (idx,), sub in lower.get(kvec[:pos] + kvec[pos + 1:], {}).items():
+            for (idx,), v in lower.get(kvec[:pos] + kvec[pos + 1:], {}).items():
                 k0 = idx - ki + 1
                 if 0 <= k0 <= mmax + 1:
-                    weight = Fraction(double_factorial(2 * idx + 1),
-                                      2 ** k0 * double_factorial(2 * ki - 1))
-                    accumulate(sub_d, k0, weight * sub)
-        solved = {}
+                    sub[k0] += (2 * ki + 1) * v
+        # row m; each map stops at the shorter list: k0 <= m+1, a+b <= m-1, k0 < m
+        solved = []
         for m in range(mmax + 1):
-            rhs = 0
-            for k0, sub in sub_d.items():
-                if k0 > m + 1:
-                    continue
-                rhs = rhs - comb(m + 1, k0) * (mh_pow[m + 1 - k0] * sub)
-            for (a, b), inner in inner_ab.items():
-                if a + b > m - 1:
-                    continue
-                coef = Fraction(comb(m + 1, a + b + 2)
-                                * double_factorial(2 * a + 1) * double_factorial(2 * b + 1),
-                                2 ** (a + b + 3))
-                rhs = rhs - coef * (mh_pow[m - 1 - a - b] * inner)
-            # move the known part of the triangular row to the right
-            acc = rhs
-            for k0 in range(m):
-                prev = solved.get(k0)
-                if prev:
-                    coef = Fraction(comb(m, k0) * double_factorial(2 * k0 + 1), 2 ** (k0 + 1))
-                    acc = acc - coef * (mh_pow[m - k0] * prev)
-            lead = Fraction(2 ** (m + 1), double_factorial(2 * m + 1))
-            solved[m] = lead * acc
-        for m, v in solved.items():
+            row = sigma[m + 1]
+            solved.append(-(8 * sum(map(mul, row, sub)) + 4 * sum(map(mul, row[2:], inner))
+                            + sum(map(mul, sigma[m], solved))))
+        for m, v in enumerate(solved):
             if v:
                 if m > bound:
                     raise ArithmeticError(f"closed-step support exceeds pole bound for ({g},{n})")

@@ -176,21 +176,16 @@ def apply_Q(f):
 
 
 def commutator_on_monomial(k):
-    """(PQ - QP)(z^k) as [(exponent, RatFunc), ...] with zero entries kept."""
+    """(PQ - QP)(z^k) as [(exponent, RatFunc), ...] with zero entries dropped."""
     acc = {}
-
-    def add(e, v):
-        r = acc.get(e)
-        acc[e] = v if r is None else r + v
-
     e1, c1 = q_monomial(k)
     for e2, w in p_monomial(e1):
-        add(e2, c1 * w)
+        accumulate(acc, e2, c1 * w)
     for e2, w in p_monomial(k):
         if not w:
             continue
         e3, c3 = q_monomial(e2)
-        add(e3, -(c3 * w))
+        accumulate(acc, e3, -(c3 * w))
     return sorted(acc.items())
 
 

@@ -231,6 +231,47 @@ def test_span_stability_fails_when_nothing_compared(monkeypatch, tmp_path):
     assert checks["qsc/span-stability"]["detail"] == "no coefficient checked"
 
 
+def test_coefficient_recursion_check_fails_on_a_planted_entry(monkeypatch, tmp_path):
+    # one stored (1,2) entry off by one, and (1,3) rebuilt from it
+    import gbgw.eo as eo
+
+    planted = dict(eo._closed(1, 2))
+    planted[(0, 0)] += 1
+    monkeypatch.setitem(eo._closed_cache, (1, 2), planted)
+    monkeypatch.delitem(eo._closed_cache, (1, 3), raising=False)
+    rc, text = run_cli(["verify", "--suite", "eo", "--genus-max", "1", "--arity-max", "3",
+                        "--weight-max", "5"], tmp_path, "eo.json")
+    assert rc == 1
+    checks = {c["identity"]: c for c in json.loads(text)["checks"]}
+    assert checks["eo/residue-vs-coefficient-recursion"]["status"] == "fail"
+    assert checks["eo/residue-vs-coefficient-recursion"]["detail"] == "(1,2)"
+
+
+def test_commutator_check_needs_the_z_k_entry(monkeypatch, tmp_path):
+    # a pruned z^k entry must fail the check, not pass it vacuously
+    import gbgw.cli as cli
+
+    real = cli.quantum.commutator_on_monomial
+
+    def pruned(k):
+        return [(e, v) for e, v in real(k) if (e, k) != (3, 3)]
+
+    monkeypatch.setattr(cli.quantum, "commutator_on_monomial", pruned)
+    rc, text = run_cli(["verify", "--suite", "qsc", "--window", "4"], tmp_path, "qsc.json")
+    assert rc == 1
+    checks = {c["identity"]: c for c in json.loads(text)["checks"]}
+    assert checks["qsc/canonical-commutator"]["detail"] == "k=3: no z^k entry"
+
+
+def test_span_stability_fails_at_window_one(tmp_path):
+    # window 1 leaves k_max = 0: only P(PhiB_0) at z^-1, where both sides are 0
+    rc, text = run_cli(["verify", "--suite", "qsc", "--window", "1"], tmp_path, "qsc.json")
+    assert rc == 1
+    checks = {c["identity"]: c for c in json.loads(text)["checks"]}
+    assert checks["qsc/span-stability"]["status"] == "fail"
+    assert checks["qsc/span-stability"]["detail"] == "no span relation checked"
+
+
 @pytest.mark.parametrize("window", ["1", "2"])
 def test_closed_vs_direct_fails_when_nothing_compared(tmp_path, window):
     # window 1 leaves the direct window empty; window 2 leaves only the
@@ -274,9 +315,11 @@ def test_two_point_check_reads_every_closed_form_entry(monkeypatch, tmp_path):
      "6c3073d150899b06449beef87f927595a1ae3028adab2a0932dbd666d4ae8a31"),
     (["npoint", "--pipeline", "eo", "--genus-max", "3", "--arity-max", "4", "--weight-max", "13"],
      "fbee3e095e6719fbbab32c6c4f0ca0c07797a9b5160d99bcf6aa025b648d0d9e"),
+    (["verify", "--suite", "eo", "--genus-max", "3", "--arity-max", "4", "--weight-max", "13"],
+     "87df894ee2e70b9ca28b14f261e6a88eba9aa103b3ea5c48c7c33ad61da857d6"),
 ])
 def test_out_bytes_are_pinned(tmp_path, args, digest):
-    # the --out bytes of two table commands are fixed; a faster table must not move them
+    # the --out bytes of these commands are fixed; a faster table must not move them
     out = tmp_path / "out.json"
     assert main(args + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

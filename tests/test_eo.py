@@ -204,7 +204,7 @@ def test_closed_step_pole_bound_guard(monkeypatch):
     # one planted (1,2) entry beyond its pole bound pushes (1,3) past its own
     import gbgw.eo as eo
 
-    planted = {**eo._closed(1, 2), (4, 0): Fraction(1)}
+    planted = {**eo._closed(1, 2), (4, 0): 1}
     monkeypatch.setitem(eo._closed_cache, (1, 2), planted)
     monkeypatch.delitem(eo._closed_cache, (1, 3), raising=False)
     with pytest.raises(ArithmeticError):
@@ -241,3 +241,22 @@ def test_omega_denominators_divide_their_power_of_two(kind):
                 (_, c), = value.sorted_terms()
                 assert (c * scale).denominator == 1, (g, n, kk)
     assert all(type(v) is int for table in eo._omega_cache.values() for v in table.values())
+
+
+def test_closed_table_holds_integers():
+    # the coefficient table holds D = 8^(2g-2+n) W as ints, built without division
+    import gbgw.eo as eo
+
+    for g in range(4):
+        for n in range(1, 5):
+            if 2 * g - 2 + n <= 0:
+                continue
+            scale = 8 ** (2 * g - 2 + n)
+            for kk, value in omega_closed_step(g, n).coeffs.items():
+                (_, c), = value.sorted_terms()
+                dfact = 1
+                for k in kk:
+                    dfact *= double_factorial(2 * k + 1)
+                assert (c * scale * dfact).denominator == 1, (g, n, kk)
+    assert eo._closed_cache
+    assert all(type(v) is int for table in eo._closed_cache.values() for v in table.values())
