@@ -25,13 +25,14 @@ from fractions import Fraction
 from math import factorial
 
 from .pfaffian import pfaffian
-from .poly import ParamPoly, ONE, ZERO, H, V, u_add, u_mul, u_scale
-from .schurq import theta, hypergeom_coeff
-from .series import LaurentSeries, BiSeries, accumulate, series_eq_on_overlap
+from .poly import ParamPoly, ONE, ZERO, u_add, u_mul, u_scale
+from .schurq import theta, theta_u, hypergeom_coeff
+from .series import LaurentSeries, BiSeries, accumulate
 
 __all__ = [
     "theta",
     "theta_prod",
+    "affine_scalar",
     "affine_coeff",
     "basis_pair",
     "gen_A",
@@ -44,35 +45,37 @@ _affine_cache = {}
 
 
 def theta_prod(n):
-    """prod_{k=1}^n theta(k), memoized."""
+    """prod_{k=1}^n theta(k) as a dense int u-tuple, memoized."""
     if n == 0:
-        return ONE
+        return (1,)
     out = _theta_prod_cache.get(n)
     if out is None:
-        out = theta_prod(n - 1) * theta(n)
+        out = u_mul(theta_prod(n - 1), theta_u(n))
         _theta_prod_cache[n] = out
     return out
+
+
+def affine_scalar(n, m):
+    """The rational r_{n,m} with a_{n,m} = h^(n+m) r_{n,m} theta_prod(n) theta_prod(m)."""
+    if n == m:
+        return Fraction(0)
+    if m == 0:
+        return -affine_scalar(0, n)
+    if n == 0:
+        return Fraction(1, 2 ** (3 * m + 1) * factorial(m))
+    return Fraction(m - n, (m + n) * 2 ** (3 * m + 3 * n + 2) * factorial(m) * factorial(n))
 
 
 def affine_coeff(n, m):
     """The affine coordinate a_{n,m} (n, m >= 0) as a polynomial in (h, u)."""
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
-    if n == m:
-        return ZERO
-    key = (n, m)
-    out = _affine_cache.get(key)
-    if out is not None:
-        return out
-    if n == 0:
-        scalar = Fraction(1, 2 ** (3 * m + 1) * factorial(m))
-        out = ParamPoly.monomial(scalar, eh=m) * theta_prod(m)
-    elif m == 0:
-        out = -affine_coeff(0, n)
-    else:
-        scalar = Fraction(m - n, m + n) * Fraction(1, 2 ** (3 * m + 3 * n + 2) * factorial(m) * factorial(n))
-        out = ParamPoly.monomial(scalar, eh=m + n) * (theta_prod(m) * theta_prod(n))
-    _affine_cache[key] = out
+    out = _affine_cache.get((n, m))
+    if out is None:
+        r = affine_scalar(n, m)
+        out = ParamPoly.from_u(u_scale(u_mul(theta_prod(n), theta_prod(m)), r.numerator),
+                               r.denominator, eh=n + m) if r else ZERO
+        _affine_cache[(n, m)] = out
     return out
 
 
@@ -87,17 +90,14 @@ def _int_basis(T):
         raise ValueError("window must be at least 1")
     d1 = 8 ** T * factorial(T)
     d2 = 8 * (T + 1) * d1
-    p1, p2u, p2v = {0: (d1,)}, {1: (d2,)}, {1: ()}
-    # (-1)^k prod (4u - (2i-1)^2) = prod theta(i), and for phi2
-    # (-1)^k prod (4(1-v)^2 - (2i-1)^2) = prod ((2i-1)^2 - 4 - 4u + 8v)
-    prod1, prod2u, prod2v = (1,), (1,), ()
+    # (-1)^k prod (4u - (2i-1)^2) = theta_prod(k), and for phi2
+    # (-1)^k prod (4(1-v)^2 - (2i-1)^2) = prod (theta(i) - 4 + 8v)
+    p1 = {-k: u_scale(theta_prod(k), d1 // (8 ** k * factorial(k))) for k in range(T + 1)}
+    p2u, p2v = {1: (d2,)}, {1: ()}
+    prod2u, prod2v = (1,), ()
     for k in range(1, T + 2):
-        odd2 = (2 * k - 1) ** 2
-        if k <= T:
-            prod1 = u_mul(prod1, (odd2, -4))
-            p1[-k] = u_scale(prod1, d1 // (8 ** k * factorial(k)))
         # (a + v b)(f + 8v) = a f + 8u b + v (8a + b f), with v^2 = u
-        f = (odd2 - 4, -4)
+        f = u_add(theta_u(k), (-4,))
         prod2u, prod2v = (
             u_add(u_mul(prod2u, f), (0,) + u_scale(prod2v, 8) if prod2v else ()),
             u_add(u_scale(prod2u, 8), u_mul(prod2v, f)),
@@ -113,8 +113,8 @@ def basis_pair(T):
     phi1(z) = 1 + sum_k (-h)^k/(8^k k!) prod_{i<=k} (4u - (2i-1)^2) z^-k
     phi2(z) = z + sum_k (-h)^k/(8^k k!) prod_{i<=k} (4(1-v)^2 - (2i-1)^2) z^(1-k)
 
-    This is the ParamPoly view of the integer basis the closed form of
-    ``gen_A`` divides, so the Wronskian checks test those very numbers.
+    This is the ParamPoly view of the integer basis that the closed form
+    of ``gen_A`` divides and ``verify_wronskian`` checks.
     """
     d1, p1, d2, p2u, p2v = _int_basis(T)
     phi1 = {e: ParamPoly.from_u(c, d1, eh=-e) for e, c in p1.items()}
@@ -231,37 +231,52 @@ def verify_wronskian(T):
     (iii) h z^2 phi1'' + 2 z^2 phi1' = h (u - 1/4) phi1
     (iv)  phi2 = h z phi1' + z phi1 + h (v - 1/2) phi1
 
-    Returns a dict mapping identity name to bool.
+    Each identity is h-homogeneous coefficient by coefficient, so it is
+    checked at h = 1 on the int tuples of ``_int_basis``, with the
+    denominators d1 and d2 cleared and the v-part of phi2 compared on its
+    own (phi1 has none, so no v^2 arises).  The exponents compared are those
+    the truncation at z^-T determines.  Returns a dict mapping identity name
+    to bool.
     """
-    phi1, phi2 = basis_pair(T)
+    d1, p1, d2, p2u, p2v = _int_basis(T)
     report = {}
 
-    lhs = phi1.sub_neg() * phi2 - phi1 * phi2.sub_neg()
-    rhs = LaurentSeries.monomial("z", 1, ParamPoly.const(2), lhs.lo)
-    report["wronskian_2z"] = series_eq_on_overlap(lhs, rhs)
+    def pair_sum(terms):  # [u-part, v-part] of sum sign p1[i] phi2[j] over (i, j, sign)
+        out = [(), ()]
+        for i, j, sign in terms:
+            for part, q in enumerate((p2u, p2v)):
+                out[part] = u_add(out[part], u_scale(u_mul(p1.get(i, ()), q.get(j, ())), sign))
+        return out
 
-    # G is assembled from the even/odd parts a_k of phi1 and b_k of z^-1 phi2,
-    # as series in a halved variable Z.
-    a = {k: phi1.coeff(-k) for k in range(1, T + 1)}
-    b = {k: phi2.coeff(1 - k) for k in range(1, T + 1)}
-    half = T // 2
-    hb = (T - 1) // 2
-    g11 = LaurentSeries("Z", {0: ONE, **{-n: a[2 * n] for n in range(1, half + 1)}}, -half, 0)
-    g12 = LaurentSeries("Z", {-n: b[2 * n + 1] for n in range(0, hb + 1)}, -hb, 0)
-    g21 = LaurentSeries("Z", {-n: a[2 * n - 1] for n in range(1, half + 1)}, -half, 0)
-    g22 = LaurentSeries("Z", {0: ONE, **{-n: b[2 * n] for n in range(1, half + 1)}}, -half, 0)
-    det = g11 * g22 - g12 * g21
-    report["det_g_one"] = series_eq_on_overlap(det, LaurentSeries.one("Z", det.lo))
+    # (i) at z^n, times d1 d2: sum_{i+j=n} p1[i] p2[j] ((-1)^i - (-1)^j)
+    report["wronskian_2z"] = all(
+        pair_sum((i, n - i, 2 if i % 2 == 0 else -2) for i in range(n - 1, 1) if (n - i) % 2 != i % 2)
+        == [(2 * d1 * d2,) if n == 1 else (), ()]
+        for n in range(1 - T, 2))
 
-    z2 = LaurentSeries.monomial("z", 2, ONE, -T)
-    ode_lhs = z2 * (phi1.derivative().derivative().scale(H) + phi1.derivative().scale(2))
-    u_quarter = ParamPoly.gen("u") - Fraction(1, 4)
-    ode_rhs = phi1.scale(H * u_quarter)
-    report["phi1_ode"] = series_eq_on_overlap(ode_lhs, ode_rhs)
+    # (ii) G is assembled from the even/odd parts a_k of phi1 and b_k of
+    # z^-1 phi2; at Z^-n, det G d1 d2 = sum_{p+q=n} a_2p b_2q - b_(2p+1) a_(2q-1)
+    report["det_g_one"] = all(
+        pair_sum([(-2 * p, 1 - 2 * (n - p), 1) for p in range(n + 1)]
+                 + [(1 - 2 * (n - p), -2 * p, -1) for p in range(n)])
+        == [(d1 * d2,) if n == 0 else (), ()]
+        for n in range((T - 1) // 2 + 1))
 
-    z1 = LaurentSeries.monomial("z", 1, ONE, -T)
-    rel = z1 * phi1.derivative().scale(H) + z1 * phi1 + phi1.scale(H * (V - Fraction(1, 2)))
-    report["phi2_from_phi1"] = series_eq_on_overlap(rel, phi2)
+    # (iii) at z^n, times 4 d1: 4n(n-1) a_n + 8(n-1) a_(n-1) = (4u - 1) a_n
+    report["phi1_ode"] = all(
+        u_add(u_scale(p1.get(n, ()), 4 * n * (n - 1)) if n * (n - 1) else (),
+              u_scale(p1[n - 1], 8 * (n - 1)) if n != 1 else ())
+        == u_mul((-1, 4), p1.get(n, ()))
+        for n in range(1 - T, 2))
+
+    # (iv) at z^n, times 2 d2, with s = d2 / d1: the u-part is
+    # s ((2n - 1) a_n + 2 a_(n-1)) = 2 b_n and the v-part s a_n = b_n
+    s = d2 // d1
+    report["phi2_from_phi1"] = all(
+        u_add(u_scale(p1.get(n, ()), s * (2 * n - 1)), u_scale(p1[n - 1], 2 * s))
+        == u_scale(p2u.get(n, ()), 2)
+        and u_scale(p1.get(n, ()), s) == p2v.get(n, ())
+        for n in range(1 - T, 2))
 
     return report
 

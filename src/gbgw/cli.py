@@ -280,15 +280,13 @@ def _suite_qsc(cfg):
     checks = []
 
     def annihilation():
-        p0 = quantum.phiB(0, cfg.window)
-        out = quantum.apply_P(p0)
-        bad = [e for e, c in out.coeffs.items() if c]
+        bad = quantum.annihilation_defects(cfg.window)
         return not bad, bad[:5]
 
     _check(checks, f"qsc/annihilation-through-{cfg.window}", annihilation)
 
     def commutator():
-        h = quantum.RatFunc(ParamPoly.gen("h"))
+        h = ParamPoly.gen("h")
         for k in range(0, 21):
             terms = dict(quantum.commutator_on_monomial(k))
             if k not in terms:  # zero entries are dropped, so h z^k must be there

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from .pfaffian import pfaffian
-from .poly import ParamPoly, ONE, U
+from .poly import ParamPoly, ONE
 
 __all__ = [
     "check_strict",
@@ -29,6 +29,7 @@ __all__ = [
     "Q_lambda",
     "Q_delta_closed",
     "theta",
+    "theta_u",
     "theta_lambda",
     "hypergeom_coeff",
 ]
@@ -129,9 +130,14 @@ def Q_delta_closed(parts):
     return value
 
 
+def theta_u(k):
+    """theta(k) = (2k-1)^2 - 4u as a dense int u-tuple."""
+    return ((2 * k - 1) ** 2, -4)
+
+
 def theta(k):
     """theta(k) = (2k-1)^2 - 4u as an exact polynomial in u."""
-    return ParamPoly.const((2 * k - 1) ** 2) - 4 * U
+    return ParamPoly.from_u(theta_u(k), 1)
 
 
 def theta_lambda(parts):

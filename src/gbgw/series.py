@@ -11,8 +11,8 @@ tightest sound window
 which is exactly the range of coefficients determined by the two inputs.
 
 Coefficients are duck-typed: anything with +, *, unary -, == and a falsy
-zero works (Fraction, ParamPoly, and the rational functions used by the
-quantum-curve module).  Absent coefficients are reported as the integer 0.
+zero works (Fraction, ParamPoly).  Absent coefficients are reported as the
+integer 0.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class LaurentSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, var, lo, hi=0):
-        return cls(var, {}, lo, hi)
-
-    @classmethod
     def monomial(cls, var, exponent, coeff, lo):
         return cls(var, {exponent: coeff}, lo, exponent)
 
@@ -69,9 +65,6 @@ class LaurentSeries:
         if e < self.lo:
             raise WindowError(f"exponent {e} below window lo={self.lo} of series in {self.var}")
         return self.coeffs.get(e, 0)
-
-    def support(self):
-        return sorted(self.coeffs)
 
     def is_zero(self):
         return not self.coeffs
@@ -101,31 +94,6 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return self + (-other)
-
-    def scale(self, factor):
-        if not factor:
-            return LaurentSeries.zero(self.var, self.lo, self.hi)
-        return LaurentSeries(self.var, {e: factor * c for e, c in self.coeffs.items()}, self.lo, self.hi)
-
-    def shift(self, k):
-        """Multiply by var^k."""
-        return LaurentSeries(self.var, {e + k: c for e, c in self.coeffs.items()}, self.lo + k, self.hi + k)
-
-    def sub_neg(self):
-        """Substitute var -> -var."""
-        return LaurentSeries(
-            self.var,
-            {e: (c if e % 2 == 0 else -c) for e, c in self.coeffs.items()},
-            self.lo,
-            self.hi,
-        )
-
-    def derivative(self):
-        out = {}
-        for e, c in self.coeffs.items():
-            if e:
-                out[e - 1] = e * c
-        return LaurentSeries(self.var, out, self.lo - 1, self.hi - 1)
 
     # -- multiplicative structure -------------------------------------------
 
@@ -191,14 +159,6 @@ class LaurentSeries:
             if acc:
                 out[e] = acc
         return LaurentSeries(self.var, out, self.lo, 0)
-
-    def residue(self):
-        """Coefficient of var^(-1); errors if -1 lies outside the window."""
-        if self.lo > -1:
-            raise WindowError("residue exponent -1 is outside the window")
-        if self.hi < -1:
-            return 0
-        return self.coeffs.get(-1, 0)
 
     def __repr__(self):
         if not self.coeffs:
@@ -337,9 +297,6 @@ class SparseTensor:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def support(self):
-        return sorted(self.coeffs)
 
     def __repr__(self):
         items = ", ".join(f"{k}: {c!r}" for k, c in sorted(self.coeffs.items()))

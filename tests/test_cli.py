@@ -263,6 +263,46 @@ def test_commutator_check_needs_the_z_k_entry(monkeypatch, tmp_path):
     assert checks["qsc/canonical-commutator"]["detail"] == "k=3: no z^k entry"
 
 
+def test_semiclassical_check_reads_p(monkeypatch, tmp_path):
+    # -1/16 in place of -1/32 at z^(k-2) of P(z^k): only the classical limit reads p_monomial
+    import gbgw.cli as cli
+
+    real = cli.quantum.p_monomial
+
+    def doubled(k):
+        (e1, c1), (e2, c2) = real(k)
+        return [(e1, c1), (e2, 2 * c2)]
+
+    monkeypatch.setattr(cli.quantum, "p_monomial", doubled)
+    rc, text = run_cli(["verify", "--suite", "qsc", "--window", "4"], tmp_path, "qsc.json")
+    assert rc == 1
+    failed = {c["identity"]: c["detail"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
+    assert failed == {"qsc/semiclassical-factorization":
+                      "{'shift_matches_curve': False, 'factor_product': False}"}
+
+
+def test_annihilation_check_fails_on_a_planted_coefficient(monkeypatch, tmp_path):
+    # PhiB_0 off by one at z^-3; P moves the defect to z^-4 and z^-5
+    import gbgw.cli as cli
+
+    real = cli.quantum._basis
+
+    def planted(k, depth):
+        d, coeffs = real(k, depth)
+        if k == 0:
+            c = coeffs[-3]
+            coeffs[-3] = (c[0] + d,) + c[1:]
+        return d, coeffs
+
+    monkeypatch.setattr(cli.quantum, "_basis", planted)
+    rc, text = run_cli(["verify", "--suite", "qsc", "--window", "4"], tmp_path, "qsc.json")
+    assert rc == 1
+    failed = {c["identity"]: c["detail"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
+    assert failed["qsc/annihilation-through-4"] == "[-4, -5]"
+    # span stability reads the same basis; the commutator and the classical limit do not
+    assert set(failed) == {"qsc/annihilation-through-4", "qsc/span-stability"}
+
+
 def test_span_stability_fails_at_window_one(tmp_path):
     # window 1 leaves k_max = 0: only P(PhiB_0) at z^-1, where both sides are 0
     rc, text = run_cli(["verify", "--suite", "qsc", "--window", "1"], tmp_path, "qsc.json")
@@ -317,6 +357,8 @@ def test_two_point_check_reads_every_closed_form_entry(monkeypatch, tmp_path):
      "fbee3e095e6719fbbab32c6c4f0ca0c07797a9b5160d99bcf6aa025b648d0d9e"),
     (["verify", "--suite", "eo", "--genus-max", "3", "--arity-max", "4", "--weight-max", "13"],
      "87df894ee2e70b9ca28b14f261e6a88eba9aa103b3ea5c48c7c33ad61da857d6"),
+    (["verify", "--suite", "all", "--u", "1/4"],
+     "4d00f58bbac6887c486781784127270efd04bc41567183a845b2b6a994143e14"),
 ])
 def test_out_bytes_are_pinned(tmp_path, args, digest):
     # the --out bytes of these commands are fixed; a faster table must not move them

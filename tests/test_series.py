@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gbgw.poly import ParamPoly, ONE, S, half_binomial
-from gbgw.series import BiSeries, LaurentSeries, SparseTensor, WindowError, series_eq_on_overlap
+from gbgw.series import BiSeries, LaurentSeries, SparseTensor, series_eq_on_overlap
 
 
 def test_mul_trivial():
@@ -37,9 +37,9 @@ def test_variable_mismatch():
 
 
 def test_window_below_empty_rejected():
-    LaurentSeries.zero("z", 1, 0)  # lo = hi + 1 is the empty window
+    LaurentSeries("z", {}, 1, 0)  # lo = hi + 1 is the empty window
     with pytest.raises(ValueError):
-        LaurentSeries.zero("z", 2, 0)
+        LaurentSeries("z", {}, 2, 0)
 
 
 def test_biseries_variable_mismatch():
@@ -109,15 +109,6 @@ def test_one_minus_sqrt_matches_catalan_closed_form():
         assert w.coeff(-2 * k - 2) == ParamPoly.monomial(expected, es=k + 1)
 
 
-def test_residue():
-    a = LaurentSeries("z", {-1: Fraction(7)}, -3, 0)
-    assert a.residue() == 7
-    b = LaurentSeries("z", {-2: Fraction(1), 0: Fraction(3)}, -4, 0)
-    assert b.residue() == 0
-    with pytest.raises(WindowError):
-        LaurentSeries("z", {0: Fraction(1)}, 0, 2).residue()
-
-
 def test_window_soundness_recompute_larger():
     # Recomputing with a larger window must reproduce every coefficient of the
     # smaller-window result.  The inverted series is 1 - W01 = sqrt(1 + s/x^2).
@@ -141,22 +132,6 @@ def test_inverse_of_one_minus_w01():
     assert inv.coeff(-2) == ParamPoly.monomial(half_binomial(0, 1), es=1)
     prod = one_minus_w01 * inv
     assert series_eq_on_overlap(prod, LaurentSeries.one("x", prod.lo))
-
-
-def test_derivative_and_shift():
-    a = LaurentSeries("z", {2: Fraction(5), -1: Fraction(3)}, -4, 2)
-    d = a.derivative()
-    assert d.coeff(1) == 10
-    assert d.coeff(-2) == -3
-    assert a.shift(3).coeff(5) == 5
-
-
-def test_sub_neg():
-    a = LaurentSeries("z", {1: Fraction(1), -2: Fraction(4), -3: Fraction(2)}, -5, 1)
-    b = a.sub_neg()
-    assert b.coeff(1) == -1
-    assert b.coeff(-2) == 4
-    assert b.coeff(-3) == -2
 
 
 def test_half_binomial_matches_sqrt_inverse_powers():
