@@ -214,17 +214,20 @@ def verify_ks(k_max, depth):
     return report
 
 
-def _classical_part(j, samples=9):
+def _classical_part(j):
     """The h^0 part of the z^(k-j) coefficient of P(z^k) under k = zp/h, u = s/h^2.
 
     That coefficient is h^w sum_b g_b(k) u^b with each g_b a polynomial in
-    k, read off ``p_monomial`` at k = 0, ..., samples - 1.  Its h^0 part is
+    k, read off ``p_monomial`` at k = 0, ..., 8: nine points, more than the
+    degree in k of either coefficient (4), so the differences above the
+    weight are a real test rather than vacuous.  Its h^0 part is
     sum_b [k^(w-2b)] g_b K^(w-2b) s^b with K = zp, returned as (w, tuple
     indexed by b).  The k-coefficient is the (w-2b)-th forward difference at
     0 over (w-2b)!, and every higher difference must vanish: a term of
     weight above w would leave a negative power of h.  None if the
     coefficient does not have that shape.
     """
+    samples = 9
     rows = [dict(p_monomial(k))[k - j] for k in range(samples)]
     keys = {key for row in rows for key in row.terms}
     if len({eh for eh, _, _, _ in keys}) != 1 or any(es or ev for _, _, es, ev in keys):
