@@ -21,12 +21,18 @@ the recursion is graded: every term on the right has the same
 |mu| - n + 2 - 2g as the left side, and the seeds are monomials with that
 exponent halved.  So each correlator is the single monomial c * s^e with e
 known from its key; C is divided and s^e attached where a value leaves.
+
+The sum is symmetric under a <-> b: the split term (a, g1, I) equals the
+term (b, g2, J), and the upper term is the same for (a, b) and (b, a).  So
+a step sums over a <= b only, with weight 2 when a != b and weight 1 when
+a = b.  The subsets of the remaining parts are enumerated once per step, as
+pairs of descending tuples, and each key is formed by inserting a part into
+its place rather than by sorting.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .poly import ParamPoly, ONE, ZERO, S
@@ -96,6 +102,14 @@ def _corr(g, parts):
     return out
 
 
+def _insert(parts, p):
+    """The descending tuple ``parts`` with the part ``p`` added in its place."""
+    i = 0
+    while i < len(parts) and parts[i] > p:
+        i += 1
+    return parts[:i] + (p,) + parts[i:]
+
+
 def _expand(g, parts, pick):
     """One recursion step distinguishing the part at position ``pick`` of the
     descending-sorted tuple, on the scaled table.  Every sub-key drops in weight
@@ -106,26 +120,29 @@ def _expand(g, parts, pick):
     upper = pairs = total = 0
 
     if k > 0:
-        for a in range(1, 2 * k, 2):
+        n = len(rest)
+        # the 2^n splits I|J of rest, each side a descending tuple
+        splits = [(tuple(rest[i] for i in range(n) if mask >> i & 1),
+                   tuple(rest[i] for i in range(n) if not mask >> i & 1))
+                  for mask in range(1 << n)]
+        for a in range(1, k + 1, 2):
             b = 2 * k - a
-            merged = tuple(sorted(rest + (a, b), reverse=True))
+            weight = 1 if a == b else 2
             if g >= 1:
-                upper += _corr(g - 1, merged)
+                upper += weight * _corr(g - 1, _insert(_insert(rest, a), b))
+            keys = [(_insert(I, a), _insert(J, b)) for I, J in splits]
+            step = 0
             for g1 in range(g + 1):
                 g2 = g - g1
-                for r in range(len(rest) + 1):
-                    for I in combinations(range(len(rest)), r):
-                        Iset = set(I)
-                        left = tuple(sorted((a,) + tuple(rest[i] for i in I), reverse=True))
-                        right = tuple(sorted((b,) + tuple(rest[i] for i in range(len(rest)) if i not in Iset), reverse=True))
-                        cl = _corr(g1, left)
-                        if cl:
-                            cr = _corr(g2, right)
-                            if cr:
-                                pairs += cl * cr
+                for left, right in keys:
+                    cl = _corr(g1, left)
+                    if cl:
+                        cr = _corr(g2, right)
+                        if cr:
+                            step += cl * cr
+            pairs += weight * step
     for i in range(len(rest)):
-        merged = tuple(sorted(rest[:i] + (rest[i] + 2 * k,) + rest[i + 1:], reverse=True))
-        c = _corr(g, merged)
+        c = _corr(g, _insert(rest[:i] + rest[i + 1:], rest[i] + 2 * k))
         if c:
             total += rest[i] * c
     return 4 * upper + pairs + 2 * total

@@ -263,9 +263,10 @@ def _closed_solve(g, n):
     lower = _scatter(g, n - 1, 1) if ext_n else {}
     halves = [(tuple(i for i in range(ext_n) if mask >> i & 1),
                tuple(i for i in range(ext_n) if not mask >> i & 1)) for mask in range(1 << ext_n)]
-    # the splittings exclude one- and two-point factors
-    splits = [(I, J, _scatter(g1, len(I) + 1, 1), _scatter(g - g1, len(J) + 1, 1))
-              for g1 in range(g + 1) for I, J in halves if (g1 or len(I) > 1) and (g1 < g or len(J) > 1)]
+    # the splittings exclude one- and two-point factors; each names its half by index
+    splits = [(h, _scatter(g1, len(I) + 1, 1), _scatter(g - g1, len(J) + 1, 1))
+              for g1 in range(g + 1) for h, (I, J) in enumerate(halves)
+              if (g1 or len(I) > 1) and (g1 < g or len(J) > 1)]
     t = {}
     for kvec in ext_candidates:
         # the bracket depends on a + b only: accumulate it by a + b < mmax
@@ -273,9 +274,12 @@ def _closed_solve(g, n):
         for (a, b), v in upper.get(kvec, {}).items():
             if a + b < mmax:
                 inner[a + b] += v
-        for I, J, left, right in splits:
-            rights = right.get(tuple(kvec[i] for i in J), {})
-            for (a,), lv in left.get(tuple(kvec[i] for i in I), {}).items():
+        # the (left, right) external keys of each half, shared by its g + 1 splits
+        keys = [(tuple(kvec[i] for i in I), tuple(kvec[i] for i in J)) for I, J in halves] if splits else ()
+        for h, left, right in splits:
+            lkey, rkey = keys[h]
+            rights = right.get(rkey, {})
+            for (a,), lv in left.get(lkey, {}).items():
                 for (b,), rv in rights.items():
                     if a + b < mmax:
                         inner[a + b] += lv * rv

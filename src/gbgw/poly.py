@@ -231,21 +231,6 @@ class ParamPoly:
 
     # -- substitutions -----------------------------------------------------
 
-    def substitute(self, name, value):
-        """Replace a generator by a Fraction or another ParamPoly, exactly."""
-        i = _GEN_INDEX[name]
-        val = value if isinstance(value, ParamPoly) else ParamPoly.const(value)
-        powers = {0: ONE}
-        out = _ZERO_P
-        for key, q in self.terms.items():
-            e = key[i]
-            if e not in powers:
-                powers[e] = val ** e
-            rest = list(key)
-            rest[i] = 0
-            out = out + ParamPoly({tuple(rest): q}) * powers[e]
-        return out
-
     def subs_s_h2u(self):
         """Apply the ring homomorphism s -> h^2*u (the bridge S^2 = hbar^2 N^2)."""
         out = {}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -205,3 +206,62 @@ def test_distinguished_part_recomputation_bypasses_its_own_memo(monkeypatch, g, 
     assert correlator(g, mu) == correlator_expand_distinguishing(g, mu)
     monkeypatch.setitem(corr._cache, (g, mu), corr._cache[(g, mu)] + 1)
     assert correlator(g, mu) != correlator_expand_distinguishing(g, mu)
+
+
+def _add(acc, poly, weight):
+    for e, c in poly.items():
+        v = acc.get(e, 0) + weight * c
+        if v:
+            acc[e] = v
+        else:
+            acc.pop(e, None)
+
+
+def _oracle(g, parts, memo):
+    """<p_parts>_g as {s-exponent: Fraction}, by the recursion exactly as the
+    correlators module docstring states it: the largest part distinguished,
+    every ordered (a, b), every subset I of the other parts, sorted keys."""
+    if g < 0:
+        return {}
+    key = (g, parts)
+    if key in memo:
+        return memo[key]
+    if parts == (1,):
+        out = {0: {1: Fraction(-1, 2)}, 1: {0: Fraction(1, 8)}}.get(g, {})
+    else:
+        big, rest = parts[0], parts[1:]
+        k = (big - 1) // 2
+        out = {}
+        for a in range(1, 2 * k, 2):
+            b = 2 * k - a
+            _add(out, _oracle(g - 1, tuple(sorted(rest + (a, b), reverse=True)), memo), Fraction(1, 2))
+            for g1 in range(g + 1):
+                for r in range(len(rest) + 1):
+                    for I in combinations(range(len(rest)), r):
+                        left = tuple(sorted((a,) + tuple(rest[i] for i in I), reverse=True))
+                        right = tuple(sorted((b,) + tuple(rest[i] for i in range(len(rest)) if i not in I),
+                                             reverse=True))
+                        product = {}
+                        for e1, c1 in _oracle(g1, left, memo).items():
+                            _add(product, {e1 + e2: c2 for e2, c2 in _oracle(g - g1, right, memo).items()}, c1)
+                        _add(out, product, Fraction(1, 2))
+        for i, m in enumerate(rest):
+            merged = tuple(sorted(rest[:i] + (m + 2 * k,) + rest[i + 1:], reverse=True))
+            _add(out, _oracle(g, merged, memo), m)
+    memo[key] = out
+    return out
+
+
+def test_table_matches_the_recursion_as_stated():
+    # an independent transcription of the docstring recursion on Fraction
+    # s-polynomials: no scale, no a <-> b symmetry, no shared split lists
+    memo = {}
+    checked = nonzero = 0
+    for mu in odd_partitions(13, 4):
+        for g in range(4):
+            want = _oracle(g, mu, memo)
+            e, c = correlator_monomial(g, mu)
+            assert want == ({} if e is None else {e: c}), (g, mu)
+            checked += 1
+            nonzero += e is not None
+    assert checked == 4 * len(odd_partitions(13, 4)) and nonzero > checked // 2

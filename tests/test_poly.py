@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gbgw.poly import ParamPoly, ONE, ZERO, H, U, S, V, half_binomial, double_factorial
+from gbgw.poly import ParamPoly, ONE, ZERO, H, U, V, half_binomial, double_factorial
 
 
 def rand_poly(rng, nterms=4):
@@ -69,12 +69,6 @@ def test_eval_consistency():
         v = Fraction(rng.randint(-3, 3))
         pt = dict(h=Fraction(2, 3), u=v * v, s=Fraction(-1, 2), v=v)
         assert (a * b).eval_rational(**pt) == a.eval_rational(**pt) * b.eval_rational(**pt)
-
-
-def test_substitute_general():
-    p = S * S + H
-    q = p.substitute("s", H * U)
-    assert q == H * U * H * U + H
 
 
 def test_subs_u_rejects_v():
