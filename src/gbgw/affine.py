@@ -26,11 +26,10 @@ from math import factorial
 
 from .pfaffian import pfaffian
 from .poly import ParamPoly, ONE, ZERO, u_add, u_mul, u_scale
-from .schurq import theta, theta_u, hypergeom_coeff
-from .series import LaurentSeries, BiSeries, accumulate
+from .schurq import theta_u, hypergeom_coeff
+from .series import LaurentSeries, BiSeries
 
 __all__ = [
-    "theta",
     "theta_prod",
     "affine_scalar",
     "affine_coeff",
@@ -73,8 +72,7 @@ def affine_coeff(n, m):
     out = _affine_cache.get((n, m))
     if out is None:
         r = affine_scalar(n, m)
-        out = ParamPoly.from_u(u_scale(u_mul(theta_prod(n), theta_prod(m)), r.numerator),
-                               r.denominator, eh=n + m) if r else ZERO
+        out = _entry_poly((-n, -m), (r, u_mul(theta_prod(n), theta_prod(m)))) if r else ZERO
         _affine_cache[(n, m)] = out
     return out
 
@@ -131,30 +129,39 @@ def basis_pair(T):
 def _direct_a(keys):
     """Entries of the direct A at ``keys``, pairs (i, j) with i, j <= 0.
 
-    The sign and half-weight rules of the coordinate double sum:
-    (-1)^(n+m+1) a_{n,m} at (-n, -m), and (-1)^n/2 a_{0,n} at (-n, 0) and
-    minus that at (0, -n).
+    Each entry is a pair (r, P) of a Fraction and an int u-tuple, standing
+    for h^-(i+j) r P(u).  The sign and half-weight rules of the coordinate
+    double sum: (-1)^(n+m+1) a_{n,m} at (-n, -m), and (-1)^n/2 a_{0,n} at
+    (-n, 0) and minus that at (0, -n).
     """
     a = {}
     for i, j in keys:
         n, m = -i, -j
         if n and m:
-            c = affine_coeff(n, m)
-            if c:
-                a[(i, j)] = -c if (m + n) % 2 == 0 else c
+            r = affine_scalar(n, m)
+            if r:
+                a[(i, j)] = (-r if (m + n) % 2 == 0 else r, u_mul(theta_prod(n), theta_prod(m)))
         elif n or m:
-            half = Fraction(1, 2) if (n + m) % 2 == 0 else Fraction(-1, 2)
-            a[(i, j)] = (half if n else -half) * affine_coeff(0, n + m)
+            r = affine_scalar(0, n + m) / (2 if (n + m) % 2 == 0 else -2)
+            a[(i, j)] = (r if n else -r, theta_prod(n + m))
     return a
 
 
 def _with_tail(a, tail_hi):
-    """Entries of At = A - 1/4 - 1/2 sum_{i=1}^{tail_hi} (-1)^i w^-i x^i."""
-    at = dict(a)
-    accumulate(at, (0, 0), ParamPoly.const(Fraction(-1, 4)))
-    for i in range(1, tail_hi + 1):
-        accumulate(at, (-i, i), ParamPoly.const(Fraction(1, 2) if i % 2 else Fraction(-1, 2)))
-    return at
+    """Entries of At = A - 1/4 - 1/2 sum_{i=1}^{tail_hi} (-1)^i w^-i x^i,
+    as (r, P) pairs like those of ``_direct_a``.  A tail key held by A is an error."""
+    tail = {(0, 0): (Fraction(-1, 4), (1,))}
+    tail.update(((-i, i), (Fraction(1 if i % 2 else -1, 2), (1,))) for i in range(1, tail_hi + 1))
+    clash = tail.keys() & a.keys()
+    if clash:
+        raise ArithmeticError(f"A holds the tail keys {sorted(clash)} of At: convention bug")
+    return {**a, **tail}
+
+
+def _entry_poly(key, entry):
+    """The (r, P) entry at ``key`` as the ParamPoly h^-(sum key) r P(u)."""
+    r, p = entry
+    return ParamPoly.from_u(u_scale(p, r.numerator), r.denominator, eh=-sum(key))
 
 
 def _antisym_quotient(p1, p2, T, wx=0):
@@ -187,7 +194,9 @@ def gen_A(form, wlo, xlo, xhi, T=None):
     vanishes -- and derives At from it; the result is sound on the triangle
     i + j >= 2 - T, recorded via ``min_total``.  The closed form runs at
     h = 1 on the integer basis of ``basis_pair``: the quotient at (i, j) is
-    h^-(i+j) times an int u-tuple over 4 d1 d2, attached only on the way out.
+    h^-(i+j) times an int u-tuple over 4 d1 d2.  Both forms hold their
+    entries as the (r, P) pairs of ``_direct_a``; each entry of At becomes a
+    ParamPoly once, on the way out, and A reuses those values.
     """
     if form == "direct":
         a = _direct_a((-n, -m) for n in range(-wlo + 1) for m in range(-xlo + 1))
@@ -212,15 +221,17 @@ def gen_A(form, wlo, xlo, xhi, T=None):
         if _antisym_quotient(p1, at_minus_z(p2v), T):
             raise ArithmeticError("v survived the antisymmetrized quotient: convention bug")
         min_total = 2 - T
+        r = Fraction(1, 4 * d1 * d2)
         a = {
-            (i, j): ParamPoly.from_u(c, 4 * d1 * d2, eh=-(i + j))
+            (i, j): (r, c)
             for (i, j), c in q.items()
             if wlo <= i and xlo <= j <= 0 and i + j >= min_total
         }
     else:
         raise ValueError(f"unknown form {form!r}")
-    A = BiSeries(("w", "x"), a, (wlo, 0), (xlo, xhi), min_total)
-    return A, BiSeries(("w", "x"), _with_tail(A.coeffs, min(-wlo, xhi)), (wlo, 0), (xlo, xhi), min_total)
+    at = {key: _entry_poly(key, e) for key, e in _with_tail(a, min(-wlo, xhi)).items()}
+    return (BiSeries(("w", "x"), {key: at[key] for key in a}, (wlo, 0), (xlo, xhi), min_total),
+            BiSeries(("w", "x"), at, (wlo, 0), (xlo, xhi), min_total))
 
 
 def verify_wronskian(T):

@@ -11,6 +11,10 @@ tail-corrected series), sign-twisted by which slot of At carries which
 variable.  The positive powers entering through the tail of At cancel in
 the total; truncation windows make this an approximation whose soundness
 is established by the recompute-at-a-larger-window stability protocol.
+The entries of At arrive as the (r, P) pairs of ``affine._direct_a``
+(h^-(i+j) times a rational times an int u-tuple), so the sum runs at h = 1
+on int u-tuples under one integer scale and builds a ParamPoly only for
+its output.
 
 The same correlators are reachable through the Virasoro pipeline; the
 exact bridge for an odd partition mu with n parts is
@@ -26,7 +30,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import lcm
 
-from .affine import _direct_a, _with_tail, affine_coeff
+from .affine import _direct_a, _entry_poly, _with_tail, affine_coeff
 from .correlators import check_odd_partition, correlator_monomial, odd_partitions
 from .poly import ParamPoly, ZERO, u_add, u_mul, u_scale
 from .series import SparseTensor, accumulate
@@ -62,30 +66,18 @@ def cycles(n):
 def one_point_affine(max_weight, u_value=None):
     """One-point series A(-x, x) from the direct double sum.
 
-    Computed as the odd projection -[A(x,-x)]_odd (equivalently A(-x,x);
-    the two agree by antisymmetry of the coordinate table, which is
-    checked here).  Returns {exponent: value} for odd exponents.
+    At x^-mu (mu odd) it is a_{0,mu} + sum_{n+m=mu} (-1)^(m+1) a_{n,m}, the
+    odd projection -[A(x,-x)]_odd: for odd mu the sign (-1)^(m+1) is (-1)^n.
+    Returns {exponent: value} for odd exponents.
     """
     out = {}
-    # A(x,-x) = sum_{n,m>0} (-1)^(n+1) a_{n,m} x^(-n-m) - sum_{n odd} a_{0,n} x^-n
     for mu in range(1, max_weight + 1, 2):
-        acc = ZERO
+        acc = affine_coeff(0, mu)
         for n in range(1, mu):
             m = mu - n
             c = affine_coeff(n, m)
             if c:
-                acc = acc + (-c if n % 2 == 0 else c)
-        acc = acc - affine_coeff(0, mu)
-        acc = -acc  # the -[.]_odd projection
-        # cross-check against the A(-x, x) arrangement
-        other = affine_coeff(0, mu)
-        for n in range(1, mu):
-            m = mu - n
-            c = affine_coeff(n, m)
-            if c:
-                other = other + (-c if m % 2 == 0 else c)
-        if acc != other:
-            raise ArithmeticError("one-point forms disagree: coordinate table not antisymmetric")
+                acc = acc + (-c if m % 2 == 0 else c)
         if u_value is not None:
             acc = acc.subs_u(u_value)
         if acc:
@@ -157,46 +149,26 @@ def _contract_cycle(order, at, budget):
     return state
 
 
-def _int_core(at):
-    """Scale the entries of At to dense int u-tuples under one integer L.
-
-    Every entry at (i, j) must be h^-(i+j) times a polynomial in u alone
-    (README "Conventions"), so h carries no information inside the cycle
-    sum; L is the lcm of all coefficient denominators.
-    Returns (L, {key: int u-tuple}).
-    """
-    scale = 1
-    for (i, j), c in at.items():
-        for (eh, _, es, ev), q in c.terms.items():
-            if eh != -(i + j) or es or ev:
-                raise ArithmeticError(f"At entry at {(i, j)} is not h^{-(i + j)} times a polynomial in u: {c!r}")
-            scale = lcm(scale, q.denominator)
-    out = {}
-    for key, c in at.items():
-        t = [0] * (c.degree("u") + 1)
-        for (_, eu, _, _), q in c.terms.items():
-            t[eu], r = divmod(q.numerator * scale, q.denominator)
-            if r:
-                raise ArithmeticError(f"At entry at {key} is not integral after scaling by {scale}")
-        out[key] = tuple(t)
-    return scale, out
-
-
 def _npoint_once(n, max_weight, tail_hi, u_value=None):
     """One cycle-sum pass (n >= 2) with the tail of At through tail_hi.
 
     It builds only the entries of At the sum reads: the triangle
     n + m <= max_weight (with the boundary entries (-n, 0) and (0, -m)),
-    the constant (0, 0), and the tail (-i, i) for i <= tail_hi.  The
-    contraction runs on int u-tuples under the one scale L of ``_int_core``;
-    every output key is a product of exactly n entries, so it leaves as
+    the constant (0, 0), and the tail (-i, i) for i <= tail_hi.  Each entry
+    is the (r, P) pair of ``_direct_a``, h^-(i+j) r P(u); at a rational
+    u_value it becomes (r P(u_value), (1,)).  The contraction runs on the
+    int u-tuples r L P, with L the lcm of the denominators of the r; every
+    output key is a product of exactly n entries, so it leaves as
     h^(-sum key) * -2^(n-1) * tuple / L^n.
     """
     keys = ((-i, -j) for i in range(max_weight + 1) for j in range(max_weight + 1 - i))
     at = _with_tail(_direct_a(keys), tail_hi)
     if u_value is not None:
-        at = {k: v for k, v in ((k, c.subs_u(u_value)) for k, c in at.items()) if v}
-    scale, at = _int_core(at)
+        u = Fraction(u_value)
+        at = {k: (r * sum(c * u ** e for e, c in enumerate(p)), (1,)) for k, (r, p) in at.items()}
+        at = {k: entry for k, entry in at.items() if entry[0]}
+    scale = lcm(*(r.denominator for r, _ in at.values()))
+    at = {k: u_scale(p, r.numerator * scale // r.denominator) for k, (r, p) in at.items()}
     total = {}
     for order in cycles(n):
         where = [order.index(v) for v in range(1, n + 1)]
@@ -204,10 +176,8 @@ def _npoint_once(n, max_weight, tail_hi, u_value=None):
             k = tuple(key[p] for p in where)
             r = total.get(k)
             total[k] = c if r is None else u_add(r, c)
-    factor, den = -(2 ** (n - 1)), scale ** n
-    out = SparseTensor(n, {
-        key: ParamPoly.from_u(u_scale(c, factor), den, eh=-sum(key)) for key, c in total.items()
-    })
+    factor = Fraction(-(2 ** (n - 1)), scale ** n)
+    out = SparseTensor(n, {key: _entry_poly(key, (factor, c)) for key, c in total.items()})
     if n == 2:
         # off-diagonal tail artifacts self-cancel within the window; the
         # diagonal band (-m, +m) survives and is exactly the correction term
@@ -269,8 +239,11 @@ def bridge(mu, u_value=None):
 def crosscheck_affine_vs_virasoro(n_max, weight_max, one_point_weight=None, u_value=None):
     """Compare cycle-sum coefficients against bridged correlators.
 
-    Returns (ok, mismatches, checked) where mismatches lists
-    (mu, affine value, bridge value).
+    Every ordering of the exponents of mu is read: the bridge is symmetric,
+    and a defect of the coordinate table may show in one ordering only.
+    Returns (ok, mismatches, checked) where checked counts partitions and
+    mismatches lists (mu, affine value, bridge value) at the first ordering
+    that differs.
     """
     mismatches = []
     checked = 0
@@ -280,9 +253,11 @@ def crosscheck_affine_vs_virasoro(n_max, weight_max, one_point_weight=None, u_va
         for mu in odd_partitions(w, n):
             if len(mu) != n:
                 continue
-            got = tensor.get(tuple(-m for m in mu))
             want = bridge(mu, u_value=u_value)
             checked += 1
-            if got != want:
-                mismatches.append((mu, got, want))
+            for key in sorted(set(permutations(tuple(-m for m in mu)))):
+                got = tensor.get(key)
+                if got != want:
+                    mismatches.append((mu, got, want))
+                    break
     return not mismatches, mismatches, checked

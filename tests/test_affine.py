@@ -1,9 +1,12 @@
 from fractions import Fraction
 from math import factorial, prod
 
+import pytest
+
 from gbgw.poly import ParamPoly, double_factorial
 from gbgw.schurq import strict_partitions, theta
 from gbgw.affine import (
+    _with_tail,
     affine_coeff,
     basis_pair,
     gen_A,
@@ -82,6 +85,14 @@ def test_gen_a_relation_between_a_and_at():
         assert diff.coeff(-i, i) == ParamPoly.const(expected)
         assert diff.coeff(-i, 0) == 0
         assert diff.coeff(0, -i) == 0
+
+
+def test_tail_key_held_by_a_is_an_error():
+    # At adds its tail to A; an entry of A on the tail would be summed silently
+    for key in ((0, 0), (-2, 2)):
+        with pytest.raises(ArithmeticError, match="tail keys"):
+            _with_tail({key: (Fraction(1), (1,))}, 3)
+    assert len(_with_tail({(0, -1): (Fraction(1), (1,))}, 3)) == 5
 
 
 def test_gen_a_first_column():

@@ -361,6 +361,8 @@ def test_two_point_check_reads_every_closed_form_entry(monkeypatch, tmp_path):
      "4d00f58bbac6887c486781784127270efd04bc41567183a845b2b6a994143e14"),
     (["correlators", "--genus-max", "4", "--arity-max", "4", "--weight-max", "21"],
      "2c16349bdbd2fb83a29f549da1d6aa8f6b9e76230bc7d56b2007b4667b59420c"),
+    (["npoint", "--pipeline", "affine", "--arity-max", "3", "--weight-max", "9"],
+     "f25983ca00a762fa52dbb39ee5766a2faffec4a4a04b4fe9085af3e2b58e35ff"),
 ])
 def test_out_bytes_are_pinned(tmp_path, args, digest):
     # the --out bytes of these commands are fixed; a faster table must not move them

@@ -169,6 +169,18 @@ def test_special_deformation_small():
     assert ok, failures[:5]
 
 
+def test_special_deformation_names_a_wrong_genus_zero_value(monkeypatch):
+    # <p_3 p_1>_0 enters y at t_1 x^-4; the first pass fills every memo entry
+    # the check reads, so only the planted value changes
+    import gbgw.correlators as corr
+
+    assert verify_special_deformation(degree=3, min_order=-10, part_cap=7)[0]
+    monkeypatch.setitem(corr._cache, (0, (3, 1)), corr._cache[(0, (3, 1))] + 1)
+    ok, failures = verify_special_deformation(degree=3, min_order=-10, part_cap=7)
+    assert not ok
+    assert failures[0][:2] == ((1,), -4)
+
+
 def test_negative_s_exponent_raises(monkeypatch):
     # <p_1>_2 sits at s-exponent -1, so a nonzero table value there is an error
     import gbgw.correlators as corr

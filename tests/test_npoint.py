@@ -1,11 +1,9 @@
 from fractions import Fraction
 from itertools import permutations
 
-import pytest
-
 import gbgw.npoint as npoint_module
 from gbgw.correlators import odd_partitions
-from gbgw.poly import H, ParamPoly
+from gbgw.poly import ParamPoly
 from gbgw.schurq import theta
 from gbgw.npoint import (
     bridge,
@@ -120,14 +118,29 @@ def test_rational_u_matches_symbolic_substitution():
     assert npoint_affine(3, 7, u_value=u).coeffs == want
 
 
-def test_cycle_sum_rejects_entry_of_wrong_h_degree(monkeypatch):
+def test_cycle_sum_reads_the_planted_scalar(monkeypatch):
+    # r at (-1, -2) off by a factor breaks antisymmetry of A; both the
+    # symbolic core and the evaluation at a rational u must carry it through
     real = npoint_module._direct_a
 
     def planted(keys):
         a = real(keys)
-        a[(-1, -2)] = a[(-1, -2)] * H
+        r, p = a[(-1, -2)]
+        a[(-1, -2)] = (3 * r, p)
         return a
 
     monkeypatch.setattr(npoint_module, "_direct_a", planted)
-    with pytest.raises(ArithmeticError, match="is not h\\^3 times a polynomial in u"):
-        npoint_affine(2, 5)
+    for u_value in (None, Fraction(3, 7)):
+        ok, mismatches, _ = crosscheck_affine_vs_virasoro(2, 5, u_value=u_value)
+        assert not ok, u_value
+        assert all(len(mu) == 2 for mu, _, _ in mismatches)
+
+
+def test_one_point_reads_a_broken_coordinate(monkeypatch):
+    # a_{1,2} off by 1/7 (antisymmetry broken) moves the one-point value at x^-3
+    real = npoint_module.affine_coeff
+    monkeypatch.setattr(npoint_module, "affine_coeff",
+                        lambda n, m: real(n, m) + Fraction(1, 7) if (n, m) == (1, 2) else real(n, m))
+    series = one_point_affine(9)
+    assert series[-3] != bridge((3,))
+    assert series[-1] == bridge((1,))
