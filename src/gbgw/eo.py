@@ -15,6 +15,14 @@ evaluated in coefficient space: for the bracket
 
 (raw coefficient substitution; the sign of d(-z) and the -1/2 of the
 kernel cancel), the new entry at z0^(-2m-2) is (1/2)(s c_{-2m} - c_{-2m-2}).
+The bracket is built in index space, as one row per external index tuple
+k, with row[j] the coefficient at z^(-2j) prod z_i^(-2k_i-2).  Only the
+positions the kernel step reads are built: 0 <= j <= bound + 4, where
+bound = omega_support_bound(g, n) (entries up to m = bound + 3 are formed,
+so that the pole-bound guard sees the slots just past the support).  An
+omega_{0,2} factor contributes the stream z^m z_i^(-m-2); a term with odd
+m puts z_i at an odd power, which no index reaches, so the parity rule
+drops it where the factor enters index space.
 
 The type-B variant replaces the unstable two-point part by its z -> -z
 symmetrization, whose diagonal value is singular; its (1,1) entry is
@@ -40,10 +48,11 @@ x_tensor attaches s^e at the same boundary.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .correlators import correlator_monomial
 from .poly import ParamPoly, double_factorial
@@ -119,72 +128,81 @@ def _omega(g, n, kind):
 
 
 def _bracket(g, next_n, kind):
-    """Coefficients of the recursion bracket for the entry (g, next_n), at
-    scale 2^(3(2g-2+next_n) - 3) (module docstring).
+    """Rows of the recursion bracket for the entry (g, next_n), at scale
+    2^(3(2g-2+next_n) - 3) (module docstring), in index space.
 
-    Returns {(e_z, e_1, ..., e_{next_n - 1}): value} with raw exponents for
-    the external variables (e_i = -2k_i - 2 for stable contributions; the
-    unstable two-point part contributes arbitrary integers, whose odd part
-    never reaches a read position).  (1, 1) is seeded, so the (g-1, n+2)
-    term is stable.
+    Returns {(k_1, ..., k_{next_n - 1}): row}: row[j] is the coefficient of
+    z^(-2j) prod z_i^(-2k_i-2), for j = 0..bound+4 with
+    bound = omega_support_bound(g, next_n).  _recurse reads row[m] and
+    row[m + 1] for m <= bound + 3 only, so nothing past bound + 4 is built,
+    and nothing at a positive power of z.  (1, 1) is seeded, so the
+    (g-1, n+2) term is stable.
     """
     n = next_n - 1
-    c = {}
+    top = omega_support_bound(g, next_n) + 4
+    rows = defaultdict(lambda: [0] * (top + 1))
 
-    # 1. the (g-1, n+2) term evaluated at (z, -z, externals)
+    # 1. the (g-1, n+2) term at (z, -z, externals): z^(-2k_0-2) (-z)^(-2k_1-2)
     if g >= 1:
         for kk, v in _omega(g - 1, n + 2, kind).items():
-            ext = tuple(-2 * k - 2 for k in kk[2:])
-            accumulate(c, (-2 * kk[0] - 2 * kk[1] - 4,) + ext, v)
+            j = kk[0] + kk[1] + 2
+            if j <= top:
+                rows[kk[2:]][j] += v
 
     # 2. ordered splittings; each factor is omega_{0,2} with one external
     #    variable, or a stable entry; omega_{0,1} factors are excluded.
-    max_depth = 2 * (omega_support_bound(g, n + 1) + 2) + 4
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for mask in range(1 << n):
-            I = [i for i in range(n) if mask >> i & 1]
-            J = [i for i in range(n) if not mask >> i & 1]
+    for mask in range(1 << n):
+        I = [i for i in range(n) if mask >> i & 1]
+        J = [i for i in range(n) if not mask >> i & 1]
+        slots = I + J
+        # the external tuple of a product: the left indices at I, the right ones at J
+        place = None if slots == sorted(slots) else itemgetter(*[slots.index(i) for i in range(n)])
+        for g1 in range(g + 1):
+            g2 = g - g1
             if (g1 == 0 and not I) or (g2 == 0 and not J):
                 continue  # omega_{0,1} factors are excluded
-            f1 = _factor(g1, I, +1, kind, max_depth)
-            f2 = _factor(g2, J, -1, kind, max_depth)
-            for (ez1, ext1), v1 in f1:
-                for (ez2, ext2), v2 in f2:
-                    ext = [0] * n
-                    for i, e in ext1:
-                        ext[i] = e
-                    for i, e in ext2:
-                        ext[i] = e
-                    accumulate(c, (ez1 + ez2,) + tuple(ext), v1 * v2)
-    return c
+            f2 = _factor(g2, len(J), -1, kind, top)
+            for ext1, terms1 in _factor(g1, len(I), +1, kind, top).items():
+                for ext2, terms2 in f2.items():
+                    row = rows[ext1 + ext2 if place is None else place(ext1 + ext2)]
+                    for j1, v1 in terms1:
+                        for j2, v2 in terms2:
+                            if 0 <= j1 + j2 <= top:
+                                row[j1 + j2] += v1 * v2
+    return rows
 
 
-def _factor(gf, idxs, sign, kind, max_depth):
-    """Entries of omega_{gf, len(idxs)+1}(sign*z, externals) as a list of
-    ((z exponent, ((slot, ext exponent), ...)), value).  The caller excludes
-    omega_{0,1}; omega_{0,2}(sign*z, z_i) near z = 0 is the integer stream
-    (m+1) (sign z)^m z_i^(-m-2), even m only for the type-B kernel."""
-    if gf == 0 and len(idxs) == 1:
-        return [((m, ((idxs[0], -m - 2),)), -m - 1 if sign < 0 and m % 2 else m + 1)
-                for m in range(0, max_depth + 1, 2 if kind == "typeB" else 1)]
-    return [((-2 * kk[0] - 2, tuple((i, -2 * k - 2) for i, k in zip(idxs, kk[1:]))), v)
-            for kk, v in _omega(gf, len(idxs) + 1, kind).items()]
+def _factor(gf, nf, sign, kind, top):
+    """omega_{gf, nf+1}(sign*z, z_1..z_nf) in index space, grouped by its
+    external indices: {(k_1..k_nf): [(j, value), ...]}, each term at
+    z^(-2j) prod z_i^(-2k_i-2).  The caller excludes omega_{0,1}.
+
+    A stable entry at (k_0, k_1..k_nf) sits at j = k_0 + 1; its power of z
+    is even, so the sign drops out.  omega_{0,2}(sign*z, z_1) near z = 0 is
+    the integer stream (m+1) (sign z)^m z_1^(-m-2), m <= 2*top, even m only
+    for the type-B kernel.  The parity rule turns it into index space: an
+    odd m puts z_1 at an odd power, which no index k reaches, so the term is
+    dropped; an even m sits at j = -m/2 with k_1 = m/2.
+    """
+    if gf == 0 and nf == 1:
+        stream = [(m, -m - 1 if sign < 0 and m % 2 else m + 1)
+                  for m in range(0, 2 * top + 1, 2 if kind == "typeB" else 1)]
+        return {(m // 2,): [(-(m // 2), v)] for m, v in stream if m % 2 == 0}
+    out = defaultdict(list)
+    for kk, v in _omega(gf, nf + 1, kind).items():
+        out[kk[1:]].append((kk[0] + 1, v))
+    return out
 
 
 def _recurse(g, next_n, kind):
-    c = _bracket(g, next_n, kind)
+    """The entry (g, next_n) from its bracket rows: 4 (row[m] - row[m+1]) at
+    (m, k_1..k_{next_n-1}) for m <= bound + 3."""
     bound = omega_support_bound(g, next_n)
-    ext_keys = {k[1:] for k in c}
-    ext_keys = [e for e in ext_keys if not any(x % 2 or x > -2 for x in e)]
     t = {}
-    for m in range(bound + 3 + 1):
-        for ext_key in ext_keys:
-            v1 = c.get((-2 * m,) + ext_key, 0)
-            v2 = c.get((-2 * m - 2,) + ext_key, 0)
-            if v1 != v2:
-                kk = (m,) + tuple((-e - 2) // 2 for e in ext_key)
-                t[kk] = 4 * (v1 - v2)
+    for ext, row in _bracket(g, next_n, kind).items():
+        for m in range(bound + 4):
+            if row[m] != row[m + 1]:
+                t[(m,) + ext] = 4 * (row[m] - row[m + 1])
     # finiteness: the slots just past the expected support must be empty
     for kk in t:
         if kk[0] > bound:

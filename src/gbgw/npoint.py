@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import lcm
 
-from .affine import _direct_a, _entry_poly, _with_tail, affine_coeff
+from .affine import _direct_a, _entry_poly, _with_tail, affine_scalar, theta_prod
 from .correlators import check_odd_partition, correlator_monomial, odd_partitions
 from .poly import ParamPoly, ZERO, u_add, u_mul, u_scale
 from .series import SparseTensor, accumulate
@@ -68,20 +68,26 @@ def one_point_affine(max_weight, u_value=None):
 
     At x^-mu (mu odd) it is a_{0,mu} + sum_{n+m=mu} (-1)^(m+1) a_{n,m}, the
     odd projection -[A(x,-x)]_odd: for odd mu the sign (-1)^(m+1) is (-1)^n.
+    Every a_{n,m} = h^mu r_{n,m} P_n P_m with n + m = mu shares the power of
+    h, so the sum runs on int u-tuples over L, the lcm of the denominators
+    of the r_{n,m}, and leaves as one ParamPoly h^mu tuple / L; at a
+    rational u_value the tuple is evaluated there first.
     Returns {exponent: value} for odd exponents.
     """
+    u = None if u_value is None else Fraction(u_value)
     out = {}
     for mu in range(1, max_weight + 1, 2):
-        acc = affine_coeff(0, mu)
-        for n in range(1, mu):
-            m = mu - n
-            c = affine_coeff(n, m)
-            if c:
-                acc = acc + (-c if m % 2 == 0 else c)
-        if u_value is not None:
-            acc = acc.subs_u(u_value)
-        if acc:
-            out[-mu] = acc
+        rs = [(-1) ** n * affine_scalar(n, mu - n) for n in range(mu)]
+        scale = lcm(*(r.denominator for r in rs))
+        total = ()
+        for n, r in enumerate(rs):
+            p = u_mul(theta_prod(n), theta_prod(mu - n))
+            total = u_add(total, u_scale(p, r.numerator * scale // r.denominator))
+        entry = (Fraction(1, scale), total)
+        if u is not None:
+            entry = (entry[0] * sum(c * u ** e for e, c in enumerate(total)), (1,))
+        if entry[0] and entry[1]:
+            out[-mu] = _entry_poly((-mu,), entry)
     return out
 
 

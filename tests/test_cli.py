@@ -363,6 +363,9 @@ def test_two_point_check_reads_every_closed_form_entry(monkeypatch, tmp_path):
      "2c16349bdbd2fb83a29f549da1d6aa8f6b9e76230bc7d56b2007b4667b59420c"),
     (["npoint", "--pipeline", "affine", "--arity-max", "3", "--weight-max", "9"],
      "f25983ca00a762fa52dbb39ee5766a2faffec4a4a04b4fe9085af3e2b58e35ff"),
+    (["npoint", "--pipeline", "eo", "--kernel", "typeB", "--genus-max", "3", "--arity-max", "4",
+      "--weight-max", "13"],
+     "bc7d9792cd4c240487f2b6d0ca147a072d26e8594bcd5d80d1da7d980a6a8f22"),
 ])
 def test_out_bytes_are_pinned(tmp_path, args, digest):
     # the --out bytes of these commands are fixed; a faster table must not move them

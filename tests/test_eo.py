@@ -59,9 +59,15 @@ def test_omega_12():
     assert t.coeffs == expect
 
 
+STABLE_PAIRS = [(g, n) for g in range(4) for n in range(1, 5) if 2 * g - 2 + n > 0]
+
+
 def test_omega_symmetry():
-    for (g, n) in [(0, 3), (0, 4), (1, 2), (1, 3), (2, 2)]:
-        assert omega(g, n).is_symmetric(), (g, n)
+    # the bracket places each factor's external indices in their own slots;
+    # a slot mix-up shows first where there are three or more externals
+    for kind in ("standard", "typeB"):
+        for (g, n) in STABLE_PAIRS:
+            assert omega(g, n, kind).is_symmetric(), (kind, g, n)
 
 
 def test_omega_closed_step_matches_residue_route():
@@ -198,6 +204,33 @@ def test_closed_step_reads_no_residue_table():
     eo.clear_caches()
     omega_closed_step(3, 3)
     assert eo._omega_cache == {}
+
+
+def test_residue_route_reads_no_other_table():
+    # the residue route is an independent pipeline: it builds no Virasoro
+    # table and no coefficient-route table
+    import gbgw
+    from gbgw import correlators
+    import gbgw.eo as eo
+
+    gbgw.reset_caches()
+    for kind in ("standard", "typeB"):
+        for (g, n) in STABLE_PAIRS:
+            omega(g, n, kind)
+    assert eo._omega_cache
+    assert correlators._cache == {}
+    assert eo._closed_cache == {}
+
+
+def test_residue_pole_bound_guard(monkeypatch):
+    # one planted (1,2) entry beyond its pole bound pushes (1,3) past its own
+    import gbgw.eo as eo
+
+    planted = {**eo._omega(1, 2, "standard"), (4, 0): 1}
+    monkeypatch.setitem(eo._omega_cache, ("standard", 1, 2), planted)
+    monkeypatch.delitem(eo._omega_cache, ("standard", 1, 3), raising=False)
+    with pytest.raises(ArithmeticError, match="exceeds pole bound"):
+        omega(1, 3)
 
 
 def test_closed_step_pole_bound_guard(monkeypatch):

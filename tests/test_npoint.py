@@ -137,9 +137,9 @@ def test_cycle_sum_reads_the_planted_scalar(monkeypatch):
 
 
 def test_one_point_reads_a_broken_coordinate(monkeypatch):
-    # a_{1,2} off by 1/7 (antisymmetry broken) moves the one-point value at x^-3
-    real = npoint_module.affine_coeff
-    monkeypatch.setattr(npoint_module, "affine_coeff",
+    # a_{1,2} off by h^3 P_1 P_2 / 7 (antisymmetry broken) moves the one-point value at x^-3
+    real = npoint_module.affine_scalar
+    monkeypatch.setattr(npoint_module, "affine_scalar",
                         lambda n, m: real(n, m) + Fraction(1, 7) if (n, m) == (1, 2) else real(n, m))
     series = one_point_affine(9)
     assert series[-3] != bridge((3,))
