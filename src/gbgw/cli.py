@@ -1,8 +1,17 @@
 """Command-line interface: compute tables, run verification suites, emit JSON/CSV.
 
+``verify`` runs the checks declared once each in ``CHECKS``: a suite, an
+identity name built from the bounds, and a function of the bounds that
+returns ``(ok, detail, checked)``, where ``checked`` counts the instances
+compared.  One rule, in ``_check``, covers vacuity: a check that compares
+nothing fails with the detail "no instance checked".  Each check prints
+``  [pass, <checked> checked] <identity> (<seconds>s)`` (``FAIL`` on
+failure) to stderr.
+
 Exit codes: 0 all requested work passed, 1 a verification or computation
 failed, 2 usage errors.  Output written with --out (or to stdout) is
-byte-deterministic for a fixed configuration; timings go to stderr only.
+byte-deterministic for a fixed configuration; counts and timings go to
+stderr only.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from .poly import ParamPoly, double_factorial
 from . import correlators as corr
@@ -102,236 +112,202 @@ def cmd_correlators(cfg):
 def _check(checks, name, fn):
     t0 = time.perf_counter()
     try:
-        ok, detail = fn()
+        ok, detail, checked = fn()
     except Exception as exc:  # present failures, do not hide them
-        ok, detail = False, f"exception: {exc}"
+        ok, detail, checked = False, f"exception: {exc}", 0
+    if ok and not checked:  # the one vacuity rule: a pass that compared nothing is a failure
+        ok, detail = False, "no instance checked"
     dt = time.perf_counter() - t0
-    print(f"  [{'pass' if ok else 'FAIL'}] {name} ({dt:.6f}s)", file=sys.stderr)
+    print(f"  [{'pass' if ok else 'FAIL'}, {checked} checked] {name} ({dt:.6f}s)", file=sys.stderr)
     if ok:
         detail = ""
     elif not isinstance(detail, str):
         detail = repr(detail)
     checks.append({"identity": name, "status": "pass" if ok else "fail", "detail": detail})
-    return ok
 
 
-def _suite_schurq(cfg):
-    checks = []
-    w = min(cfg.weight_max, 12)
-
-    def q_routes():
-        for lam in schurq.strict_partitions(w):
-            if lam and schurq.Q_lambda(lam, {1: Fraction(1)}) != schurq.Q_delta_closed(lam):
-                return False, f"mismatch at {lam}"
-        return True, ""
-
-    _check(checks, f"schur-q/pfaffian-vs-closed-weight<={w}", q_routes)
-    return checks
+def _q_routes(cfg):
+    lams = [lam for lam in schurq.strict_partitions(min(cfg.weight_max, 12)) if lam]
+    bad = [lam for lam in lams if schurq.Q_lambda(lam, {1: Fraction(1)}) != schurq.Q_delta_closed(lam)]
+    return not bad, f"mismatch at {bad[0]}" if bad else "", len(lams)
 
 
-def _suite_affine(cfg):
-    checks = []
+def _wronskian(cfg):
+    rep = affine.verify_wronskian(cfg.window)
+    return all(rep.values()), rep, len(rep)
+
+
+def _pfaffian_expansion(cfg):
+    lams = [lam for lam in schurq.strict_partitions(min(cfg.weight_max, 10)) if lam]
+    bad = [lam for lam in lams if not affine.verify_pfaffian_expansion(lam)]
+    return not bad, f"mismatch at {bad[0]}" if bad else "", len(lams)
+
+
+def _closed_vs_direct(cfg):
     T = cfg.window
-
-    def wronskian():
-        rep = affine.verify_wronskian(T)
-        return all(rep.values()), rep
-
-    _check(checks, f"affine/wronskian-suite-order-{T}", wronskian)
-
-    def pfexp():
-        for lam in schurq.strict_partitions(min(cfg.weight_max, 10)):
-            if not affine.verify_pfaffian_expansion(lam):
-                return False, f"mismatch at {lam}"
-        return True, ""
-
-    _check(checks, "affine/pfaffian-vs-expansion-weights", pfexp)
-
-    def closed_vs_direct():
-        lo = -min(T - 2, 10)
-        ad, atd = affine.gen_A("direct", lo, lo, -lo)
-        ac, atc = affine.gen_A("closed", lo, lo, -lo, T=T)
-        compared = 0  # nonzero entries of A at positions both forms know
-        for name, direct, closed in (("At", atd, atc), ("A", ad, ac)):
-            for i, j in sorted(direct.coeffs.keys() | closed.coeffs.keys()):
-                if direct.known(i, j) and closed.known(i, j):
-                    if direct.coeff(i, j) != closed.coeff(i, j):
-                        return False, f"{name} mismatch at {(i, j)}"
-                    if name == "A":
-                        compared += 1
-        if not compared:
-            return False, "no entry compared"
-        return True, ""
-
-    _check(checks, "affine/generating-series-closed-vs-direct", closed_vs_direct)
-
-    def bridge_check():
-        ok, mism, checked = npoint.crosscheck_affine_vs_virasoro(
-            min(cfg.arity_max, 3), cfg.weight_max,
-            one_point_weight=cfg.weight_max + 4, u_value=cfg.u)
-        return ok, f"{len(mism)} mismatches of {checked}" if mism else ""
-
-    _check(checks, f"affine/cycle-sum-vs-virasoro-bridge-weight<={cfg.weight_max}", bridge_check)
-
-    if cfg.u == Fraction(1, 4):
-        def trivial():
-            for n in range(0, 9):
-                for m in range(0, 9):
-                    if affine.affine_coeff(n, m).subs_u(cfg.u):
-                        return False, f"a[{n},{m}] nonzero"
-            t = npoint.npoint_affine(2, 7, u_value=cfg.u)
-            if t.coeffs:
-                return False, "2-point cycle sum did not vanish"
-            one = npoint.one_point_affine(9, u_value=cfg.u)
-            if one:
-                return False, "1-point did not vanish"
-            return True, ""
-
-        _check(checks, "affine/trivialization-at-u=1/4", trivial)
-    return checks
+    lo = -min(T - 2, 10)
+    ad, atd = affine.gen_A("direct", lo, lo, -lo)
+    ac, atc = affine.gen_A("closed", lo, lo, -lo, T=T)
+    compared = 0  # entries of A at positions both forms know
+    for name, direct, closed in (("At", atd, atc), ("A", ad, ac)):
+        for i, j in sorted(direct.coeffs.keys() | closed.coeffs.keys()):
+            if direct.known(i, j) and closed.known(i, j):
+                if direct.coeff(i, j) != closed.coeff(i, j):
+                    return False, f"{name} mismatch at {(i, j)}", compared
+                if name == "A":
+                    compared += 1
+    return True, "", compared
 
 
-def _suite_virasoro(cfg):
-    checks = []
-
-    def closed_form():
-        for n in range(0, min(cfg.weight_max, 17) // 2 + 1):
-            if corr.correlator(0, (2 * n + 1,)) != corr.one_point_closed(n):
-                return False, f"n={n}"
-        return True, ""
-
-    _check(checks, "virasoro/one-point-closed-form", closed_form)
-
-    def w02():
-        w = min(cfg.weight_max, 12)
-        q, t = corr.w02_closed(w), corr.wgn(0, 2, w).coeffs
-        keys = t.keys() | {key for key in q if -key[0] - key[1] - 2 <= w}  # mu_1 + mu_2 <= w
-        for key in sorted(keys):
-            if q.get(key, 0) != t.get(key, 0):
-                return False, f"mismatch at {key}"
-        return (True, "") if keys else (False, "no instance checked")
-
-    _check(checks, "virasoro/two-point-closed-form", w02)
-
-    def independence():
-        keys = [(g, mu) for g in range(3) for mu in corr.odd_partitions(min(cfg.weight_max, 11), 4)
-                if len(mu) >= 2]
-        for g, mu in keys:
-            if corr.correlator(g, mu) != corr.correlator_expand_distinguishing(g, mu, "smallest"):
-                return False, f"(g={g}, mu={mu})"
-        return (True, "") if keys else (False, "no instance checked")
-
-    _check(checks, "virasoro/distinguished-part-independence", independence)
-
-    def special_def():
-        ok, failures = corr.verify_special_deformation(
-            degree=4, min_order=-cfg.window, part_cap=min(cfg.weight_max, 13))
-        return ok, failures[:3]
-
-    _check(checks, "virasoro/special-deformation", special_def)
-    return checks
+def _bridge(cfg):
+    ok, mism, checked = npoint.crosscheck_affine_vs_virasoro(
+        min(cfg.arity_max, 3), cfg.weight_max,
+        one_point_weight=cfg.weight_max + 4, u_value=cfg.u)
+    return ok, f"{len(mism)} mismatches of {checked}", checked
 
 
-def _suite_eo(cfg):
-    checks = []
-    pairs = [(g, n) for g in range(cfg.genus_max + 1) for n in range(1, cfg.arity_max + 1)
-             if 2 * g - 2 + n > 0]
-
-    def goldens():
-        t = eo.omega(1, 1, cfg.kernel)
-        if t.get((0,)) != ParamPoly.const(Fraction(-1, 8)):
-            return False, "omega_{1,1}"
-        if eo.omega(0, 3, cfg.kernel).get((0, 0, 0)) != ParamPoly.gen("s"):
-            return False, "omega_{0,3}"
-        return True, ""
-
-    _check(checks, "eo/closed-form-invariants", goldens)
-
-    def equivalence():
-        total = 0
-        for (g, n) in pairs:
-            ok, mism, checked = eo.verify_equivalence_theorem(g, n, cfg.weight_max, cfg.kernel)
-            if not ok:
-                return False, f"({g},{n}): {mism[:2]}"
-            total += checked
-        return (True, "") if total else (False, "no instance checked")
-
-    _check(checks, f"eo/equivalence-with-virasoro-weight<={cfg.weight_max}", equivalence)
-
-    def closed_step():
-        if not pairs:
-            return False, "no stable pair"
-        for (g, n) in pairs:
-            if eo.omega_closed_step(g, n) != eo.normalized(eo.omega(g, n, cfg.kernel)):
-                return False, f"({g},{n})"
-        return True, ""
-
-    _check(checks, "eo/residue-vs-coefficient-recursion", closed_step)
-
-    def kernels():
-        ok, mism = eo.compare_kernels(pairs)
-        return ok, mism or "no pair besides (1,1) to compare"
-
-    _check(checks, "eo/kernel-comparison", kernels)
-    return checks
+def _trivialization(cfg):
+    size = 9 * 9 + 2  # a[n, m] for n, m <= 8, the 2-point cycle sum and the 1-point series
+    for n in range(0, 9):
+        for m in range(0, 9):
+            if affine.affine_coeff(n, m).subs_u(cfg.u):
+                return False, f"a[{n},{m}] nonzero", size
+    if npoint.npoint_affine(2, 7, u_value=cfg.u).coeffs:
+        return False, "2-point cycle sum did not vanish", size
+    if npoint.one_point_affine(9, u_value=cfg.u):
+        return False, "1-point did not vanish", size
+    return True, "", size
 
 
-def _suite_qsc(cfg):
-    checks = []
-
-    def annihilation():
-        bad = quantum.annihilation_defects(cfg.window)
-        return not bad, bad[:5]
-
-    _check(checks, f"qsc/annihilation-through-{cfg.window}", annihilation)
-
-    def commutator():
-        h = ParamPoly.gen("h")
-        for k in range(0, 21):
-            terms = dict(quantum.commutator_on_monomial(k))
-            if k not in terms:  # zero entries are dropped, so h z^k must be there
-                return False, f"k={k}: no z^k entry"
-            if terms.pop(k) != h:
-                return False, f"k={k}"
-            if terms:
-                return False, f"k={k}, stray exponent {min(terms)}"
-        return True, ""
-
-    _check(checks, "qsc/canonical-commutator", commutator)
-
-    def span():
-        k_max = min(10, cfg.window // 2)
-        if not k_max:  # k = 0 alone compares P(PhiB_0) at z^-1, where both sides are 0
-            return False, "no span relation checked"
-        rep = quantum.verify_ks(k_max, cfg.window)
-        if not rep["p_checked"] + rep["q_checked"]:
-            return False, "no coefficient checked"
-        return rep["p_ok"] and rep["q_ok"], rep["failures"]
-
-    _check(checks, "qsc/span-stability", span)
-
-    def semiclassical():
-        return quantum.semiclassical_identity()
-
-    _check(checks, "qsc/semiclassical-factorization", semiclassical)
-    return checks
+def _one_point(cfg):
+    ns = range(0, min(cfg.weight_max, 17) // 2 + 1)
+    bad = [n for n in ns if corr.correlator(0, (2 * n + 1,)) != corr.one_point_closed(n)]
+    return not bad, f"n={bad[0]}" if bad else "", len(ns)
 
 
-SUITES = {
-    "schurq": _suite_schurq,
-    "affine": _suite_affine,
-    "virasoro": _suite_virasoro,
-    "eo": _suite_eo,
-    "qsc": _suite_qsc,
-}
+def _two_point(cfg):
+    w = min(cfg.weight_max, 12)
+    q, t = corr.w02_closed(w), corr.wgn(0, 2, w).coeffs
+    keys = sorted(t.keys() | {key for key in q if -key[0] - key[1] - 2 <= w})  # mu_1 + mu_2 <= w
+    bad = [key for key in keys if q.get(key, 0) != t.get(key, 0)]
+    return not bad, f"mismatch at {bad[0]}" if bad else "", len(keys)
+
+
+def _independence(cfg):
+    keys = [(g, mu) for g in range(3) for mu in corr.odd_partitions(min(cfg.weight_max, 11), 4)
+            if len(mu) >= 2]
+    bad = [(g, mu) for g, mu in keys
+           if corr.correlator(g, mu) != corr.correlator_expand_distinguishing(g, mu, "smallest")]
+    return not bad, "(g={}, mu={})".format(*bad[0]) if bad else "", len(keys)
+
+
+def _special_deformation(cfg):
+    ok, failures, checked = corr.verify_special_deformation(
+        degree=4, min_order=-cfg.window, part_cap=min(cfg.weight_max, 13))
+    return ok, failures[:3], checked
+
+
+def _stable_pairs(cfg):
+    return [(g, n) for g in range(cfg.genus_max + 1) for n in range(1, cfg.arity_max + 1)
+            if 2 * g - 2 + n > 0]
+
+
+def _goldens(cfg):
+    if eo.omega(1, 1, cfg.kernel).get((0,)) != ParamPoly.const(Fraction(-1, 8)):
+        return False, "omega_{1,1}", 2
+    if eo.omega(0, 3, cfg.kernel).get((0, 0, 0)) != ParamPoly.gen("s"):
+        return False, "omega_{0,3}", 2
+    return True, "", 2
+
+
+def _equivalence(cfg):
+    total = 0
+    for (g, n) in _stable_pairs(cfg):
+        ok, mism, checked = eo.verify_equivalence_theorem(g, n, cfg.weight_max, cfg.kernel)
+        total += checked
+        if not ok:
+            return False, f"({g},{n}): {mism[:2]}", total
+    return True, "", total
+
+
+def _closed_step(cfg):
+    pairs = _stable_pairs(cfg)
+    for (g, n) in pairs:
+        if eo.omega_closed_step(g, n) != eo.normalized(eo.omega(g, n, cfg.kernel)):
+            return False, f"({g},{n})", len(pairs)
+    return True, "", len(pairs)
+
+
+def _kernels(cfg):
+    return eo.compare_kernels(_stable_pairs(cfg))
+
+
+def _annihilation(cfg):
+    bad = quantum.annihilation_defects(cfg.window)
+    return not bad, bad[:5], cfg.window + 1  # P(PhiB_0) at z^-1 .. z^(-window-1)
+
+
+def _commutator(cfg):
+    h = ParamPoly.gen("h")
+    for k in range(0, 21):
+        terms = dict(quantum.commutator_on_monomial(k))
+        if k not in terms:  # zero entries are dropped, so h z^k must be there
+            return False, f"k={k}: no z^k entry", 21
+        if terms.pop(k) != h:
+            return False, f"k={k}", 21
+        if terms:
+            return False, f"k={k}, stray exponent {min(terms)}", 21
+    return True, "", 21
+
+
+def _span(cfg):
+    k_max = min(10, cfg.window // 2)
+    rep = quantum.verify_ks(k_max, cfg.window)
+    # k = 0 alone compares P(PhiB_0) at z^-1, where both sides are 0
+    checked = rep["p_checked"] + rep["q_checked"] if k_max else 0
+    return rep["p_ok"] and rep["q_ok"], rep["failures"], checked
+
+
+def _semiclassical(cfg):
+    ok, detail = quantum.semiclassical_identity()
+    return ok, detail, len(detail)
+
+
+# Every check of ``verify``, in output order: (suite, identity, run).
+# identity(cfg) is the check's name, or None where it does not apply;
+# run(cfg) returns (ok, detail, checked).
+CHECKS = (
+    ("schurq", lambda cfg: f"schur-q/pfaffian-vs-closed-weight<={min(cfg.weight_max, 12)}", _q_routes),
+    ("affine", lambda cfg: f"affine/wronskian-suite-order-{cfg.window}", _wronskian),
+    ("affine", lambda cfg: "affine/pfaffian-vs-expansion-weights", _pfaffian_expansion),
+    ("affine", lambda cfg: "affine/generating-series-closed-vs-direct", _closed_vs_direct),
+    ("affine", lambda cfg: f"affine/cycle-sum-vs-virasoro-bridge-weight<={cfg.weight_max}", _bridge),
+    ("affine", lambda cfg: "affine/trivialization-at-u=1/4" if cfg.u == Fraction(1, 4) else None,
+     _trivialization),
+    ("virasoro", lambda cfg: "virasoro/one-point-closed-form", _one_point),
+    ("virasoro", lambda cfg: "virasoro/two-point-closed-form", _two_point),
+    ("virasoro", lambda cfg: "virasoro/distinguished-part-independence", _independence),
+    ("virasoro", lambda cfg: "virasoro/special-deformation", _special_deformation),
+    ("eo", lambda cfg: "eo/closed-form-invariants", _goldens),
+    ("eo", lambda cfg: f"eo/equivalence-with-virasoro-weight<={cfg.weight_max}", _equivalence),
+    ("eo", lambda cfg: "eo/residue-vs-coefficient-recursion", _closed_step),
+    ("eo", lambda cfg: "eo/kernel-comparison", _kernels),
+    ("qsc", lambda cfg: f"qsc/annihilation-through-{cfg.window}", _annihilation),
+    ("qsc", lambda cfg: "qsc/canonical-commutator", _commutator),
+    ("qsc", lambda cfg: "qsc/span-stability", _span),
+    ("qsc", lambda cfg: "qsc/semiclassical-factorization", _semiclassical),
+)
+SUITES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS))
 
 
 def cmd_verify(cfg):
-    names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     all_checks = []
-    for name in names:
-        print(f"suite {name}:", file=sys.stderr)
-        all_checks.extend(SUITES[name](cfg))
+    for suite in SUITES if cfg.suite == "all" else (cfg.suite,):
+        print(f"suite {suite}:", file=sys.stderr)
+        for entry_suite, identity, run in CHECKS:
+            name = identity(cfg)
+            if entry_suite == suite and name is not None:
+                _check(all_checks, name, partial(run, cfg))
     ok = all(c["status"] == "pass" for c in all_checks)
     doc = {
         "command": "verify",
@@ -414,7 +390,7 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run a verification suite")
     common(sp, {"g": 2, "n": 3, "w": 9, "window": 20})
-    sp.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
+    sp.add_argument("--suite", choices=SUITES + ("all",), default="all")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("npoint", help="emit n-point tensors from a chosen pipeline")

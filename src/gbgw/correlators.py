@@ -300,7 +300,9 @@ def verify_special_deformation(degree=4, min_order=-20, part_cap=13):
     at s^((|nu| - len(nu) - e)/2), so it vanishes iff its value at s = 1
     does, and the target s x^-2 is the value 1 at nu = (), e = -2.
 
-    Returns (ok, failures) where failures lists (monomial, exponent, value).
+    Returns (ok, failures, checked) where failures lists (monomial,
+    exponent, value) and checked counts the (monomial, exponent) pairs
+    compared.
     """
     xlo = min_order - part_cap - 1
     parts = [p for p in range(1, part_cap + 1, 2)]
@@ -335,10 +337,11 @@ def verify_special_deformation(degree=4, min_order=-20, part_cap=13):
             y2[nu] = prod if cur is None else cur + prod
 
     failures = []
+    exponents = range(-1, min_order - 1, -1)
     for nu, series in sorted(y2.items()):
-        for e in range(-1, min_order - 1, -1):
+        for e in exponents:
             got = series.coeff(e)
             want = 1 if (nu == () and e == -2) else 0
             if got != want:
                 failures.append((nu, e, got))
-    return not failures, failures
+    return not failures, failures, len(y2) * len(exponents)

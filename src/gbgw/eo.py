@@ -438,12 +438,12 @@ def verify_equivalence_theorem(g, n, max_weight, kind="standard"):
 
 def compare_kernels(pairs):
     """omega tables must agree between the two kernels on the given (g,n)
-    pairs.  (1,1) is skipped: both kernels share its seed.  Fails when no
-    pair is left to compare."""
+    pairs.  (1,1) is skipped: both kernels share its seed.  Returns
+    (ok, mismatches, compared), compared counting the pairs other than (1,1)."""
     compared = [(g, n) for (g, n) in pairs if (g, n) != (1, 1)]
     mismatches = []
     for (g, n) in compared:
         _check_stable(g, n)
         if _omega(g, n, "standard") != _omega(g, n, "typeB"):
             mismatches.append((g, n))
-    return bool(compared) and not mismatches, mismatches
+    return not mismatches, mismatches, len(compared)

@@ -194,12 +194,6 @@ class ParamPoly:
             return NotImplemented
         return self.terms == o.terms
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        if r is NotImplemented:
-            return r
-        return not r
-
     def __bool__(self):
         return bool(self.terms)
 

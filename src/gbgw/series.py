@@ -229,27 +229,6 @@ class BiSeries:
             raise WindowError(f"({i},{j}) outside window of BiSeries in {self.vars}")
         return self.coeffs.get((i, j), 0)
 
-    def __add__(self, other):
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-        w1 = (max(self.window1[0], other.window1[0]), min(self.window1[1], other.window1[1]))
-        w2 = (max(self.window2[0], other.window2[0]), min(self.window2[1], other.window2[1]))
-        mt = self.min_total
-        if other.min_total is not None:
-            mt = other.min_total if mt is None else max(mt, other.min_total)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            r = out.get(k)
-            out[k] = c if r is None else r + c
-        return BiSeries(self.vars, out, w1, w2, mt)
-
-    def __neg__(self):
-        return BiSeries(self.vars, {k: -c for k, c in self.coeffs.items()},
-                        self.window1, self.window2, self.min_total)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def is_antisymmetric_under_swap(self):
         """Check f(x, w) == -f(w, x) on the symmetric part of the window."""
         lo = max(self.window1[0], self.window2[0])

@@ -85,8 +85,9 @@ def test_criterion_04_equivalence_theorem():
 
 def test_criterion_05_kernel_equivalence():
     t0 = time.time()
-    ok, mismatches = eo.compare_kernels(PAIRS)
+    ok, mismatches, compared = eo.compare_kernels(PAIRS)
     assert ok, mismatches
+    assert compared == len(PAIRS) - 1
     _report(5, "type-B kernel reproduces standard-kernel invariants", t0)
 
 
@@ -149,8 +150,9 @@ def test_criterion_10_quantum_curve():
 
 def test_criterion_11_special_deformation():
     t0 = time.time()
-    ok, failures = corr.verify_special_deformation(degree=4, min_order=-20, part_cap=13)
+    ok, failures, checked = corr.verify_special_deformation(degree=4, min_order=-20, part_cap=13)
     assert ok, failures[:5]
+    assert checked > 0
     _report(11, "negative part of y^2 is s x^-2 at t-degree <= 3, orders to -20", t0)
 
 

@@ -228,7 +228,7 @@ def test_span_stability_fails_when_nothing_compared(monkeypatch, tmp_path):
     rc, text = run_cli(["verify", "--suite", "qsc", "--window", "4"], tmp_path, "qsc.json")
     assert rc == 1
     checks = {c["identity"]: c for c in json.loads(text)["checks"]}
-    assert checks["qsc/span-stability"]["detail"] == "no coefficient checked"
+    assert checks["qsc/span-stability"]["detail"] == "no instance checked"
 
 
 def test_coefficient_recursion_check_fails_on_a_planted_entry(monkeypatch, tmp_path):
@@ -309,7 +309,7 @@ def test_span_stability_fails_at_window_one(tmp_path):
     assert rc == 1
     checks = {c["identity"]: c for c in json.loads(text)["checks"]}
     assert checks["qsc/span-stability"]["status"] == "fail"
-    assert checks["qsc/span-stability"]["detail"] == "no span relation checked"
+    assert checks["qsc/span-stability"]["detail"] == "no instance checked"
 
 
 @pytest.mark.parametrize("window", ["1", "2"])
@@ -320,7 +320,7 @@ def test_closed_vs_direct_fails_when_nothing_compared(tmp_path, window):
                        tmp_path, "affine.json")
     assert rc == 1
     checks = {c["identity"]: c for c in json.loads(text)["checks"]}
-    assert checks["affine/generating-series-closed-vs-direct"]["detail"] == "no entry compared"
+    assert checks["affine/generating-series-closed-vs-direct"]["detail"] == "no instance checked"
 
 
 @pytest.mark.parametrize("weight", ["0", "1"])
@@ -372,3 +372,162 @@ def test_out_bytes_are_pinned(tmp_path, args, digest):
     out = tmp_path / "out.json"
     assert main(args + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _report_lines(err):
+    """[(status, checked, identity, seconds)] from verify's stderr.
+
+    The identity and the seconds are read the way bench/checks.py and
+    bench/run.py read them: after "] " up to the last " (", and inside the
+    last "(...s)".
+    """
+    out = []
+    for line in err.splitlines():
+        if line.startswith("  ["):
+            status, checked = line[3:].split("] ", 1)[0].split(", ")
+            out.append((status, int(checked.removesuffix(" checked")),
+                        line.split("] ", 1)[1].rsplit(" (", 1)[0], float(line.rsplit("(", 1)[1][:-2])))
+    return out
+
+
+def _registry_names(args):
+    from gbgw.cli import CHECKS, build_parser
+
+    cfg = build_parser().parse_args(["verify", *args])
+    return [name for name in (identity(cfg) for _, identity, _ in CHECKS) if name is not None]
+
+
+# Every registered check, by its identity at default bounds: verify arguments
+# and either None (the check compares nothing there, so it must fail) or the
+# size of the fixed range it compares there.
+REGISTRY_CASES = {
+    "schur-q/pfaffian-vs-closed-weight<=9": (["--weight-max", "0"], None),
+    "affine/wronskian-suite-order-20": (["--weight-max", "3", "--window", "8"], 4),
+    "affine/pfaffian-vs-expansion-weights": (["--weight-max", "0", "--window", "8"], None),
+    "affine/generating-series-closed-vs-direct": (["--weight-max", "3", "--window", "2"], None),
+    "affine/cycle-sum-vs-virasoro-bridge-weight<=9": (["--arity-max", "0", "--window", "8"], None),
+    "affine/trivialization-at-u=1/4": (["--u", "1/4", "--weight-max", "3", "--window", "8"], 83),
+    "virasoro/one-point-closed-form": (["--weight-max", "5"], 3),
+    "virasoro/two-point-closed-form": (["--weight-max", "1"], None),
+    "virasoro/distinguished-part-independence": (["--weight-max", "1"], None),
+    "virasoro/special-deformation": (["--weight-max", "0"], 20),  # nu = () at e = -1..-20
+    "eo/closed-form-invariants": (["--genus-max", "1", "--arity-max", "3", "--weight-max", "3"], 2),
+    "eo/equivalence-with-virasoro-weight<=9": (["--weight-max", "0"], None),
+    "eo/residue-vs-coefficient-recursion": (["--genus-max", "0", "--arity-max", "0"], None),
+    "eo/kernel-comparison": (["--genus-max", "1", "--arity-max", "1"], None),
+    "qsc/annihilation-through-20": (["--window", "4"], 5),  # z^-1 .. z^-5
+    "qsc/canonical-commutator": (["--window", "4"], 21),
+    "qsc/span-stability": (["--window", "1"], None),
+    "qsc/semiclassical-factorization": (["--window", "4"], 2),
+}
+
+
+def test_registry_cases_cover_every_check():
+    # a new check with no case here fails this test
+    assert _registry_names(["--u", "1/4"]) == list(REGISTRY_CASES)
+    assert _registry_names([]) == [name for name in REGISTRY_CASES
+                                   if name != "affine/trivialization-at-u=1/4"]
+
+
+@pytest.mark.parametrize("default_name", list(REGISTRY_CASES))
+def test_registered_check_fails_on_nothing_or_counts_its_range(tmp_path, capsys, default_name):
+    from gbgw.cli import CHECKS
+
+    args, size = REGISTRY_CASES[default_name]
+    index = _registry_names(["--u", "1/4"]).index(default_name)
+    suite = CHECKS[index][0]
+    rc, text = run_cli(["verify", "--suite", suite, *args], tmp_path, "v.json")
+    name = _registry_names(["--u", "1/4", *args])[index]
+    check = next(c for c in json.loads(text)["checks"] if c["identity"] == name)
+    status, checked = next((s, c) for s, c, ident, _ in _report_lines(capsys.readouterr().err)
+                           if ident == name)
+    if size is None:
+        assert rc == 1
+        assert (check["status"], check["detail"], status, checked) == (
+            "fail", "no instance checked", "FAIL", 0)
+    else:
+        assert (check["status"], status, checked) == ("pass", "pass", size)
+
+
+@pytest.mark.parametrize("args", [[], ["--weight-max", "5", "--window", "12"]])
+def test_stderr_report_matches_out(tmp_path, capsys, args):
+    # the benchmark reads each check's identity and seconds from this line
+    rc, text = run_cli(["verify", "--suite", "all", *args], tmp_path, "all.json")
+    assert rc == 0
+    lines = _report_lines(capsys.readouterr().err)
+    identities = [c["identity"] for c in json.loads(text)["checks"]]
+    assert [ident for _, _, ident, _ in lines] == identities == _registry_names(args)
+    assert all(status == "pass" and checked > 0 for status, checked, _, _ in lines)
+
+
+def _failed(text):
+    return {c["identity"]: c["detail"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
+
+
+def test_schur_q_check_fails_on_a_planted_closed_form(monkeypatch, tmp_path):
+    import gbgw.cli as cli
+
+    real = cli.schurq.Q_delta_closed
+    monkeypatch.setattr(cli.schurq, "Q_delta_closed",
+                        lambda parts: real(parts) + (1 if parts == (3, 1) else 0))
+    rc, text = run_cli(["verify", "--suite", "schurq", "--weight-max", "5"], tmp_path, "s.json")
+    assert rc == 1
+    assert _failed(text) == {"schur-q/pfaffian-vs-closed-weight<=5": "mismatch at (3, 1)"}
+
+
+def test_one_point_check_fails_on_a_planted_closed_form(monkeypatch, tmp_path):
+    import gbgw.cli as cli
+
+    real = cli.corr.one_point_closed
+    monkeypatch.setattr(cli.corr, "one_point_closed",
+                        lambda n: real(n) + real(n) if n == 2 else real(n))
+    rc, text = run_cli(["verify", "--suite", "virasoro", "--weight-max", "5"], tmp_path, "v.json")
+    assert rc == 1
+    assert _failed(text) == {"virasoro/one-point-closed-form": "n=2"}
+
+
+def test_pfaffian_expansion_check_fails_on_a_planted_coordinate(monkeypatch, tmp_path):
+    # a_{2,1} and a_{1,2} doubled change the Pfaffian of lambda = (2, 1) only
+    import gbgw.cli as cli
+
+    real = cli.affine.affine_coeff
+    monkeypatch.setattr(cli.affine, "affine_coeff",
+                        lambda n, m: real(n, m) + real(n, m) if {n, m} == {1, 2} else real(n, m))
+    rc, text = run_cli(["verify", "--suite", "affine", "--weight-max", "3", "--window", "8"],
+                       tmp_path, "a.json")
+    assert rc == 1
+    assert _failed(text) == {"affine/pfaffian-vs-expansion-weights": "mismatch at (2, 1)"}
+
+
+def test_trivialization_check_fails_on_a_planted_coordinate(monkeypatch, tmp_path):
+    # a_{2,3} + 1 does not vanish at u = 1/4; weight 3 keeps it out of the Pfaffians
+    import gbgw.cli as cli
+    from gbgw.poly import ParamPoly
+
+    real = cli.affine.affine_coeff
+    monkeypatch.setattr(cli.affine, "affine_coeff",
+                        lambda n, m: real(n, m) + ParamPoly.const(1) if (n, m) == (2, 3) else real(n, m))
+    rc, text = run_cli(["verify", "--suite", "affine", "--u", "1/4", "--weight-max", "3",
+                        "--window", "8"], tmp_path, "a.json")
+    assert rc == 1
+    assert _failed(text) == {"affine/trivialization-at-u=1/4": "a[2,3] nonzero"}
+
+
+def test_wronskian_check_fails_on_a_planted_basis_coefficient(monkeypatch, tmp_path):
+    # phi1 off at z^-3; the closed form of the generating series reads the same basis
+    import gbgw.cli as cli
+    from gbgw.poly import u_add
+
+    real = cli.affine._int_basis
+
+    def planted(T):
+        d1, p1, d2, p2u, p2v = real(T)
+        return d1, {**p1, -3: u_add(p1[-3], (d1,))}, d2, p2u, p2v
+
+    monkeypatch.setattr(cli.affine, "_int_basis", planted)
+    rc, text = run_cli(["verify", "--suite", "affine", "--weight-max", "3", "--window", "8"],
+                       tmp_path, "a.json")
+    assert rc == 1
+    failed = _failed(text)
+    assert "'phi1_ode': False" in failed.pop("affine/wronskian-suite-order-8")
+    assert set(failed) == {"affine/generating-series-closed-vs-direct"}

@@ -165,8 +165,9 @@ def test_free_energy_coefficients():
 
 
 def test_special_deformation_small():
-    ok, failures = verify_special_deformation(degree=3, min_order=-10, part_cap=7)
+    ok, failures, checked = verify_special_deformation(degree=3, min_order=-10, part_cap=7)
     assert ok, failures[:5]
+    assert checked > 0
 
 
 def test_special_deformation_names_a_wrong_genus_zero_value(monkeypatch):
@@ -176,7 +177,7 @@ def test_special_deformation_names_a_wrong_genus_zero_value(monkeypatch):
 
     assert verify_special_deformation(degree=3, min_order=-10, part_cap=7)[0]
     monkeypatch.setitem(corr._cache, (0, (3, 1)), corr._cache[(0, (3, 1))] + 1)
-    ok, failures = verify_special_deformation(degree=3, min_order=-10, part_cap=7)
+    ok, failures, _ = verify_special_deformation(degree=3, min_order=-10, part_cap=7)
     assert not ok
     assert failures[0][:2] == ((1,), -4)
 
@@ -277,3 +278,20 @@ def test_table_matches_the_recursion_as_stated():
             checked += 1
             nonzero += e is not None
     assert checked == 4 * len(odd_partitions(13, 4)) and nonzero > checked // 2
+
+
+def test_virasoro_table_reads_no_other_table():
+    # the Virasoro route is an independent pipeline: its table builds no EO
+    # table and no affine coordinate
+    import gbgw
+    import gbgw.affine as affine
+    import gbgw.correlators as corr
+    import gbgw.eo as eo
+
+    gbgw.reset_caches()
+    for mu in odd_partitions(21, 4):
+        for g in range(5):
+            correlator(g, mu)
+    assert corr._cache
+    assert (eo._omega_cache, eo._closed_cache, affine._affine_cache, affine._theta_prod_cache) == (
+        {}, {}, {}, {})

@@ -144,14 +144,24 @@ def test_w11_x_expansion():
 
 
 def test_kernel_equivalence_small():
-    ok, mismatches = compare_kernels([(1, 1), (0, 3), (1, 2), (0, 4), (2, 1), (2, 2), (1, 3)])
+    ok, mismatches, compared = compare_kernels([(1, 1), (0, 3), (1, 2), (0, 4), (2, 1), (2, 2), (1, 3)])
     assert ok, mismatches
+    assert compared == 6
 
 
-def test_kernel_comparison_needs_a_recursed_pair():
-    # both kernels share the (1,1) seed, so (1,1) alone compares nothing
-    assert not compare_kernels([(1, 1)])[0]
-    assert not compare_kernels([])[0]
+def test_kernel_comparison_needs_a_recursed_pair(tmp_path):
+    # both kernels share the (1,1) seed, so (1,1) alone compares nothing,
+    # and verify fails a check that compares nothing
+    import json
+    from gbgw.cli import main
+
+    assert compare_kernels([(1, 1)])[2] == 0
+    assert compare_kernels([])[2] == 0
+    out = tmp_path / "eo.json"
+    assert main(["verify", "--suite", "eo", "--genus-max", "1", "--arity-max", "1",
+                 "--out", str(out)]) == 1
+    checks = {c["identity"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["eo/kernel-comparison"]["detail"] == "no instance checked"
 
 
 def test_s_zero_specialization_is_original_model():

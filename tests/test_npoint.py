@@ -144,3 +144,18 @@ def test_one_point_reads_a_broken_coordinate(monkeypatch):
     series = one_point_affine(9)
     assert series[-3] != bridge((3,))
     assert series[-1] == bridge((1,))
+
+
+def test_cycle_sums_read_no_other_table():
+    # the affine route is an independent pipeline: its cycle sums build no
+    # Virasoro table and no EO table
+    import gbgw
+    import gbgw.affine as affine
+    import gbgw.correlators as correlators
+    import gbgw.eo as eo
+
+    gbgw.reset_caches()
+    for n in (1, 2, 3):
+        npoint_affine(n, 15 if n == 1 else 11)
+    assert affine._theta_prod_cache
+    assert (correlators._cache, eo._omega_cache, eo._closed_cache) == ({}, {}, {})

@@ -42,13 +42,6 @@ def test_window_below_empty_rejected():
         LaurentSeries("z", {}, 2, 0)
 
 
-def test_biseries_variable_mismatch():
-    a = BiSeries(("w", "x"), {(0, 0): Fraction(1)}, (-2, 0), (-2, 0))
-    b = BiSeries(("x", "w"), {(0, 0): Fraction(1)}, (-2, 0), (-2, 0))
-    with pytest.raises(ValueError):
-        a + b
-
-
 def test_sparse_tensor_key_arity_checked():
     with pytest.raises(ValueError):
         SparseTensor(2, {(-1, -1, -1): Fraction(1)})
