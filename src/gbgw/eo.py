@@ -44,6 +44,18 @@ module.  The flat-coordinate transform is graded too:
 each shift m_i of an index multiplies by s^(m_i), so the B-entry at l sits
 at s^(|l|+1-g) as well: the transform runs on the s = 1 tables, and
 x_tensor attaches s^e at the same boundary.
+
+The transform runs on integers as well.  Its weight (-1/2)^m / m! for a
+shift m of one index has a denominator dividing Z = 2^lmax lmax!, where
+lmax = (max_weight - n) // 2 bounds |l|, so Z times it is the integer
+(-1)^m 2^(lmax-m) lmax!/m!.  Applied to the residue table D, with the
+integer (2k+2m+1)!!/(2k+1)!! folded into each weight, it gives
+T = 8^(2g-2+n) Z^n (2l+1)!! B^l, and the division happens once, where a
+value leaves the module; verify_equivalence_theorem cross-multiplies T with
+the correlator and never divides.  The weight of a shift vector is a
+product over the indices, so the n-fold sum is applied one index at a time.
+That order is exact because every shift raises |l|: a partial sum already
+past lmax reaches no target, and dropping it loses nothing.
 """
 
 from __future__ import annotations
@@ -51,12 +63,12 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from operator import itemgetter, mul
 
 from .correlators import correlator_monomial
 from .poly import ParamPoly, double_factorial
-from .series import SparseTensor, accumulate
+from .series import SparseTensor
 
 __all__ = [
     "omega",
@@ -348,31 +360,63 @@ def normalized(tensor):
 def to_x_coords(a_tensor, max_weight):
     """B from A:  B^l = sum_{k+m=l} prod (-s)^(m_i)/(2^(m_i) m_i!) A^k,
     for all l with sum(2l_i + 1) <= max_weight.  Both tensors are taken
-    at s = 1 (Fraction entries)."""
-    return _transform(a_tensor, max_weight, Fraction(-1, 2))
+    at s = 1 (Fraction entries).
+
+    The sum runs on integers.  With lmax = (max_weight - n) // 2 and
+    Z = 2^lmax lmax!, each one-index weight times Z is the integer
+    (-1)^m 2^(lmax-m) lmax!/m!.  The entries are scaled by the lcm L of
+    their denominators and by prod (2k_i+1)!!, the scatter yields
+    L Z^n prod (2l_i+1)!! B^l, and each entry is divided once.  The shift
+    weight is a product over indices, so the sum runs one index at a time;
+    every shift raises |l|, so a partial sum past lmax is dropped at once."""
+    return _rescaled(a_tensor, max_weight, -1)
 
 
 def from_x_coords(b_tensor, max_weight):
     """Inverse transform (s -> -s in the weights), at s = 1."""
-    return _transform(b_tensor, max_weight, Fraction(1, 2))
+    return _rescaled(b_tensor, max_weight, 1)
 
 
-def _transform(tensor, max_weight, half_sign):
-    """Scatter each entry k to every l = k + m inside the weight budget
-    sum(2l_i + 1) <= max_weight, with weight prod half_sign^(m_i)/m_i!.
-    The s^(|m|) of the shift is implied by the grading."""
+def _rescaled(tensor, max_weight, sign):
+    """The Fraction tensors of to_x_coords / from_x_coords through the
+    integer scatter: scale up, scatter, divide once."""
     n = tensor.arity
+    den = lcm(*(v.denominator for v in tensor.coeffs.values()))
+    raw = {kk: v.numerator * (den // v.denominator) * _dfact(kk) for kk, v in tensor.coeffs.items()}
+    t, scale = _flat_scatter(raw, n, max_weight, sign)
+    return SparseTensor(n, {ll: Fraction(v, den * scale * _dfact(ll)) for ll, v in t.items()})
+
+
+def _flat_scatter(raw, n, max_weight, sign):
+    """The z -> x transform on integers (module docstring), from raw
+    coefficients W^k = (2k+1)!! A^k: returns (T, Z^n) with
+    T[l] / Z^n = (2l+1)!! B^l for every l with |l| <= lmax, B the transform
+    of to_x_coords (sign -1) or from_x_coords (sign +1).  Empty when
+    max_weight < n."""
     lmax = (max_weight - n) // 2
-    weights = [half_sign ** m / factorial(m) for m in range(lmax + 1)]
-    shifts = [(sum(mvec), mvec, prod(weights[m] for m in mvec))
-              for mvec in product(range(lmax + 1), repeat=n) if sum(mvec) <= lmax]
-    out = SparseTensor(n)
-    for kvec, v in tensor.coeffs.items():
-        budget = lmax - sum(kvec)
-        for size, mvec, w in shifts:
-            if size <= budget:
-                accumulate(out.coeffs, tuple(k + m for k, m in zip(kvec, mvec)), w * v)
-    return out
+    if lmax < 0:
+        return {}, 1
+    rows = _flat_weights(lmax, sign)
+    for i in range(n):
+        out = {}
+        for kk, v in raw.items():
+            budget = lmax - sum(kk)
+            if budget < 0:
+                continue
+            k = kk[i]
+            head, tail, row = kk[:i], kk[i + 1:], rows[k]
+            for m in range(budget + 1):
+                ll = head + (k + m,) + tail
+                out[ll] = out.get(ll, 0) + row[m] * v
+        raw = out
+    return {ll: v for ll, v in raw.items() if v}, (2 ** lmax * factorial(lmax)) ** n
+
+
+def _flat_weights(lmax, sign):
+    """rows[k][m] = sign^m 2^(lmax-m) lmax!/m! (2k+2m+1)!!/(2k+1)!!, k + m <= lmax."""
+    return [[sign ** m * 2 ** (lmax - m) * (factorial(lmax) // factorial(m))
+             * (double_factorial(2 * (k + m) + 1) // double_factorial(2 * k + 1))
+             for m in range(lmax - k + 1)] for k in range(lmax + 1)]
 
 
 def _b01(k):
@@ -396,43 +440,47 @@ def b02_closed(k1, k2):
 
 def x_tensor(g, n, max_weight, kind="standard"):
     """Normalized B-coefficients of omega_{g,n} in the flat coordinate."""
-    return _with_s(g, n, _x_table(g, n, max_weight, kind))
+    t, scale = _x_table(g, n, max_weight, kind)
+    return _with_s(g, n, {ll: Fraction(v, scale * _dfact(ll)) for ll, v in t.items()})
 
 
 def _x_table(g, n, max_weight, kind):
-    """x_tensor at s = 1."""
+    """(T, scale) with (2l+1)!! B^l = T[l] / scale at s = 1: integers from the
+    residue table, or the (0,1) and (0,2) closed forms with scale 1."""
     if (g, n) == (0, 1):
-        return {(k,): _b01(k) for k in range((max_weight - 1) // 2 + 1)}
+        return {(k,): _dfact((k,)) * _b01(k) for k in range((max_weight - 1) // 2 + 1)}, 1
     if (g, n) == (0, 2):
         kmax = (max_weight - 2) // 2
-        return {(k1, k2): _b02(k1, k2) for k1 in range(kmax + 1) for k2 in range(kmax - k1 + 1)}
+        return {(k1, k2): _dfact((k1, k2)) * _b02(k1, k2)
+                for k1 in range(kmax + 1) for k2 in range(kmax - k1 + 1)}, 1
     _check_stable(g, n)
-    den = 8 ** (2 * g - 2 + n)
-    a = SparseTensor(n, {kk: Fraction(v, den * _dfact(kk)) for kk, v in _omega(g, n, kind).items()})
-    return to_x_coords(a, max_weight).coeffs
+    # the residue table holds 8^(2g-2+n) W at s = 1, the raw coefficients
+    t, scale = _flat_scatter(_omega(g, n, kind), n, max_weight, -1)
+    return t, 8 ** (2 * g - 2 + n) * scale
 
 
 def verify_equivalence_theorem(g, n, max_weight, kind="standard"):
     """Check B^k prod(2k_i+1)!! = (-1)^n <p_{2k_1+1} ... p_{2k_n+1}>_g
     for every k with sum (2k_i + 1) <= max_weight.  Both sides are compared
-    at s = 1: they sit at the same s-exponent |k|+1-g by the grading.
+    at s = 1: they sit at the same s-exponent |k|+1-g by the grading.  The
+    comparison cross-multiplies the integer T[k] of _x_table with the
+    coefficient of correlator_monomial.
 
     Returns (ok, mismatches, checked).
     """
-    b = _x_table(g, n, max_weight, kind)
+    t, scale = _x_table(g, n, max_weight, kind)
     sign = (-1) ** n
     mismatches = []
     checked = 0
     kmax = (max_weight - n) // 2
     for kvec in product(range(kmax + 1), repeat=n):
-        mu = tuple(sorted((2 * k + 1 for k in kvec), reverse=True))
-        if sum(mu) > max_weight:
+        if sum(kvec) > kmax:  # sum (2k_i + 1) > max_weight
             continue
-        lhs = _dfact(kvec) * b.get(kvec, 0)
-        rhs = sign * correlator_monomial(g, mu)[1]
+        c = correlator_monomial(g, tuple(sorted((2 * k + 1 for k in kvec), reverse=True)))[1]
+        lhs = t.get(kvec, 0)
         checked += 1
-        if lhs != rhs:
-            mismatches.append((kvec, lhs, rhs))
+        if lhs * c.denominator != sign * c.numerator * scale:
+            mismatches.append((kvec, Fraction(lhs, scale) if lhs else 0, sign * c))
     return not mismatches, mismatches, checked
 
 

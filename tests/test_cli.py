@@ -247,6 +247,27 @@ def test_coefficient_recursion_check_fails_on_a_planted_entry(monkeypatch, tmp_p
     assert checks["eo/residue-vs-coefficient-recursion"]["detail"] == "(1,2)"
 
 
+def test_equivalence_check_fails_on_a_planted_flat_weight(monkeypatch, tmp_path):
+    # the weight of a shift 0 -> 1 of one index off by one; the other EO
+    # checks never read the flat-coordinate transform
+    import gbgw.cli as cli
+
+    real = cli.eo._flat_weights
+
+    def planted(lmax, sign):
+        rows = real(lmax, sign)
+        rows[0][1] += 1
+        return rows
+
+    monkeypatch.setattr(cli.eo, "_flat_weights", planted)
+    rc, text = run_cli(["verify", "--suite", "eo", "--genus-max", "3", "--arity-max", "4",
+                        "--weight-max", "13"], tmp_path, "eo.json")
+    assert rc == 1
+    failed = _failed(text)
+    assert set(failed) == {"eo/equivalence-with-virasoro-weight<=13"}
+    assert failed["eo/equivalence-with-virasoro-weight<=13"].startswith("(0,3): [((0, 0, 1), ")
+
+
 def test_commutator_check_needs_the_z_k_entry(monkeypatch, tmp_path):
     # a pruned z^k entry must fail the check, not pass it vacuously
     import gbgw.cli as cli

@@ -232,6 +232,34 @@ def test_residue_route_reads_no_other_table():
     assert eo._closed_cache == {}
 
 
+def test_flat_transform_reads_no_other_table():
+    # x_tensor reads the residue table only: no Virasoro table and no
+    # coefficient-route table is built on the way
+    import gbgw
+    from gbgw import correlators
+    import gbgw.eo as eo
+
+    gbgw.reset_caches()
+    for kind in ("standard", "typeB"):
+        for (g, n) in STABLE_PAIRS:
+            assert x_tensor(g, n, 13, kind).coeffs, (kind, g, n)
+    assert correlators._cache == {}
+    assert eo._closed_cache == {}
+
+
+def test_flat_transform_empty_weight_range():
+    # max_weight < n admits no index: every result is empty, nothing raises
+    for n in range(1, 5):
+        a = SparseTensor(n, {(0,) * n: Fraction(1), (1,) * n: Fraction(-3, 7)})
+        for w in range(n):
+            assert to_x_coords(a, w).coeffs == {}
+            assert from_x_coords(a, w).coeffs == {}
+    for (g, n) in STABLE_PAIRS + [(0, 1), (0, 2)]:
+        for w in range(n):
+            assert x_tensor(g, n, w).coeffs == {}, (g, n, w)
+            assert verify_equivalence_theorem(g, n, w) == (True, [], 0), (g, n, w)
+
+
 def test_residue_pole_bound_guard(monkeypatch):
     # one planted (1,2) entry beyond its pole bound pushes (1,3) past its own
     import gbgw.eo as eo
