@@ -6,13 +6,12 @@ topological recursion on the curve x^2 y^2 = x^2 + S^2, and cross-checks
 the three pipelines against each other and against closed forms.
 """
 
-from .poly import ParamPoly, half_binomial, double_factorial
+from .poly import ParamPoly, double_factorial
 from .series import LaurentSeries, BiSeries, SparseTensor
 from .pfaffian import pfaffian, determinant
 
 __all__ = [
     "ParamPoly",
-    "half_binomial",
     "double_factorial",
     "LaurentSeries",
     "BiSeries",

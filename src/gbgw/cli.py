@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 from functools import partial
 
-from .poly import ParamPoly, double_factorial
+from .poly import ParamPoly, H, S, double_factorial
 from . import correlators as corr
 from . import schurq
 from . import affine
@@ -215,7 +215,7 @@ def _stable_pairs(cfg):
 def _goldens(cfg):
     if eo.omega(1, 1, cfg.kernel).get((0,)) != ParamPoly.const(Fraction(-1, 8)):
         return False, "omega_{1,1}", 2
-    if eo.omega(0, 3, cfg.kernel).get((0, 0, 0)) != ParamPoly.gen("s"):
+    if eo.omega(0, 3, cfg.kernel).get((0, 0, 0)) != S:
         return False, "omega_{0,3}", 2
     return True, "", 2
 
@@ -248,12 +248,11 @@ def _annihilation(cfg):
 
 
 def _commutator(cfg):
-    h = ParamPoly.gen("h")
     for k in range(0, 21):
         terms = dict(quantum.commutator_on_monomial(k))
         if k not in terms:  # zero entries are dropped, so h z^k must be there
             return False, f"k={k}: no z^k entry", 21
-        if terms.pop(k) != h:
+        if terms.pop(k) != H:
             return False, f"k={k}", 21
         if terms:
             return False, f"k={k}, stray exponent {min(terms)}", 21

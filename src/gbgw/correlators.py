@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .poly import ParamPoly, ONE, ZERO, S
+from .poly import ParamPoly, ZERO
 from .series import LaurentSeries, SparseTensor, accumulate
 
 __all__ = [
@@ -203,9 +203,16 @@ def wgn(g, n, max_weight):
 
 
 def w01_closed(depth):
-    """W_{0,1}(x) = 1 - sqrt(1 + s/x^2), exact through x^-depth."""
-    inner = LaurentSeries("x", {0: ONE, -2: S}, -depth, 0)
-    return LaurentSeries.one("x", -depth) - inner.sqrt()
+    """W_{0,1}(x) = 1 - sqrt(1 + s/x^2), exact through x^-depth.
+
+    The series is summed at s = 1, and s^(-i/2) is attached at x^i where
+    it is returned.  This is exact by the grading: sqrt(1 + s x^-2) is
+    homogeneous when s has weight 2 and x weight 1, so its coefficient at
+    x^-2m is a single monomial in s^m.
+    """
+    w = LaurentSeries.one("x", -depth) - LaurentSeries("x", {0: 1, -2: 1}, -depth, 0).sqrt()
+    return LaurentSeries("x", {i: ParamPoly.monomial(c, es=-i // 2) for i, c in w.coeffs.items()},
+                         w.lo, w.hi)
 
 
 def w02_closed(depth):
@@ -216,23 +223,29 @@ def w02_closed(depth):
     with an explicit no-remainder check (no stray positive powers and exact
     reconstruction).  Returns {(ex, ey): coeff} with entries down to
     exponent -depth in each slot.
+
+    The division runs at s = 1, and s^((-i-j-2)/2) is attached at (i, j)
+    where the dict is returned.  This is exact by the grading: with s of
+    weight 2, (1+s x^-2)^(-1/2) is homogeneous, so the numerator at (i, j)
+    is a single monomial in s^((2-i-j)/2), and dividing by (x^2-y^2)^2
+    keeps that degree.
     """
     d = depth + 6
-    inv_sqrt = LaurentSeries("x", {0: ONE, -2: S}, -d - 4, 0).sqrt().inverse()
+    inv_sqrt = LaurentSeries("x", {0: 1, -2: 1}, -d - 4, 0).sqrt().inverse()
     num = {}
     for i, cx in inv_sqrt.coeffs.items():
         for j, cy in inv_sqrt.coeffs.items():
             prod = cx * cy
             accumulate(num, (i + 2, j), prod)
             accumulate(num, (i, j + 2), prod)
-            accumulate(num, (i, j), 2 * S * prod)
-    accumulate(num, (2, 0), -ONE)
-    accumulate(num, (0, 2), -ONE)
+            accumulate(num, (i, j), 2 * prod)
+    accumulate(num, (2, 0), -1)
+    accumulate(num, (0, 2), -1)
     # divide by x^4 - 2 x^2 y^2 + y^4:  q[i,j] = n[i+4,j] + 2 q[i+2,j-2] - q[i+4,j-4]
     q = {}
     for i in range(-2, -d - 1, -2):
         for j in range(0, -d - 1, -2):
-            val = num.get((i + 4, j), ZERO) + 2 * q.get((i + 2, j - 2), ZERO) - q.get((i + 4, j - 4), ZERO)
+            val = num.get((i + 4, j), 0) + 2 * q.get((i + 2, j - 2), 0) - q.get((i + 4, j - 4), 0)
             if val:
                 q[(i, j)] = val
     for (i, j), val in list(num.items()):
@@ -241,10 +254,11 @@ def w02_closed(depth):
     # remainder check: reconstruct the numerator on the sound region
     for i in range(2, -depth - 1, -2):
         for j in range(0, -depth - 1, -2):
-            recon = q.get((i - 4, j), ZERO) - 2 * q.get((i - 2, j - 2), ZERO) + q.get((i, j - 4), ZERO)
-            if recon != num.get((i, j), ZERO):
+            recon = q.get((i - 4, j), 0) - 2 * q.get((i - 2, j - 2), 0) + q.get((i, j - 4), 0)
+            if recon != num.get((i, j), 0):
                 raise ArithmeticError("nonzero remainder dividing by (x^2-y^2)^2")
-    return {k: v for k, v in q.items() if k[0] >= -depth and k[1] >= -depth}
+    return {(i, j): ParamPoly.monomial(v, es=(-i - j - 2) // 2)
+            for (i, j), v in q.items() if i >= -depth and j >= -depth}
 
 
 def free_energy(g, degree, max_weight):

@@ -80,16 +80,10 @@ __all__ = [
     "b02_closed",
     "verify_equivalence_theorem",
     "compare_kernels",
-    "clear_caches",
 ]
 
 _omega_cache = {}  # (kind, g, n) -> {k: 2^(3(2g-2+n)) * coefficient at s = 1, an int}
 _closed_cache = {}  # (g, n) -> {k: 8^(2g-2+n) * raw coefficient at s = 1, an int}
-
-
-def clear_caches():
-    _omega_cache.clear()
-    _closed_cache.clear()
 
 
 def _check_stable(g, n):

@@ -1,6 +1,6 @@
 """Sparse exact polynomials over the formal generators h, u, s, v.
 
-All coefficient arithmetic in this package happens in the ring
+Every value this package returns lies in the ring
 
     Q[h, u, s, v] / (v^2 - u)
 
@@ -12,16 +12,17 @@ where the generators are read as follows:
     v -- N itself, a square root of u used only by the few identities
          that involve N to the first power.
 
-Keeping s distinct from h^2*u makes the two natural normalizations of the
-theory coexist; the bridge is the explicit ring map s -> h^2*u provided by
-:meth:`ParamPoly.subs_s_h2u`.  Powers of v reduce automatically via
-v^2 = u, so every element has a canonical form with v-exponent 0 or 1.
+ParamPoly is the format a value takes where it leaves a module: every
+recursion runs on ints or Fractions, and the tables are built as ParamPoly
+only on the way out.  Keeping s distinct from h^2*u makes the two natural
+normalizations of the theory coexist; npoint.bridge applies s -> h^2*u to
+the correlator monomials.  Powers of v reduce automatically via v^2 = u,
+so every element has a canonical form with v-exponent 0 or 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 __all__ = [
     "ParamPoly",
@@ -31,7 +32,6 @@ __all__ = [
     "U",
     "S",
     "V",
-    "half_binomial",
     "double_factorial",
     "u_mul",
     "u_add",
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _GENS = ("h", "u", "s", "v")
-_GEN_INDEX = {g: i for i, g in enumerate(_GENS)}
 
 
 def _reduce_key(key):
@@ -59,8 +58,6 @@ class ParamPoly:
 
     __slots__ = ("terms",)
 
-    GENS = _GENS
-
     def __init__(self, terms=None):
         if terms is None:
             terms = {}
@@ -69,23 +66,11 @@ class ParamPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return _ZERO_P
-
-    @classmethod
     def const(cls, value):
         q = Fraction(value)
         if q == 0:
             return _ZERO_P
         return cls({(0, 0, 0, 0): q})
-
-    @classmethod
-    def gen(cls, name, exp=1):
-        if name not in _GEN_INDEX:
-            raise ValueError(f"unknown generator {name!r}")
-        key = [0, 0, 0, 0]
-        key[_GEN_INDEX[name]] = exp
-        return cls({_reduce_key(tuple(key)): Fraction(1)})
 
     @classmethod
     def monomial(cls, coeff, eh=0, eu=0, es=0, ev=0):
@@ -175,19 +160,6 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def __eq__(self, other):
         o = self._promote(other)
         if o is None:
@@ -197,53 +169,16 @@ class ParamPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- queries -----------------------------------------------------------
 
     def coeff(self, eh=0, eu=0, es=0, ev=0):
         return self.terms.get(_reduce_key((eh, eu, es, ev)), Fraction(0))
 
-    def const_value(self):
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {(0, 0, 0, 0)}:
-            raise ValueError(f"not a constant: {self}")
-        return self.terms[(0, 0, 0, 0)]
-
-    def degree(self, name):
-        """Largest exponent of the named generator (-1 for the zero polynomial)."""
-        i = _GEN_INDEX[name]
-        if not self.terms:
-            return -1
-        return max(k[i] for k in self.terms)
-
-    def uses(self, name):
-        i = _GEN_INDEX[name]
-        return any(k[i] for k in self.terms)
-
     # -- substitutions -----------------------------------------------------
-
-    def subs_s_h2u(self):
-        """Apply the ring homomorphism s -> h^2*u (the bridge S^2 = hbar^2 N^2)."""
-        out = {}
-        for (eh, eu, es, ev), q in self.terms.items():
-            key = (eh + 2 * es, eu + es, 0, ev)
-            r = out.get(key)
-            if r is None:
-                out[key] = q
-            else:
-                r = r + q
-                if r:
-                    out[key] = r
-                else:
-                    del out[key]
-        return ParamPoly(out)
 
     def subs_u(self, value):
         """Evaluate u at an exact rational; requires no stray v (sign ambiguity)."""
-        if self.uses("v"):
+        if any(k[3] for k in self.terms):
             raise ValueError("cannot substitute u with v present (sign of v undetermined)")
         q = Fraction(value)
         out = {}
@@ -262,42 +197,6 @@ class ParamPoly:
                 else:
                     del out[key]
         return ParamPoly(out)
-
-    def subs_s(self, value):
-        q = Fraction(value)
-        out = {}
-        for (eh, eu, es, ev), c in self.terms.items():
-            key = (eh, eu, 0, ev)
-            c = c * q ** es
-            if not c:
-                continue
-            r = out.get(key)
-            if r is None:
-                out[key] = c
-            else:
-                r = r + c
-                if r:
-                    out[key] = r
-                else:
-                    del out[key]
-        return ParamPoly(out)
-
-    def eval_rational(self, h=0, u=0, s=0, v=None):
-        """Evaluate at rational points.  If v is None it is taken consistent only
-        when no v appears; callers substituting v must supply v with v*v == u."""
-        hq, uq, sq = Fraction(h), Fraction(u), Fraction(s)
-        if v is None:
-            if self.uses("v"):
-                raise ValueError("value for v required")
-            vq = Fraction(0)
-        else:
-            vq = Fraction(v)
-            if vq * vq != uq:
-                raise ValueError("inconsistent evaluation: v*v != u")
-        total = Fraction(0)
-        for (eh, eu, es, ev), q in self.terms.items():
-            total += q * hq ** eh * uq ** eu * sq ** es * vq ** ev
-        return total
 
     # -- presentation ------------------------------------------------------
 
@@ -332,10 +231,10 @@ _ZERO_P = ParamPoly({})
 
 ZERO = _ZERO_P
 ONE = ParamPoly.const(1)
-H = ParamPoly.gen("h")
-U = ParamPoly.gen("u")
-S = ParamPoly.gen("s")
-V = ParamPoly.gen("v")
+H = ParamPoly.monomial(1, eh=1)
+U = ParamPoly.monomial(1, eu=1)
+S = ParamPoly.monomial(1, es=1)
+V = ParamPoly.monomial(1, ev=1)
 
 
 def u_mul(a, b):
@@ -369,22 +268,6 @@ def u_add(a, b):
 def u_scale(a, k):
     """A dense int u-coefficient tuple times a nonzero integer k."""
     return tuple(k * x for x in a)
-
-
-def half_binomial(k, m):
-    """Exact generalized binomial coefficient C(-k - 1/2, m).
-
-    These appear when re-expanding z^(-2k) dz in the flat coordinate x of
-    the curve x^2 y^2 = x^2 + S^2:   z^(-2k) dz = sum_m C(-k-1/2, m) S^(2m)
-    x^(-2m-2k) dx.
-    """
-    if k < 0 or m < 0:
-        raise ValueError("k and m must be nonnegative")
-    top = Fraction(-2 * k - 1, 2)
-    num = Fraction(1)
-    for j in range(m):
-        num *= top - j
-    return num / factorial(m)
 
 
 def double_factorial(n):

@@ -12,16 +12,15 @@ which is exactly the range of coefficients determined by the two inputs.
 
 Coefficients are duck-typed: anything with +, *, unary -, == and a falsy
 zero works (Fraction, ParamPoly).  Absent coefficients are reported as the
-integer 0.
+integer 0.  The one exception is the leading coefficient of
+:meth:`LaurentSeries.inverse`, which must be a nonzero int or Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import ParamPoly
-
-__all__ = ["LaurentSeries", "BiSeries", "SparseTensor", "accumulate", "series_eq_on_overlap"]
+__all__ = ["LaurentSeries", "BiSeries", "SparseTensor", "accumulate"]
 
 
 def accumulate(coeffs, key, value):
@@ -117,16 +116,15 @@ class LaurentSeries:
     def inverse(self):
         """Multiplicative inverse of a series with rational-unit leading term.
 
-        If self is known on [lo, hi] with top coefficient a nonzero rational
-        constant, the inverse is exact on [lo - 2*hi, -hi].
+        If self is known on [lo, hi] with top coefficient a nonzero int or
+        Fraction, the inverse is exact on [lo - 2*hi, -hi].
         """
         top = self.coeffs.get(self.hi, 0)
-        c = _as_fraction(top)
-        if c is None or c == 0:
+        if not isinstance(top, (int, Fraction)) or not top:
             raise ValueError("leading term is not an invertible rational constant")
         h = self.hi
         depth = h - self.lo
-        inv_top = Fraction(1) / c
+        inv_top = Fraction(1) / top
         out = {-h: inv_top}
         for d in range(1, depth + 1):
             # coefficient of var^(-h-d) from (self * out) = 1
@@ -169,28 +167,6 @@ class LaurentSeries:
         return " + ".join(bits) + f"  [window {self.lo}..{self.hi}]"
 
 
-def _as_fraction(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, ParamPoly):
-        try:
-            return x.const_value()
-        except ValueError:
-            return None
-    return None
-
-
-def series_eq_on_overlap(a, b):
-    """Compare two series coefficientwise on the intersection of their windows."""
-    a._check_var(b)
-    lo = max(a.lo, b.lo)
-    hi = max(a.hi, b.hi)
-    for e in range(lo, hi + 1):
-        if a.coeff(e) != b.coeff(e):
-            return False
-    return True
-
-
 class BiSeries:
     """Truncated two-variable series with a rectangular window.
 
@@ -229,18 +205,6 @@ class BiSeries:
             raise WindowError(f"({i},{j}) outside window of BiSeries in {self.vars}")
         return self.coeffs.get((i, j), 0)
 
-    def is_antisymmetric_under_swap(self):
-        """Check f(x, w) == -f(w, x) on the symmetric part of the window."""
-        lo = max(self.window1[0], self.window2[0])
-        hi = min(self.window1[1], self.window2[1])
-        for i in range(lo, hi + 1):
-            for j in range(lo, hi + 1):
-                if self.min_total is not None and i + j < self.min_total:
-                    continue
-                if self.coeffs.get((i, j), 0) != -self.coeffs.get((j, i), 0):
-                    return False
-        return True
-
 
 class SparseTensor:
     """Arity-n sparse array of exact coefficients keyed by exponent tuples."""
@@ -259,15 +223,6 @@ class SparseTensor:
 
     def get(self, key):
         return self.coeffs.get(tuple(key), 0)
-
-    def is_symmetric(self):
-        from itertools import permutations
-
-        for perm in permutations(range(self.arity)):
-            for k, c in self.coeffs.items():
-                if self.coeffs.get(tuple(k[p] for p in perm), 0) != c:
-                    return False
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, SparseTensor):

@@ -62,12 +62,26 @@ def test_omega_12():
 STABLE_PAIRS = [(g, n) for g in range(4) for n in range(1, 5) if 2 * g - 2 + n > 0]
 
 
-def test_omega_symmetry():
+def test_omega_symmetry(transposition_defects):
     # the bracket places each factor's external indices in their own slots;
-    # a slot mix-up shows first where there are three or more externals
+    # a slot mix-up shows first where there are three or more externals.
+    # Index 0 is the one each recursion singles out, so it is compared with
+    # every external index (the Eynard-Orantin symmetry theorem)
     for kind in ("standard", "typeB"):
         for (g, n) in STABLE_PAIRS:
-            assert omega(g, n, kind).is_symmetric(), (kind, g, n)
+            assert transposition_defects(omega(g, n, kind).coeffs) == [], (kind, g, n)
+
+
+def test_omega_symmetry_check_sees_index_zero(monkeypatch, transposition_defects):
+    # a planted value at (1, 0, 0, 0) keeps the externals symmetric, so only
+    # the comparisons with index 0 can see it
+    import gbgw.eo as eo
+
+    table = eo._omega(0, 4, "standard")
+    planted = {**table, (1, 0, 0, 0): table.get((1, 0, 0, 0), 0) + 1}
+    monkeypatch.setitem(eo._omega_cache, ("standard", 0, 4), planted)
+    defects = transposition_defects(omega(0, 4).coeffs)
+    assert defects and all(swap[0] == 0 for _, swap in defects), defects
 
 
 def test_omega_closed_step_matches_residue_route():
@@ -102,9 +116,10 @@ def test_b01_b02_match_correlators():
 
 def test_transform_roundtrip():
     for (g, n) in [(1, 1), (1, 2), (0, 3)]:
-        # the transforms act on tables at s = 1
-        a = SparseTensor(n, {kk: v.subs_s(1).const_value()
-                             for kk, v in normalized(omega(g, n)).coeffs.items()})
+        # the transforms act on tables at s = 1; entry kk sits at s^(|kk|+1-g)
+        table = normalized(omega(g, n)).coeffs
+        a = SparseTensor(n, {kk: v.coeff(es=sum(kk) + 1 - g) for kk, v in table.items()})
+        assert a.coeffs.keys() == table.keys()
         b = to_x_coords(a, 15)
         back = from_x_coords(b, 15)
         # the round trip reproduces a on the computed weight range
@@ -116,15 +131,15 @@ def test_transform_roundtrip():
                 assert not v, (g, n, kk)
 
 
-def test_transform_consistency_with_half_binomial():
+def test_transform_consistency_with_binomial_closed_form():
     # z^(-2k-2) dz = sum_m C(-k-3/2, m) s^m x^(-2m-2k-2) dx: the transform of
-    # a unit A-entry at k, in normalized B-coefficients, at s = 1
-    from gbgw.poly import half_binomial
+    # a unit A-entry at k, in normalized B-coefficients, at s = 1, is
+    # (2k+1)!! C(-k-3/2, m)/(2k+2m+1)!! = (-1)^m/(2^m m!)
+    from math import factorial
 
     for k in range(0, 5):
         b = to_x_coords(SparseTensor(1, {(k,): Fraction(1)}), 2 * (k + 4) + 1)
-        expect = {(k + m,): double_factorial(2 * k + 1) * half_binomial(k + 1, m)
-                  / double_factorial(2 * (k + m) + 1) for m in range(0, 5)}
+        expect = {(k + m,): Fraction((-1) ** m, 2 ** m * factorial(m)) for m in range(0, 5)}
         assert b.coeffs == expect, k
 
 
@@ -173,8 +188,8 @@ def test_s_zero_specialization_is_original_model():
             for k in kk:
                 d *= double_factorial(2 * k + 1)
             mu = tuple(sorted((2 * k + 1 for k in kk), reverse=True))
-            lhs = (d * v).subs_s(0)
-            rhs = correlator(g, mu).subs_s(0)
+            lhs = (d * v).coeff(es=0)
+            rhs = correlator(g, mu).coeff(es=0)
             if n % 2:
                 rhs = -rhs
             assert lhs == rhs, (g, n, kk)
@@ -209,9 +224,10 @@ def test_negative_s_exponent_raises(monkeypatch):
 
 def test_closed_step_reads_no_residue_table():
     # the coefficient route is an independent pipeline: it builds no omega table
+    import gbgw
     import gbgw.eo as eo
 
-    eo.clear_caches()
+    gbgw.reset_caches()
     omega_closed_step(3, 3)
     assert eo._omega_cache == {}
 

@@ -72,8 +72,9 @@ def test_two_point_tensor_odd_and_negative_only():
         assert all(e < 0 and e % 2 for e in key)
 
 
-def test_two_point_symmetric():
-    assert npoint_affine(2, 7).is_symmetric()
+def test_two_point_symmetric(transposition_defects):
+    t = npoint_affine(2, 7)
+    assert t.coeffs and transposition_defects(t.coeffs) == []
 
 
 def test_two_point_trivial_at_quarter():

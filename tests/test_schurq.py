@@ -92,7 +92,9 @@ def test_theta_lambda():
     for lam in strict_partitions(5):
         if lam:
             assert theta_lambda(lam).subs_u(Fraction(1, 4)) == 0
-    assert theta_lambda((3, 1)).degree("u") == 4  # one factor per box
+    # one factor 1 - 4u, 9 - 4u, ... per box: the top power is (-4u)^4
+    top = theta_lambda((3, 1))
+    assert top.coeff(eu=4) == 256 and max(k[1] for k in top.terms) == 4
 
 
 def test_hypergeom_coeff():

@@ -1,9 +1,16 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gbgw.poly import ParamPoly, ONE, S, half_binomial
-from gbgw.series import BiSeries, LaurentSeries, SparseTensor, series_eq_on_overlap
+from gbgw.poly import ParamPoly, ONE, S, double_factorial
+from gbgw.series import BiSeries, LaurentSeries, SparseTensor
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 def test_mul_trivial():
@@ -53,18 +60,52 @@ def test_inverse_geometric():
     inv = a.inverse()
     for k in range(0, 9):
         assert inv.coeff(-k) == q ** k
-    assert series_eq_on_overlap(a * inv, LaurentSeries.one("z", (a * inv).lo))
+    assert (a * inv).coeffs == {0: 1}
 
 
 def test_inverse_of_one():
-    one = LaurentSeries.one("z", -6)
-    assert series_eq_on_overlap(one.inverse(), one)
+    inv = LaurentSeries.one("z", -6).inverse()
+    assert (inv.coeffs, inv.lo, inv.hi) == ({0: 1}, -6, 0)
 
 
 def test_inverse_requires_unit():
-    a = LaurentSeries("z", {0: S}, -4, 0)
-    with pytest.raises(ValueError):
-        a.inverse()
+    # the leading coefficient must be a nonzero int or Fraction
+    for top in (S, ONE, 0):
+        with pytest.raises(ValueError):
+            LaurentSeries("z", {0: top, -1: Fraction(1)}, -4, 0).inverse()
+
+
+@st.composite
+def units(draw):
+    """A series on [lo, hi] with Fraction coefficients and a nonzero top one."""
+    hi = draw(st.integers(-3, 3))
+    lo = hi - draw(st.integers(0, 8))
+    coeffs = {e: draw(fractions) for e in range(lo, hi)}
+    coeffs[hi] = draw(fractions.filter(bool))
+    return LaurentSeries("z", coeffs, lo, hi)
+
+
+@PROPERTY
+@given(units())
+def test_inverse_round_trip(a):
+    inv = a.inverse()
+    assert (inv.lo, inv.hi) == (a.lo - 2 * a.hi, -a.hi)
+    prod = a * inv
+    assert (prod.coeffs, prod.lo, prod.hi) == ({0: 1}, a.lo - a.hi, 0)
+    back = inv.inverse()
+    assert (back.coeffs, back.lo, back.hi) == (a.coeffs, a.lo, a.hi)
+
+
+@PROPERTY
+@given(st.builds(lambda lo, c: LaurentSeries("x", {**c, 0: 1}, lo, 0), st.integers(-8, 0),
+                 st.dictionaries(st.integers(-8, -1), fractions, max_size=8)))
+def test_sqrt_round_trip(b):
+    # b has constant term 1 on [lo, 0]; entries below lo are dropped
+    r = b.sqrt()
+    square = r * r
+    assert (square.coeffs, square.lo, square.hi) == (b.coeffs, b.lo, 0)
+    root = (b * b).sqrt()
+    assert (root.coeffs, root.lo, root.hi) == (b.coeffs, b.lo, 0)
 
 
 def test_sqrt_binomial_series():
@@ -76,12 +117,12 @@ def test_sqrt_binomial_series():
     assert r.coeff(-4) == ParamPoly.monomial(Fraction(-1, 8), es=2)
     assert r.coeff(-6) == ParamPoly.monomial(Fraction(1, 16), es=3)
     assert r.coeff(-3) == 0
-    assert series_eq_on_overlap(r * r, a)
+    assert (r * r).coeffs == a.coeffs
 
 
 def test_sqrt_of_one():
-    one = LaurentSeries.one("x", -8)
-    assert series_eq_on_overlap(one.sqrt(), one)
+    root = LaurentSeries.one("x", -8).sqrt()
+    assert (root.coeffs, root.lo, root.hi) == ({0: 1}, -8, 0)
 
 
 def test_sqrt_rejects_bad_constant():
@@ -122,17 +163,17 @@ def test_inverse_of_one_minus_w01():
     a = LaurentSeries("x", {0: ONE, -2: S}, -depth, 0)
     one_minus_w01 = a.sqrt()
     inv = one_minus_w01.inverse()
-    assert inv.coeff(-2) == ParamPoly.monomial(half_binomial(0, 1), es=1)
-    prod = one_minus_w01 * inv
-    assert series_eq_on_overlap(prod, LaurentSeries.one("x", prod.lo))
+    assert inv.coeff(-2) == ParamPoly.monomial(Fraction(-1, 2), es=1)
+    assert (one_minus_w01 * inv).coeffs == {0: 1}
 
 
-def test_half_binomial_matches_sqrt_inverse_powers():
-    # (1 + s x^-2)^(-k-1/2) expansions drive the z -> x transform; check the
-    # m-th coefficient equals C(-k-1/2, m) s^m for k = 1.
+def test_inverse_sqrt_cubed_matches_binomial_closed_form():
+    # (1 + s x^-2)^(-k-1/2) expansions drive the z -> x transform; for k = 1
+    # the m-th coefficient is C(-3/2, m) s^m = (-1)^m (2m+1)!!/(2^m m!) s^m.
     depth = 12
     a = LaurentSeries("x", {0: ONE, -2: S}, -depth, 0)
     inv_sqrt = a.sqrt().inverse()  # (1+s/x^2)^(-1/2)
-    p = inv_sqrt * inv_sqrt * inv_sqrt  # power -3/2 = -k-1/2 with k = 1
+    p = inv_sqrt * inv_sqrt * inv_sqrt
     for m in range(0, 4):
-        assert p.coeff(-2 * m) == ParamPoly.monomial(half_binomial(1, m), es=m)
+        expect = Fraction((-1) ** m * double_factorial(2 * m + 1), 2 ** m * factorial(m))
+        assert p.coeff(-2 * m) == ParamPoly.monomial(expect, es=m)
