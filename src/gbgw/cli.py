@@ -8,16 +8,22 @@ nothing fails with the detail "no instance checked".  Each check prints
 ``  [pass, <checked> checked] <identity> (<seconds>s)`` (``FAIL`` on
 failure) to stderr.
 
+``main`` validates every option before it dispatches: a bad bound, an
+``--out`` that names a directory or lies in no existing directory, and
+``npoint --pipeline affine --format csv`` exit 2 before any computation.
 Exit codes: 0 all requested work passed, 1 a verification or computation
-failed, 2 usage errors.  Output written with --out (or to stdout) is
-byte-deterministic for a fixed configuration; counts and timings go to
-stderr only.
+failed, 2 usage errors, including an ``--out`` that cannot be written
+(reported as ``error: ...``, never as a traceback).  Output written with
+--out (or to stdout) is byte-deterministic for a fixed configuration;
+counts and timings go to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -34,45 +40,31 @@ from . import quantum
 __all__ = ["main", "build_parser"]
 
 
-def _frac_str(q):
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else f"{q.numerator}"
-
-
-def _poly_s(value):
-    """Serialize an s-polynomial as [[s_exponent, "num/den"], ...]."""
+def _poly(value, slots):
+    """Serialize a ParamPoly as [[exponent at each slot..., "num/den"], ...]; ``slots``
+    names the generators kept ("s" or "hu"), from "husv", the order of a key (h, u, s, v)."""
+    keep = ["husv".index(name) for name in slots]
     out = []
-    for (eh, eu, es, ev), q in value.sorted_terms():
-        if eh or eu or ev:
-            raise ValueError("value is not a polynomial in s alone")
-        out.append([es, _frac_str(q)])
+    for key, q in value.sorted_terms():
+        if any(e for i, e in enumerate(key) if i not in keep):
+            raise ValueError(f"value is not a polynomial in {slots!r} alone")
+        out.append([key[i] for i in keep] + [str(q)])
     return out
 
 
-def _poly_hu(value):
-    """Serialize an (h, u)-polynomial as [[h_exp, u_exp, "num/den"], ...]."""
-    out = []
-    for (eh, eu, es, ev), q in value.sorted_terms():
-        if es or ev:
-            raise ValueError("value is not a polynomial in (h, u)")
-        out.append([eh, eu, _frac_str(q)])
-    return out
+def _json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(doc, cfg):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _csv(records):
+    """The g,mu,s_exponent,value table: one row per s-term of each record."""
+    rows = [f"{r['g']},{';'.join(map(str, r['mu']))},{es},{q}"
+            for r in records for es, q in r["value"]]
+    return "\n".join(["g,mu,s_exponent,value", *rows]) + "\n"
 
 
-def _emit_csv(rows, header, cfg):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    text = "\n".join(lines) + "\n"
+def _write(text, cfg):
+    """Write the output to --out, or to stdout without it."""
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)
@@ -90,22 +82,14 @@ def _parse_u(text):
 
 
 def cmd_correlators(cfg):
-    records = []
-    for mu in corr.odd_partitions(cfg.weight_max, cfg.arity_max):
-        for g in range(cfg.genus_max + 1):
-            value = corr.correlator(g, mu)
-            records.append({"g": g, "mu": list(mu), "value": _poly_s(value)})
-    records.sort(key=lambda r: (sum(r["mu"]), len(r["mu"]), r["mu"], r["g"]))
-    if cfg.format == "csv":
-        rows = []
-        for r in records:
-            for es, q in r["value"]:
-                rows.append([r["g"], ";".join(str(p) for p in r["mu"]), es, q])
-        _emit_csv(rows, ["g", "mu", "s_exponent", "value"], cfg)
-    else:
-        _emit({"command": "correlators", "genus_max": cfg.genus_max,
-               "weight_max": cfg.weight_max, "arity_max": cfg.arity_max,
-               "records": records}, cfg)
+    # odd_partitions is ordered by (|mu|, len(mu), mu), and g ascends within each mu
+    records = [{"g": g, "mu": list(mu), "value": _poly(corr.correlator(g, mu), "s")}
+               for mu in corr.odd_partitions(cfg.weight_max, cfg.arity_max)
+               for g in range(cfg.genus_max + 1)]
+    _write(_csv(records) if cfg.format == "csv" else
+           _json({"command": "correlators", "genus_max": cfg.genus_max,
+                  "weight_max": cfg.weight_max, "arity_max": cfg.arity_max,
+                  "records": records}), cfg)
     return 0
 
 
@@ -197,7 +181,7 @@ def _independence(cfg):
     keys = [(g, mu) for g in range(3) for mu in corr.odd_partitions(min(cfg.weight_max, 11), 4)
             if len(mu) >= 2]
     bad = [(g, mu) for g, mu in keys
-           if corr.correlator(g, mu) != corr.correlator_expand_distinguishing(g, mu, "smallest")]
+           if corr.correlator(g, mu) != corr.correlator_expand_distinguishing(g, mu)]
     return not bad, "(g={}, mu={})".format(*bad[0]) if bad else "", len(keys)
 
 
@@ -314,54 +298,36 @@ def cmd_verify(cfg):
         "bounds": {"genus_max": cfg.genus_max, "arity_max": cfg.arity_max,
                    "weight_max": cfg.weight_max, "window": cfg.window,
                    "kernel": cfg.kernel,
-                   "u": "symbolic" if cfg.u is None else _frac_str(cfg.u)},
+                   "u": "symbolic" if cfg.u is None else str(cfg.u)},
         "checks": all_checks,
         "all_passed": ok,
     }
-    _emit(doc, cfg)
+    _write(_json(doc), cfg)
     return 0 if ok else 1
 
 
 def cmd_npoint(cfg):
-    n = cfg.arity_max
-    entries = []
+    n, g = cfg.arity_max, cfg.genus_max
     if cfg.pipeline == "affine":
-        tensor = npoint.npoint_affine(n, cfg.weight_max, u_value=cfg.u)
-        for key in sorted(tensor.coeffs):
-            entries.append({"mu": [-e for e in key], "value": _poly_hu(tensor.coeffs[key])})
+        t = npoint.npoint_affine(n, cfg.weight_max, u_value=cfg.u).coeffs
+        entries = [{"mu": [-e for e in key], "value": _poly(t[key], "hu")} for key in sorted(t)]
         meta = {"normalization": "d^n log tau(t/2) in (h, u)"}
     elif cfg.pipeline == "virasoro":
-        tensor = corr.wgn(cfg.genus_max, n, cfg.weight_max)
-        for key in sorted(tensor.coeffs):
-            entries.append({"mu": [-e - 1 for e in key], "value": _poly_s(tensor.coeffs[key])})
-        meta = {"normalization": "W_{g,n} coefficients in s", "g": cfg.genus_max}
-    elif cfg.pipeline == "eo":
-        b = eo.x_tensor(cfg.genus_max, n, cfg.weight_max, cfg.kernel)
+        t = corr.wgn(g, n, cfg.weight_max).coeffs
+        entries = [{"mu": [-e - 1 for e in key], "value": _poly(t[key], "s")} for key in sorted(t)]
+        meta = {"normalization": "W_{g,n} coefficients in s", "g": g}
+    else:  # eo: the flat-coordinate tensor, times (-1)^n prod (2k+1)!!
+        t = eo.x_tensor(g, n, cfg.weight_max, cfg.kernel).coeffs
         sign = (-1) ** n
-        for key in sorted(b.coeffs):
-            d = 1
-            for k in key:
-                d *= double_factorial(2 * k + 1)
-            value = (sign * d) * b.coeffs[key]
-            entries.append({"mu": [2 * k + 1 for k in key], "value": _poly_s(value)})
+        entries = [{"mu": [2 * k + 1 for k in key],
+                    "value": _poly(sign * math.prod(double_factorial(2 * k + 1) for k in key)
+                                   * t[key], "s")}
+                   for key in sorted(t)]
         meta = {"normalization": "W_{g,n} coefficients in s (flat coordinate)",
-                "g": cfg.genus_max, "kernel": cfg.kernel}
-    else:
-        raise AssertionError
-    if cfg.format == "csv":
-        if cfg.pipeline == "affine":
-            print("error: csv output is defined for s-polynomial pipelines only", file=sys.stderr)
-            return 2
-        rows = []
-        g = cfg.genus_max
-        for r in entries:
-            for es, q in r["value"]:
-                rows.append([g, ";".join(str(p) for p in r["mu"]), es, q])
-        _emit_csv(rows, ["g", "mu", "s_exponent", "value"], cfg)
-    else:
-        doc = {"command": "npoint", "pipeline": cfg.pipeline, "n": n,
-               "weight_max": cfg.weight_max, "meta": meta, "entries": entries}
-        _emit(doc, cfg)
+                "g": g, "kernel": cfg.kernel}
+    _write(_csv({"g": g, **e} for e in entries) if cfg.format == "csv" else
+           _json({"command": "npoint", "pipeline": cfg.pipeline, "n": n,
+                  "weight_max": cfg.weight_max, "meta": meta, "entries": entries}), cfg)
     return 0
 
 
@@ -409,9 +375,15 @@ def main(argv=None):
         parser.error("--window must be positive")
     if cfg.command == "npoint" and cfg.arity_max < 1:
         parser.error("--arity-max must be positive for npoint")
+    if cfg.command == "npoint" and cfg.pipeline == "affine" and cfg.format == "csv":
+        parser.error("csv output is defined for s-polynomial pipelines only")
+    if cfg.out and os.path.isdir(cfg.out):
+        parser.error(f"--out {cfg.out} is a directory")
+    if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        parser.error(f"--out {cfg.out}: no such directory")
     try:
         return cfg.func(cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a bad value, or an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, RecursionError, MemoryError) as exc:  # a computation failed

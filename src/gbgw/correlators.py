@@ -33,7 +33,8 @@ its place rather than by sorting.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import permutations
+from math import comb, factorial, prod
 
 from .poly import ParamPoly, ZERO
 from .series import LaurentSeries, SparseTensor, accumulate
@@ -148,14 +149,14 @@ def _expand(g, parts, pick):
     return 4 * upper + pairs + 2 * total
 
 
-def correlator_expand_distinguishing(g, parts, which="smallest"):
-    """Recompute a correlator distinguishing a non-default part (for the
-    distinguished-part-independence check); sub-calls hit the main memo."""
+def correlator_expand_distinguishing(g, parts):
+    """Recompute a correlator distinguishing its smallest part, not the
+    largest (for the distinguished-part-independence check); sub-calls hit
+    the main memo."""
     parts = check_odd_partition(parts)
     if parts == (1,):
         return correlator(g, parts)
-    pick = len(parts) - 1 if which == "smallest" else 0
-    e, c = _graded(g, parts, _expand(g, parts, pick))
+    e, c = _graded(g, parts, _expand(g, parts, len(parts) - 1))
     return ZERO if e is None else ParamPoly.monomial(c, es=e)
 
 
@@ -188,8 +189,6 @@ def odd_partitions(max_weight, max_len):
 def wgn(g, n, max_weight):
     """n-point coefficient tensor: value at (-mu_1-1, ..., -mu_n-1) is
     <p_mu>_g, for all odd mu with |mu| <= max_weight (all orderings)."""
-    from itertools import permutations
-
     t = SparseTensor(n)
     for mu in odd_partitions(max_weight, n):
         if len(mu) != n:
@@ -219,10 +218,11 @@ def w02_closed(depth):
     """W_{0,2} from its closed form, as a 2-variable coefficient dict.
 
     numerator = (x^2 + y^2 + 2 s)/sqrt((1+s/x^2)(1+s/y^2)) - x^2 - y^2 is
-    divided exactly by (x^2 - y^2)^2; the division is long division in x
-    with an explicit no-remainder check (no stray positive powers and exact
-    reconstruction).  Returns {(ex, ey): coeff} with entries down to
-    exponent -depth in each slot.
+    divided by (x^2 - y^2)^2 by long division in x, with an explicit
+    no-remainder check: the quotient must have no term at y^0 or y^2.
+    Returns {(ex, ey): coeff} with entries down to exponent -depth in each
+    slot.  The quotient at (i, j) reads the numerator down to y^(i+j+2),
+    so the division runs down to y^(-2 depth).
 
     The division runs at s = 1, and s^((-i-j-2)/2) is attached at (i, j)
     where the dict is returned.  This is exact by the grading: with s of
@@ -230,35 +230,29 @@ def w02_closed(depth):
     is a single monomial in s^((2-i-j)/2), and dividing by (x^2-y^2)^2
     keeps that degree.
     """
-    d = depth + 6
-    inv_sqrt = LaurentSeries("x", {0: 1, -2: 1}, -d - 4, 0).sqrt().inverse()
+    d = 2 * depth
+    inv_sqrt = LaurentSeries("x", {0: 1, -2: 1}, -d - 2, 0).sqrt().inverse()
     num = {}
     for i, cx in inv_sqrt.coeffs.items():
         for j, cy in inv_sqrt.coeffs.items():
-            prod = cx * cy
-            accumulate(num, (i + 2, j), prod)
-            accumulate(num, (i, j + 2), prod)
-            accumulate(num, (i, j), 2 * prod)
+            c = cx * cy
+            accumulate(num, (i + 2, j), c)
+            accumulate(num, (i, j + 2), c)
+            accumulate(num, (i, j), 2 * c)
     accumulate(num, (2, 0), -1)
     accumulate(num, (0, 2), -1)
     # divide by x^4 - 2 x^2 y^2 + y^4:  q[i,j] = n[i+4,j] + 2 q[i+2,j-2] - q[i+4,j-4]
     q = {}
-    for i in range(-2, -d - 1, -2):
-        for j in range(0, -d - 1, -2):
+    for i in range(-2, -depth - 1, -2):
+        for j in range(2, -d - 1, -2):
             val = num.get((i + 4, j), 0) + 2 * q.get((i + 2, j - 2), 0) - q.get((i + 4, j - 4), 0)
             if val:
                 q[(i, j)] = val
-    for (i, j), val in list(num.items()):
-        if i > 2 or j > 2:
-            raise ArithmeticError("unexpected numerator support")
-    # remainder check: reconstruct the numerator on the sound region
-    for i in range(2, -depth - 1, -2):
-        for j in range(0, -depth - 1, -2):
-            recon = q.get((i - 4, j), 0) - 2 * q.get((i - 2, j - 2), 0) + q.get((i, j - 4), 0)
-            if recon != num.get((i, j), 0):
-                raise ArithmeticError("nonzero remainder dividing by (x^2-y^2)^2")
+    # no term at y^0 or y^2 leaves none at any y^j, j >= 0: the numerator has no y^4
+    if any(j >= 0 for _, j in q):
+        raise ArithmeticError("nonzero remainder dividing by (x^2-y^2)^2")
     return {(i, j): ParamPoly.monomial(v, es=(-i - j - 2) // 2)
-            for (i, j), v in q.items() if i >= -depth and j >= -depth}
+            for (i, j), v in q.items() if j >= -depth}
 
 
 def free_energy(g, degree, max_weight):
@@ -267,28 +261,23 @@ def free_energy(g, degree, max_weight):
     The coefficient of the monomial for a partition mu with part
     multiplicities m_j is <p_mu>_g / prod_j m_j!.
     """
-    from math import factorial
-
     out = {}
     for mu in odd_partitions(max_weight, degree):
         value = correlator(g, mu)
-        if not value:
-            continue
-        aut = 1
-        for p in set(mu):
-            aut *= factorial(mu.count(p))
-        out[mu] = Fraction(1, aut) * value
+        if value:
+            out[mu] = Fraction(1, _aut(mu)) * value
     return out
+
+
+def _aut(mu):
+    """prod_j m_j!, for the multiplicities m_j of the parts of mu."""
+    return prod(factorial(mu.count(p)) for p in set(mu))
 
 
 def _dF0_series(nu, xlo):
     """d F_0 / d t : the series sum_n <p_{2n+1} p_nu>_0 / aut(nu) x^{-2n-2},
     for one t-monomial nu, down to exponent xlo, at s = 1."""
-    from math import factorial
-
-    aut = 1
-    for p in set(nu):
-        aut *= factorial(nu.count(p))
+    aut = _aut(nu)
     coeffs = {}
     e = -2
     while e >= xlo:

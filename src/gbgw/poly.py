@@ -69,14 +69,14 @@ class ParamPoly:
     def const(cls, value):
         q = Fraction(value)
         if q == 0:
-            return _ZERO_P
+            return ZERO
         return cls({(0, 0, 0, 0): q})
 
     @classmethod
     def monomial(cls, coeff, eh=0, eu=0, es=0, ev=0):
         q = Fraction(coeff)
         if q == 0:
-            return _ZERO_P
+            return ZERO
         return cls({_reduce_key((eh, eu, es, ev)): q})
 
     @classmethod
@@ -137,7 +137,7 @@ class ParamPoly:
         if o is None:
             return NotImplemented
         if not self.terms or not o.terms:
-            return _ZERO_P
+            return ZERO
         out = {}
         for (a0, a1, a2, a3), qa in self.terms.items():
             for (b0, b1, b2, b3), qb in o.terms.items():
@@ -227,9 +227,7 @@ class ParamPoly:
         return " + ".join(pieces).replace("+ -", "- ")
 
 
-_ZERO_P = ParamPoly({})
-
-ZERO = _ZERO_P
+ZERO = ParamPoly({})
 ONE = ParamPoly.const(1)
 H = ParamPoly.monomial(1, eh=1)
 U = ParamPoly.monomial(1, eu=1)

@@ -78,10 +78,57 @@ def test_npoint_affine_pipeline(tmp_path):
     assert got[(1,)] == [[1, 0, "1/16"], [1, 1, "-1/4"]]
 
 
-def test_affine_csv_rejected(tmp_path):
-    rc = main(["npoint", "--pipeline", "affine", "--arity-max", "1", "--weight-max", "3",
-               "--format", "csv", "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
+def test_affine_csv_rejected(monkeypatch, tmp_path):
+    # rejected before the tensor is built: the affine route is never called
+    import gbgw.cli as cli
+
+    def computed(*args, **kwargs):
+        raise AssertionError("npoint_affine ran")
+
+    monkeypatch.setattr(cli.npoint, "npoint_affine", computed)
+    with pytest.raises(SystemExit) as exc:
+        main(["npoint", "--pipeline", "affine", "--arity-max", "1", "--weight-max", "3",
+              "--format", "csv", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["correlators", "--out", "{tmp}"],
+    ["verify", "--suite", "schurq", "--out", "{tmp}/missing/x.json"],
+    ["npoint", "--pipeline", "affine", "--format", "csv"],
+    ["correlators", "--genus-max", "-1"],
+    ["verify", "--window", "0"],
+    ["verify", "--u", "1/0"],
+])
+def test_bad_invocation_exits_2_before_any_work(monkeypatch, tmp_path, capsys, args):
+    import gbgw.cli as cli
+
+    def dispatched(cfg):
+        raise AssertionError("a command ran")
+
+    for name in ("cmd_correlators", "cmd_verify", "cmd_npoint"):
+        monkeypatch.setattr(cli, name, dispatched)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tmp=tmp_path) for a in args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("gbgw") and ": error: " in err.splitlines()[-1]
+
+
+def test_unwritable_out_reports_an_error(monkeypatch, tmp_path, capsys):
+    # a write that fails after the work is done exits 2 with one error line
+    import errno
+    import gbgw.cli as cli
+
+    def full(path, mode):
+        raise OSError(errno.ENOSPC, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "open", full, raising=False)
+    out = tmp_path / "c.json"
+    assert main(["correlators", "--weight-max", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 28] No space left on device: '{out}'\n"
 
 
 def test_verify_failure_exit_code(monkeypatch, tmp_path):
@@ -387,6 +434,14 @@ def test_two_point_check_reads_every_closed_form_entry(monkeypatch, tmp_path):
     (["npoint", "--pipeline", "eo", "--kernel", "typeB", "--genus-max", "3", "--arity-max", "4",
       "--weight-max", "13"],
      "bc7d9792cd4c240487f2b6d0ca147a072d26e8594bcd5d80d1da7d980a6a8f22"),
+    (["correlators", "--genus-max", "4", "--arity-max", "4", "--weight-max", "9", "--format", "csv"],
+     "6e25c308a7b6ee149aa8600292f51d5e24b7f92fcbe071195c25e46863ca76af"),
+    (["npoint", "--pipeline", "eo", "--genus-max", "3", "--arity-max", "4", "--weight-max", "13",
+      "--format", "csv"],
+     "b619816e1af88cc0388877d4fa0310bbee762b70684dfdb75c95f2da8b2c4523"),
+    (["npoint", "--pipeline", "virasoro", "--genus-max", "2", "--arity-max", "3", "--weight-max", "13",
+      "--format", "csv"],
+     "8b5b9ee0425e45af32af2116967c4b1eec91c4fbef54871d5fbf35ad37ed5ddc"),
 ])
 def test_out_bytes_are_pinned(tmp_path, args, digest):
     # the --out bytes of these commands are fixed; a faster table must not move them

@@ -109,7 +109,7 @@ def test_distinguished_part_independence():
         for mu in odd_partitions(11, 11):
             if len(mu) < 2 or mu[0] == mu[-1]:
                 continue
-            assert correlator(g, mu) == correlator_expand_distinguishing(g, mu, "smallest"), (g, mu)
+            assert correlator(g, mu) == correlator_expand_distinguishing(g, mu), (g, mu)
 
 
 def test_genus_cancellation_at_quarter():
@@ -148,6 +148,29 @@ def test_w02_closed_vs_recursion():
     # and nothing extra at even/odd mixed slots
     for (i, j), c in q.items():
         assert i % 2 == 0 and j % 2 == 0 and i <= -2 and j <= -2
+
+
+@pytest.mark.parametrize("depth", [14, 17])
+def test_w02_closed_is_exact_through_its_depth(depth):
+    # every entry down to -depth in each slot, where mu_1 + mu_2 reaches 2 depth - 2
+    want = {k: v for k, v in wgn(0, 2, 2 * depth).coeffs.items() if min(k) >= -depth}
+    assert w02_closed(depth) == want
+
+
+def test_w02_remainder_check_sees_a_wrong_series(monkeypatch):
+    # (1 + x^-2)^(-1/2) off by one at x^-4: the numerator is no longer divisible
+    from gbgw.series import LaurentSeries
+
+    real = LaurentSeries.inverse
+
+    def planted(self):
+        out = real(self)
+        out.coeffs[-4] += 1
+        return out
+
+    monkeypatch.setattr(LaurentSeries, "inverse", planted)
+    with pytest.raises(ArithmeticError, match="nonzero remainder"):
+        w02_closed(9)
 
 
 def test_wgn_symmetry(transposition_defects):
