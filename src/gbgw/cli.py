@@ -9,8 +9,13 @@ nothing fails with the detail "no instance checked".  Each check prints
 failure) to stderr.
 
 ``main`` validates every option before it dispatches: a bad bound, an
-``--out`` that names a directory or lies in no existing directory, and
-``npoint --pipeline affine --format csv`` exit 2 before any computation.
+``--out`` that names a directory or lies in no existing directory,
+``npoint --pipeline affine --format csv``, and an option the command never
+reads exit 2 before any computation.  A subcommand accepts only the options
+it reads (``correlators`` takes no ``--window``, ``--kernel`` or ``--u``,
+``verify`` no ``--format``, ``npoint`` no ``--window``); ``npoint`` reads
+``--kernel`` only with ``--pipeline eo``, ``--u`` only with ``affine``, and
+``--genus-max`` with every pipeline but ``affine``.
 Exit codes: 0 all requested work passed, 1 a verification or computation
 failed, 2 usage errors, including an ``--out`` that cannot be written
 (reported as ``error: ...``, never as a traceback).  Output written with
@@ -338,40 +343,59 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, defaults):
-        sp.add_argument("--genus-max", type=int, default=defaults.get("g", 2))
-        sp.add_argument("--arity-max", type=int, default=defaults.get("n", 3))
-        sp.add_argument("--weight-max", type=int, default=defaults.get("w", 9))
-        sp.add_argument("--window", type=int, default=defaults.get("window", 20))
-        sp.add_argument("--kernel", choices=("standard", "typeB"), default="standard")
-        sp.add_argument("--u", type=_parse_u, default=None,
-                        help="'symbolic' (default) or an exact rational like 1/4")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
+    def common(sp, defaults, omit=()):
+        """Add the shared options, less those in ``omit``, which ``sp`` never reads."""
+        def add(flag, **kwargs):
+            if flag not in omit:
+                sp.add_argument(flag, **kwargs)
+
+        add("--genus-max", type=int, default=defaults.get("g", 2))
+        add("--arity-max", type=int, default=defaults.get("n", 3))
+        add("--weight-max", type=int, default=defaults.get("w", 9))
+        add("--window", type=int, default=defaults.get("window", 20))
+        add("--kernel", choices=("standard", "typeB"), default=defaults.get("kernel", "standard"))
+        add("--u", type=_parse_u, default=defaults.get("u"),
+            help="'symbolic' (default) or an exact rational like 1/4")
+        add("--format", choices=("json", "csv"), default="json")
+        add("--out", default=None, help="output path (stdout if omitted)")
 
     sp = sub.add_parser("correlators", help="emit connected correlators")
-    common(sp, {"g": 2, "n": 3, "w": 9})
+    common(sp, {"g": 2, "n": 3, "w": 9}, omit=("--window", "--kernel", "--u"))
     sp.set_defaults(func=cmd_correlators)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp, {"g": 2, "n": 3, "w": 9, "window": 20})
+    common(sp, {"g": 2, "n": 3, "w": 9, "window": 20}, omit=("--format",))
     sp.add_argument("--suite", choices=SUITES + ("all",), default="all")
     sp.set_defaults(func=cmd_verify)
 
+    # the options one pipeline reads stay out of the namespace unless given;
+    # main rejects them for the other pipelines and then fills NPOINT_DEFAULTS
     sp = sub.add_parser("npoint", help="emit n-point tensors from a chosen pipeline")
-    common(sp, {"g": 1, "n": 2, "w": 9})
+    common(sp, {"g": argparse.SUPPRESS, "n": 2, "w": 9, "kernel": argparse.SUPPRESS,
+                "u": argparse.SUPPRESS}, omit=("--window",))
     sp.add_argument("--pipeline", choices=("affine", "virasoro", "eo"), required=True)
     sp.set_defaults(func=cmd_npoint)
     return p
 
 
+# npoint options read by some pipelines only: (name, default, pipelines that read it)
+NPOINT_DEFAULTS = (("genus_max", 1, ("virasoro", "eo")),
+                   ("kernel", "standard", ("eo",)),
+                   ("u", None, ("affine",)))
+
+
 def main(argv=None):
     parser = build_parser()
     cfg = parser.parse_args(argv)
+    if cfg.command == "npoint":
+        for name, default, readers in NPOINT_DEFAULTS:
+            if name in cfg and cfg.pipeline not in readers:
+                parser.error(f"--{name.replace('_', '-')} is not read by npoint --pipeline {cfg.pipeline}")
+            vars(cfg).setdefault(name, default)
     for bound in ("genus_max", "arity_max", "weight_max"):
         if getattr(cfg, bound) < 0:
             parser.error(f"--{bound.replace('_', '-')} must be nonnegative")
-    if cfg.window < 1:
+    if "window" in cfg and cfg.window < 1:
         parser.error("--window must be positive")
     if cfg.command == "npoint" and cfg.arity_max < 1:
         parser.error("--arity-max must be positive for npoint")

@@ -13,8 +13,14 @@ the total; truncation windows make this an approximation whose soundness
 is established by the recompute-at-a-larger-window stability protocol.
 The entries of At arrive as the (r, P) pairs of ``affine._direct_a``
 (h^-(i+j) times a rational times an int u-tuple), so the sum runs at h = 1
-on int u-tuples under one integer scale and builds a ParamPoly only for
-its output.
+under one integer scale and builds a ParamPoly only for its output.  Each
+scaled u-tuple P enters the cycle sum packed as the single int P(2^bits)
+(``_pack``), so a product or sum of u-polynomials is one int operation;
+packing is a ring map Z[u] -> Z, and each output value is unpacked once,
+which is exact while its coefficients stay below 2^(bits-1).  With L the
+largest L1 norm of a scaled entry, every output coefficient is a sum over
+at most (n-1)! cycles and |At|^n paths of terms bounded by L^n, so
+bits = bit_length((n-1)! (|At| L)^n) + 1 suffices (``_pack_bits``).
 
 The same correlators are reachable through the Virasoro pipeline; the
 exact bridge for an odd partition mu with n parts is
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import factorial, lcm
 
 from .affine import _direct_a, _entry_poly, _with_tail, affine_scalar, theta_prod
 from .correlators import check_odd_partition, correlator_monomial, odd_partitions
@@ -91,26 +97,52 @@ def one_point_affine(max_weight, u_value=None):
     return out
 
 
+def _pack(p, bits):
+    """The int u-tuple p as the single int p(2^bits); signed coefficients."""
+    return sum(c << (bits * e) for e, c in enumerate(p))
+
+
+def _unpack(x, bits):
+    """The int u-tuple whose value at u = 2^bits is x, read in balanced
+    base-2^bits digits (bits >= 2): the inverse of ``_pack`` on tuples
+    whose coefficients c satisfy |c| < 2^(bits-1), trailing zeros trimmed."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    while x:
+        d = ((x + half) & mask) - half
+        out.append(d)
+        x = (x - d) >> bits
+    return tuple(out)
+
+
+def _pack_bits(n, at):
+    """A digit width that holds every coefficient of an n-point cycle sum.
+
+    With L the largest L1 norm of an entry of ``at``, a coefficient of the
+    total at one key sums at most (n-1)! cycles times |at|^n paths, each
+    term bounded by L^n, so it is below (n-1)! (|at| L)^n < 2^(bits-1).
+    """
+    norm = max(sum(map(abs, p)) for p in at.values())
+    return (factorial(n - 1) * (len(at) * norm) ** n).bit_length() + 1
+
+
 def _xi_factor(p, q, at):
-    """Entries of xi(x_p, -x_q) as {(e_p, e_q): int u-tuple}.
+    """Entries of xi(x_p, -x_q) as {(e_p, e_q): packed int}.
 
     p < q: At(x_p, -x_q); p > q: -At(-x_q, x_p) with the slots swapped.
     """
-    out = {}
     if p < q:
-        for (i, j), c in at.items():
-            out[(i, j)] = u_scale(c, -1) if j % 2 else c
-    else:
-        for (i, j), c in at.items():
-            out[(j, i)] = u_scale(c, -1) if i % 2 == 0 else c  # -(-1)^i c
-    return out
+        return {(i, j): -c if j % 2 else c for (i, j), c in at.items()}
+    return {(j, i): -c if i % 2 == 0 else c for (i, j), c in at.items()}  # -(-1)^i c
 
 
 def _contract_cycle(order, at, budget):
     """Multiply the xi factors along one cycle under an exact weight budget.
 
-    ``at`` holds the entries of At scaled to dense int u-tuples at h = 1;
-    the entry at (i, j) stands for h^-(i+j) times its tuple, with
+    ``at`` holds the entries of At at h = 1, each a scaled int u-tuple
+    packed into one int (``_pack``), so the products and sums along the
+    cycle are plain int arithmetic; the caller unpacks the totals.  The
+    entry at (i, j) stands for h^-(i+j) times its tuple, with
     0 <= -(i + j) <= budget, so the degree of a partial product is minus
     the sum of its exponents and can only grow as further factors are
     multiplied in.
@@ -126,7 +158,7 @@ def _contract_cycle(order, at, budget):
     tail-artifact cancellation at a key is complete once the window covers
     max |e_i|, which the caller guarantees for that band).  Open exponents
     are slots of ``at`` entries and need no check.
-    Returns {tuple of exponents indexed by cycle position: int u-tuple}.
+    Returns {tuple of exponents indexed by cycle position: packed int}.
     """
     n = len(order)
     state = _xi_factor(order[0], order[1], at)
@@ -149,8 +181,7 @@ def _contract_cycle(order, at, budget):
                     newkey = (efirst,) + key[2:] + (efin,)
                 else:
                     newkey = (key[0], j) + key[2:] + (efin,)
-                r = nxt.get(newkey)
-                nxt[newkey] = u_mul(c, d) if r is None else u_add(r, u_mul(c, d))
+                nxt[newkey] = nxt.get(newkey, 0) + c * d
         state = nxt
     return state
 
@@ -163,9 +194,10 @@ def _npoint_once(n, max_weight, tail_hi, u_value=None):
     the constant (0, 0), and the tail (-i, i) for i <= tail_hi.  Each entry
     is the (r, P) pair of ``_direct_a``, h^-(i+j) r P(u); at a rational
     u_value it becomes (r P(u_value), (1,)).  The contraction runs on the
-    int u-tuples r L P, with L the lcm of the denominators of the r; every
-    output key is a product of exactly n entries, so it leaves as
-    h^(-sum key) * -2^(n-1) * tuple / L^n.
+    int u-tuples r L P, with L the lcm of the denominators of the r, each
+    packed into one int at the width ``_pack_bits`` gives; every output
+    key is a product of exactly n entries, so it is unpacked once and
+    leaves as h^(-sum key) * -2^(n-1) * tuple / L^n.
     """
     keys = ((-i, -j) for i in range(max_weight + 1) for j in range(max_weight + 1 - i))
     at = _with_tail(_direct_a(keys), tail_hi)
@@ -175,15 +207,17 @@ def _npoint_once(n, max_weight, tail_hi, u_value=None):
         at = {k: entry for k, entry in at.items() if entry[0]}
     scale = lcm(*(r.denominator for r, _ in at.values()))
     at = {k: u_scale(p, r.numerator * scale // r.denominator) for k, (r, p) in at.items()}
+    bits = _pack_bits(n, at)
+    at = {k: _pack(p, bits) for k, p in at.items()}
     total = {}
     for order in cycles(n):
         where = [order.index(v) for v in range(1, n + 1)]
         for key, c in _contract_cycle(order, at, max_weight).items():
             k = tuple(key[p] for p in where)
-            r = total.get(k)
-            total[k] = c if r is None else u_add(r, c)
+            total[k] = total.get(k, 0) + c
     factor = Fraction(-(2 ** (n - 1)), scale ** n)
-    out = SparseTensor(n, {key: _entry_poly(key, (factor, c)) for key, c in total.items()})
+    out = SparseTensor(n, {key: _entry_poly(key, (factor, _unpack(c, bits)))
+                           for key, c in total.items() if c})
     if n == 2:
         # off-diagonal tail artifacts self-cancel within the window; the
         # diagonal band (-m, +m) survives and is exactly the correction term

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -115,6 +116,48 @@ def test_bad_invocation_exits_2_before_any_work(monkeypatch, tmp_path, capsys, a
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("gbgw") and ": error: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("args, option", [
+    (["correlators", "--window", "3"], "--window"),
+    (["correlators", "--kernel", "typeB"], "--kernel"),
+    (["correlators", "--u", "1/4"], "--u"),
+    (["verify", "--format", "csv"], "--format"),
+    (["npoint", "--pipeline", "eo", "--window", "3"], "--window"),
+    (["npoint", "--pipeline", "virasoro", "--kernel", "typeB"], "--kernel"),
+    (["npoint", "--pipeline", "affine", "--kernel", "standard"], "--kernel"),
+    (["npoint", "--pipeline", "virasoro", "--u", "1/4"], "--u"),
+    (["npoint", "--pipeline", "eo", "--u", "symbolic"], "--u"),
+    (["npoint", "--pipeline", "affine", "--genus-max", "1"], "--genus-max"),
+])
+def test_option_the_command_never_reads_exits_2(monkeypatch, capsys, args, option):
+    import gbgw.cli as cli
+
+    def dispatched(cfg):
+        raise AssertionError("a command ran")
+
+    for name in ("cmd_correlators", "cmd_verify", "cmd_npoint"):
+        monkeypatch.setattr(cli, name, dispatched)
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("gbgw: error: ") and option in last
+
+
+@pytest.mark.parametrize("args, want", [
+    (["npoint", "--pipeline", "affine", "--u", "1/4"], {"u": Fraction(1, 4), "genus_max": 1}),
+    (["npoint", "--pipeline", "eo", "--kernel", "typeB", "--genus-max", "0"],
+     {"kernel": "typeB", "genus_max": 0, "u": None}),
+    (["npoint", "--pipeline", "virasoro"], {"genus_max": 1, "kernel": "standard", "u": None}),
+])
+def test_npoint_reads_the_options_of_its_pipeline(monkeypatch, args, want):
+    import gbgw.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_npoint", lambda cfg: seen.append(cfg) or 0)
+    assert main(args) == 0
+    assert {name: getattr(seen[0], name) for name in want} == want
 
 
 def test_unwritable_out_reports_an_error(monkeypatch, tmp_path, capsys):

@@ -1,9 +1,15 @@
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gbgw.npoint as npoint_module
+from gbgw.affine import _direct_a, _entry_poly, _with_tail
 from gbgw.correlators import odd_partitions
-from gbgw.poly import ParamPoly
+from gbgw.poly import ParamPoly, u_add, u_mul, u_scale
 from gbgw.schurq import theta
 from gbgw.npoint import (
     bridge,
@@ -160,3 +166,108 @@ def test_cycle_sums_read_no_other_table():
         npoint_affine(n, 15 if n == 1 else 11)
     assert affine._theta_prod_cache
     assert (correlators._cache, eo._omega_cache, eo._closed_cache) == ({}, {}, {})
+
+
+@st.composite
+def _packable(draw):
+    """(int u-tuple, bits) with every |c| < 2^(bits-1), trailing zeros allowed."""
+    bits = draw(st.integers(2, 80))
+    bound = (1 << (bits - 1)) - 1
+    return tuple(draw(st.lists(st.integers(-bound, bound), max_size=12))), bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packable())
+def test_pack_round_trip(case):
+    p, bits = case
+    trimmed = list(p)
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    assert npoint_module._unpack(npoint_module._pack(p, bits), bits) == tuple(trimmed)
+
+
+def test_unpack_breaks_at_the_bound():
+    # the balanced digits run over [-2^(bits-1), 2^(bits-1)): one more reads back wrong
+    bits = 8
+    pack, unpack = npoint_module._pack, npoint_module._unpack
+    assert unpack(pack((), bits), bits) == ()
+    assert unpack(pack((3, 127, -127), bits), bits) == (3, 127, -127)
+    assert unpack(pack((3, 128, -127), bits), bits) == (3, -128, -126)
+
+
+def _oracle_xi_factor(p, q, at):
+    out = {}
+    if p < q:
+        for (i, j), c in at.items():
+            out[(i, j)] = u_scale(c, -1) if j % 2 else c
+    else:
+        for (i, j), c in at.items():
+            out[(j, i)] = u_scale(c, -1) if i % 2 == 0 else c  # -(-1)^i c
+    return out
+
+
+def _oracle_contract_cycle(order, at, budget):
+    """The cycle contraction on int u-tuples through u_mul / u_add."""
+    n = len(order)
+    state = _oracle_xi_factor(order[0], order[1], at)
+    for t in range(1, n):
+        last = t == n - 1
+        fac = _oracle_xi_factor(order[t], order[(t + 1) % n], at)
+        nxt = {}
+        for key, c in state.items():
+            base = sum(key)
+            for (i, j), d in fac.items():
+                if -(base + i + j) > budget:
+                    continue
+                efin = key[1] + i
+                if efin % 2 == 0 or not -budget <= efin <= budget:
+                    continue
+                if last:
+                    efirst = key[0] + j
+                    if efirst % 2 == 0 or not -budget <= efirst <= budget:
+                        continue
+                    newkey = (efirst,) + key[2:] + (efin,)
+                else:
+                    newkey = (key[0], j) + key[2:] + (efin,)
+                r = nxt.get(newkey)
+                nxt[newkey] = u_mul(c, d) if r is None else u_add(r, u_mul(c, d))
+        state = nxt
+    return state
+
+
+def _oracle_npoint(n, max_weight, u_value=None):
+    """Target coefficients of npoint_affine from one unpacked cycle-sum pass."""
+    tail_hi = max_weight if n <= 2 else 2 * max_weight + 1
+    keys = ((-i, -j) for i in range(max_weight + 1) for j in range(max_weight + 1 - i))
+    at = _with_tail(_direct_a(keys), tail_hi)
+    if u_value is not None:
+        at = {k: (r * sum(c * u_value ** e for e, c in enumerate(p)), (1,)) for k, (r, p) in at.items()}
+        at = {k: entry for k, entry in at.items() if entry[0]}
+    scale = lcm(*(r.denominator for r, _ in at.values()))
+    at = {k: u_scale(p, r.numerator * scale // r.denominator) for k, (r, p) in at.items()}
+    total = {}
+    for order in cycles(n):
+        where = [order.index(v) for v in range(1, n + 1)]
+        for key, c in _oracle_contract_cycle(order, at, max_weight).items():
+            k = tuple(key[p] for p in where)
+            total[k] = u_add(total.get(k, ()), c)
+    factor = Fraction(-(2 ** (n - 1)), scale ** n)
+    # the n = 2 correction sits at (-m, m), outside the targets
+    out = {k: _entry_poly(k, (factor, c)) for k, c in total.items() if all(e <= -1 for e in k)}
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("u_value", [None, Fraction(1, 4), Fraction(3, 7)])
+@pytest.mark.parametrize("n, max_weight", [(2, 9), (3, 7), (4, 5)])
+def test_packed_cycle_sum_matches_tuple_oracle(n, max_weight, u_value):
+    want = _oracle_npoint(n, max_weight, u_value)
+    assert want or u_value == Fraction(1, 4)  # every cycle sum vanishes at u = 1/4
+    assert npoint_affine(n, max_weight, u_value=u_value).coeffs == want
+
+
+def test_packed_cycle_sum_fails_at_too_small_a_width(monkeypatch):
+    want = _oracle_npoint(3, 7)
+    # the bound gives 132 bits here; at 16 the digits overlap, and both
+    # windows read back the same wrong values, so nothing else catches it
+    monkeypatch.setattr(npoint_module, "_pack_bits", lambda n, at: 16)
+    assert npoint_affine(3, 7).coeffs != want
