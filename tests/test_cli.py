@@ -568,7 +568,14 @@ def test_registered_check_fails_on_nothing_or_counts_its_range(tmp_path, capsys,
         assert (check["status"], status, checked) == ("pass", "pass", size)
 
 
-@pytest.mark.parametrize("args", [[], ["--weight-max", "5", "--window", "12"]])
+# The checked count of every check of verify --suite all, in registry order
+CHECKED_COUNTS = {
+    (): [32, 4, 32, 108, 20, 5, 10, 51, 1120, 2, 90, 7, 6, 21, 21, 539, 2],
+    ("--weight-max", "5", "--window", "12"): [9, 4, 9, 60, 9, 3, 3, 15, 240, 2, 24, 7, 6, 13, 21, 203, 2],
+}
+
+
+@pytest.mark.parametrize("args", [list(key) for key in CHECKED_COUNTS])
 def test_stderr_report_matches_out(tmp_path, capsys, args):
     # the benchmark reads each check's identity and seconds from this line
     rc, text = run_cli(["verify", "--suite", "all", *args], tmp_path, "all.json")
@@ -576,7 +583,8 @@ def test_stderr_report_matches_out(tmp_path, capsys, args):
     lines = _report_lines(capsys.readouterr().err)
     identities = [c["identity"] for c in json.loads(text)["checks"]]
     assert [ident for _, _, ident, _ in lines] == identities == _registry_names(args)
-    assert all(status == "pass" and checked > 0 for status, checked, _, _ in lines)
+    assert all(status == "pass" for status, _, _, _ in lines)
+    assert [checked for _, checked, _, _ in lines] == CHECKED_COUNTS[tuple(args)]
 
 
 def _failed(text):
