@@ -7,17 +7,15 @@ the three pipelines against each other and against closed forms.
 """
 
 from .poly import ParamPoly, double_factorial
-from .series import LaurentSeries, BiSeries, SparseTensor
-from .pfaffian import pfaffian, determinant
+from .series import BiSeries, SparseTensor
+from .pfaffian import pfaffian
 
 __all__ = [
     "ParamPoly",
     "double_factorial",
-    "LaurentSeries",
     "BiSeries",
     "SparseTensor",
     "pfaffian",
-    "determinant",
     "reset_caches",
 ]
 

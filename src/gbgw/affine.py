@@ -27,13 +27,12 @@ from math import factorial
 from .pfaffian import pfaffian
 from .poly import ParamPoly, ONE, ZERO, u_add, u_mul, u_scale
 from .schurq import theta_u, hypergeom_coeff
-from .series import LaurentSeries, BiSeries
+from .series import BiSeries
 
 __all__ = [
     "theta_prod",
     "affine_scalar",
     "affine_coeff",
-    "basis_pair",
     "gen_A",
     "verify_wronskian",
     "verify_pfaffian_expansion",
@@ -78,11 +77,15 @@ def affine_coeff(n, m):
 
 
 def _int_basis(T):
-    """phi1 and phi2 through z^-T at h = 1, on dense int u-tuples.
+    """The first two basis series of the KdV point through z^-T,
 
-    Returns (d1, p1, d2, p2u, p2v) with d1 = 8^T T! and d2 = 8^(T+1) (T+1)!,
-    which clear every denominator: phi1 at z^-k is h^k p1[-k] / d1, and
-    phi2 at z^(1-k) is h^k (p2u[1-k] + v p2v[1-k]) / d2.
+    phi1(z) = 1 + sum_k (-h)^k/(8^k k!) prod_{i<=k} (4u - (2i-1)^2) z^-k
+    phi2(z) = z + sum_k (-h)^k/(8^k k!) prod_{i<=k} (4(1-v)^2 - (2i-1)^2) z^(1-k),
+
+    at h = 1, on dense int u-tuples.  Returns (d1, p1, d2, p2u, p2v) with
+    d1 = 8^T T! and d2 = 8^(T+1) (T+1)!, which clear every denominator:
+    phi1 at z^-k is h^k p1[-k] / d1, and phi2 at z^(1-k) is
+    h^k (p2u[1-k] + v p2v[1-k]) / d2.
     """
     if T < 1:
         raise ValueError("window must be at least 1")
@@ -103,27 +106,6 @@ def _int_basis(T):
         scale = d2 // (8 ** k * factorial(k))
         p2u[1 - k], p2v[1 - k] = u_scale(prod2u, scale), u_scale(prod2v, scale)
     return d1, p1, d2, p2u, p2v
-
-
-def basis_pair(T):
-    """The first two basis series of the KdV point, exact through z^-T.
-
-    phi1(z) = 1 + sum_k (-h)^k/(8^k k!) prod_{i<=k} (4u - (2i-1)^2) z^-k
-    phi2(z) = z + sum_k (-h)^k/(8^k k!) prod_{i<=k} (4(1-v)^2 - (2i-1)^2) z^(1-k)
-
-    This is the ParamPoly view of the integer basis that the closed form
-    of ``gen_A`` divides and ``verify_wronskian`` checks.
-    """
-    d1, p1, d2, p2u, p2v = _int_basis(T)
-    phi1 = {e: ParamPoly.from_u(c, d1, eh=-e) for e, c in p1.items()}
-    phi2 = {
-        e: ParamPoly.from_u(c, d2, eh=1 - e) + ParamPoly.from_u(p2v[e], d2, eh=1 - e, ev=1)
-        for e, c in p2u.items()
-    }
-    return (
-        LaurentSeries("z", phi1, -T, 0),
-        LaurentSeries("z", phi2, -T, 1),
-    )
 
 
 def _direct_a(keys):
@@ -193,7 +175,7 @@ def gen_A(form, wlo, xlo, xhi, T=None):
     positive x-powers survive in the quotient, and the check that its v-part
     vanishes -- and derives At from it; the result is sound on the triangle
     i + j >= 2 - T, recorded via ``min_total``.  The closed form runs at
-    h = 1 on the integer basis of ``basis_pair``: the quotient at (i, j) is
+    h = 1 on the integer basis of ``_int_basis``: the quotient at (i, j) is
     h^-(i+j) times an int u-tuple over 4 d1 d2.  Both forms hold their
     entries as the (r, P) pairs of ``_direct_a``; each entry of At becomes a
     ParamPoly once, on the way out, and A reuses those values.

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .poly import ParamPoly, ZERO
-from .series import LaurentSeries, SparseTensor, accumulate
+from .series import SparseTensor, accumulate
 
 __all__ = [
     "check_odd_partition",
@@ -45,9 +45,7 @@ __all__ = [
     "correlator_monomial",
     "one_point_closed",
     "wgn",
-    "w01_closed",
     "w02_closed",
-    "free_energy",
     "verify_special_deformation",
     "odd_partitions",
 ]
@@ -201,17 +199,10 @@ def wgn(g, n, max_weight):
     return t
 
 
-def w01_closed(depth):
-    """W_{0,1}(x) = 1 - sqrt(1 + s/x^2), exact through x^-depth.
-
-    The series is summed at s = 1, and s^(-i/2) is attached at x^i where
-    it is returned.  This is exact by the grading: sqrt(1 + s x^-2) is
-    homogeneous when s has weight 2 and x weight 1, so its coefficient at
-    x^-2m is a single monomial in s^m.
-    """
-    w = LaurentSeries.one("x", -depth) - LaurentSeries("x", {0: 1, -2: 1}, -depth, 0).sqrt()
-    return LaurentSeries("x", {i: ParamPoly.monomial(c, es=-i // 2) for i, c in w.coeffs.items()},
-                         w.lo, w.hi)
+def _inv_sqrt_coeffs(m_max):
+    """4^m_max (1 + x^-2)^(-1/2) at x^(-2m), m = 0..m_max, as ints:
+    C(-1/2, m) = (-1)^m C(2m, m) / 4^m."""
+    return [(-1) ** m * comb(2 * m, m) * 4 ** (m_max - m) for m in range(m_max + 1)]
 
 
 def w02_closed(depth):
@@ -228,19 +219,22 @@ def w02_closed(depth):
     where the dict is returned.  This is exact by the grading: with s of
     weight 2, (1+s x^-2)^(-1/2) is homogeneous, so the numerator at (i, j)
     is a single monomial in s^((2-i-j)/2), and dividing by (x^2-y^2)^2
-    keeps that degree.
+    keeps that degree.  Each factor (1+x^-2)^(-1/2) is scaled by 4^m_max,
+    so the numerator and the quotient are integers over 4^(2 m_max).
     """
     d = 2 * depth
-    inv_sqrt = LaurentSeries("x", {0: 1, -2: 1}, -d - 2, 0).sqrt().inverse()
+    m_max = depth + 1  # (1+x^-2)^(-1/2) through x^(-d-2)
+    scale = 4 ** (2 * m_max)
+    inv_sqrt = _inv_sqrt_coeffs(m_max)
     num = {}
-    for i, cx in inv_sqrt.coeffs.items():
-        for j, cy in inv_sqrt.coeffs.items():
-            c = cx * cy
+    for m1, cx in enumerate(inv_sqrt):
+        for m2, cy in enumerate(inv_sqrt):
+            c, i, j = cx * cy, -2 * m1, -2 * m2
             accumulate(num, (i + 2, j), c)
             accumulate(num, (i, j + 2), c)
             accumulate(num, (i, j), 2 * c)
-    accumulate(num, (2, 0), -1)
-    accumulate(num, (0, 2), -1)
+    accumulate(num, (2, 0), -scale)
+    accumulate(num, (0, 2), -scale)
     # divide by x^4 - 2 x^2 y^2 + y^4:  q[i,j] = n[i+4,j] + 2 q[i+2,j-2] - q[i+4,j-4]
     q = {}
     for i in range(-2, -depth - 1, -2):
@@ -251,22 +245,8 @@ def w02_closed(depth):
     # no term at y^0 or y^2 leaves none at any y^j, j >= 0: the numerator has no y^4
     if any(j >= 0 for _, j in q):
         raise ArithmeticError("nonzero remainder dividing by (x^2-y^2)^2")
-    return {(i, j): ParamPoly.monomial(v, es=(-i - j - 2) // 2)
+    return {(i, j): ParamPoly.monomial(Fraction(v, scale), es=(-i - j - 2) // 2)
             for (i, j), v in q.items() if j >= -depth}
-
-
-def free_energy(g, degree, max_weight):
-    """Truncated genus-g free energy: {mu: coefficient of prod t_{mu_i}}.
-
-    The coefficient of the monomial for a partition mu with part
-    multiplicities m_j is <p_mu>_g / prod_j m_j!.
-    """
-    out = {}
-    for mu in odd_partitions(max_weight, degree):
-        value = correlator(g, mu)
-        if value:
-            out[mu] = Fraction(1, _aut(mu)) * value
-    return out
 
 
 def _aut(mu):
@@ -276,17 +256,14 @@ def _aut(mu):
 
 def _dF0_series(nu, xlo):
     """d F_0 / d t : the series sum_n <p_{2n+1} p_nu>_0 / aut(nu) x^{-2n-2},
-    for one t-monomial nu, down to exponent xlo, at s = 1."""
+    for one t-monomial nu, down to exponent xlo, at s = 1, as {exponent: Fraction}."""
     aut = _aut(nu)
-    coeffs = {}
-    e = -2
-    while e >= xlo:
-        m = -e - 1
-        c = correlator_monomial(0, nu + (m,))[1]
+    out = {}
+    for e in range(-2, xlo - 1, -2):
+        c = correlator_monomial(0, nu + (-e - 1,))[1]
         if c:
-            coeffs[e] = c / aut
-        e -= 2
-    return LaurentSeries("x", coeffs, xlo, 0)
+            out[e] = c / aut
+    return out
 
 
 def verify_special_deformation(degree=4, min_order=-20, part_cap=13):
@@ -298,53 +275,56 @@ def verify_special_deformation(degree=4, min_order=-20, part_cap=13):
     correlators with at most ``degree`` points, and the identity is checked
     for every monomial of total degree <= degree - 1 down to x^min_order.
 
-    The check runs on rationals at s = 1, which is exact by the grading:
-    the coefficient of t^nu x^e in y, and so in y^2, is a single monomial
-    at s^((|nu| - len(nu) - e)/2), so it vanishes iff its value at s = 1
-    does, and the target s x^-2 is the value 1 at nu = (), e = -2.
+    The check runs at s = 1, which is exact by the grading: the coefficient
+    of t^nu x^e in y, and so in y^2, is a single monomial at
+    s^((|nu| - len(nu) - e)/2), so it vanishes iff its value at s = 1 does,
+    and the target s x^-2 is the value 1 at nu = (), e = -2.  Every series
+    of y is put over one integer scale, the lcm of its denominators, so y^2
+    holds integers over scale^2 and the target is scale^2.
+
+    y is summed down to x^xlo, xlo = min_order - part_cap - 1.  Its top
+    exponent is at most max(part_cap - 1, 0) (the t_p x^(p-1) terms and
+    the -1 at x^0), so a product with a factor below x^xlo lands below
+    x^min_order: the truncation cannot reach a compared exponent.  Only
+    the term pairs that land in [min_order, -1] are multiplied.
 
     Returns (ok, failures, checked) where failures lists (monomial,
-    exponent, value) and checked counts the (monomial, exponent) pairs
-    compared.
+    exponent, value), the value a Fraction or the int 0, and checked counts
+    the (monomial, exponent) pairs compared.
     """
     xlo = min_order - part_cap - 1
-    parts = [p for p in range(1, part_cap + 1, 2)]
-
-    y = {}
-
-    def add(nu, series):
-        cur = y.get(nu)
-        y[nu] = series if cur is None else cur + series
-
-    add((), LaurentSeries.monomial("x", 0, -1, xlo))
-    for p in parts:
-        add((p,), LaurentSeries.monomial("x", p - 1, p, xlo))
+    y = {(): {0: -1}}
+    for p in range(1, part_cap + 1, 2):
+        y[(p,)] = {p - 1: p}
     monomials = [()] + [mu for mu in odd_partitions((degree - 1) * part_cap, degree - 1)
                         if all(p <= part_cap for p in mu)]
     for nu in monomials:
         series = _dF0_series(nu, xlo)
-        if not series.is_zero():
-            add(nu, series)
+        if series:  # its exponents are negative, those of the t_p terms not
+            y.setdefault(nu, {}).update(series)
+    scale = lcm(*(c.denominator for series in y.values() for c in series.values()))
+    y = [(nu, [(e, c.numerator * (scale // c.denominator)) for e, c in series.items()])
+         for nu, series in y.items()]
 
     y2 = {}
-    items = list(y.items())
-    for idx, (nu1, s1) in enumerate(items):
-        for nu2, s2 in items[idx:]:
+    for idx, (nu1, s1) in enumerate(y):
+        for nu2, s2 in y[idx:]:
             nu = tuple(sorted(nu1 + nu2, reverse=True))
-            if len(nu) > degree - 1 or any(p > part_cap for p in nu):
+            if len(nu) > degree - 1:
                 continue
-            prod = s1 * s2
-            if nu1 != nu2:
-                prod = prod + prod
-            cur = y2.get(nu)
-            y2[nu] = prod if cur is None else cur + prod
+            weight = 1 if nu1 == nu2 else 2
+            row = y2.setdefault(nu, {})
+            for i, a in s1:
+                for j, b in s2:
+                    if min_order <= i + j < 0:
+                        row[i + j] = row.get(i + j, 0) + weight * a * b
 
     failures = []
+    target = scale * scale
     exponents = range(-1, min_order - 1, -1)
-    for nu, series in sorted(y2.items()):
+    for nu, row in sorted(y2.items()):
         for e in exponents:
-            got = series.coeff(e)
-            want = 1 if (nu == () and e == -2) else 0
-            if got != want:
-                failures.append((nu, e, got))
+            got = row.get(e, 0)
+            if got != (target if (nu == () and e == -2) else 0):
+                failures.append((nu, e, Fraction(got, target) if got else 0))
     return not failures, failures, len(y2) * len(exponents)

@@ -76,8 +76,6 @@ __all__ = [
     "omega_support_bound",
     "to_x_coords",
     "from_x_coords",
-    "b01_closed",
-    "b02_closed",
     "verify_equivalence_theorem",
     "compare_kernels",
 ]
@@ -414,22 +412,14 @@ def _flat_weights(lmax, sign):
 
 
 def _b01(k):
+    """B^k_{0,1} at s = 1: -(-1)^(k+1) / (2^(k+1) (k+1)! (2k+1)), at s^(k+1)."""
     return -Fraction((-1) ** (k + 1), 2 ** (k + 1) * factorial(k + 1) * (2 * k + 1))
 
 
 def _b02(k1, k2):
+    """B^{k1,k2}_{0,2} at s = 1: (-1)^w / (2^w k1! k2! w), w = k1+k2+1, at s^w."""
     w = k1 + k2 + 1
     return Fraction((-1) ** w, 2 ** w * factorial(k1) * factorial(k2) * w)
-
-
-def b01_closed(k):
-    """B^k_{0,1} = -(-s)^(k+1) / (2^(k+1) (k+1)! (2k+1))."""
-    return ParamPoly.monomial(_b01(k), es=k + 1)
-
-
-def b02_closed(k1, k2):
-    """B^{k1,k2}_{0,2} = (-s)^(k1+k2+1) / (2^(k1+k2+1) k1! k2! (k1+k2+1))."""
-    return ParamPoly.monomial(_b02(k1, k2), es=k1 + k2 + 1)
 
 
 def x_tensor(g, n, max_weight, kind="standard"):

@@ -1,4 +1,4 @@
-"""Pfaffians and determinants of small exact matrices.
+"""Pfaffians of small exact antisymmetric matrices.
 
 Entries are arbitrary exact ring elements (Fraction, ParamPoly, ...); the
 matrices that occur here never exceed 12x12, so recursive expansion wins
@@ -7,7 +7,7 @@ on clarity and is plenty fast.
 
 from __future__ import annotations
 
-__all__ = ["pfaffian", "determinant"]
+__all__ = ["pfaffian"]
 
 
 def _check_antisymmetric(m):
@@ -57,33 +57,3 @@ def pfaffian(m):
 
     return pf(tuple(range(n)))
 
-
-def determinant(m):
-    """Exact determinant by first-column minor expansion with subset memoization."""
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    memo = {}
-
-    def det(rows, cols):
-        if not rows:
-            return 1
-        cached = memo.get((rows, cols))
-        if cached is not None:
-            return cached
-        r0 = rows[0]
-        rest = rows[1:]
-        total = 0
-        sign = 1
-        for t, c in enumerate(cols):
-            entry = m[r0][c]
-            if entry:
-                term = entry * det(rest, cols[:t] + cols[t + 1:])
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        memo[(rows, cols)] = total
-        return total
-
-    idx = tuple(range(n))
-    return det(idx, idx)

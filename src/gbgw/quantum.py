@@ -36,12 +36,9 @@ from math import factorial, lcm
 from .affine import affine_scalar, theta_prod
 from .poly import ParamPoly, u_add, u_mul, u_scale
 from .schurq import theta_u
-from .series import LaurentSeries
 
 __all__ = [
-    "phiB",
     "p_monomial",
-    "q_monomial",
     "annihilation_defects",
     "commutator_on_monomial",
     "verify_ks",
@@ -71,12 +68,6 @@ def _basis(k, depth):
     return d, coeffs
 
 
-def phiB(k, depth):
-    """The k-th basis series, exact through z^-depth."""
-    d, coeffs = _basis(k, depth)
-    return LaurentSeries("z", {e: ParamPoly.from_u(c, d, eh=k - e) for e, c in coeffs.items()}, -depth, k)
-
-
 def _p_int(k):
     """32 P(z^k) at h = 1: [(k-1, 8k theta(k)), (k-2, -theta(k) theta(k-1))].
 
@@ -96,11 +87,6 @@ def _q_coeff(e, c, d, eh):
     """Q of (h^eh c / d) z^e is 4 h^(eh-2) c / (d theta(e+1)) z^(e+1), as a
     (numerator, denominator) pair of ParamPolys."""
     return ParamPoly.from_u(u_scale(c, 4), d, eh=eh), ParamPoly.from_u(theta_u(e + 1), 1, eh=2)
-
-
-def q_monomial(k):
-    """Q(z^k) = c(k) z^(k+1), with c(k) = 4 h^-2 / theta(k+1) as (numerator, denominator)."""
-    return k + 1, _q_coeff(k, (1,), 1, 0)
 
 
 def _apply_P(coeffs, lo):
@@ -260,7 +246,8 @@ def semiclassical_identity():
          x^2 y^2 = x^2 + s.  2 z^2 H is built from the derived parts and
          compared on a grid wide enough for the degrees of both sides.
 
-    Returns (ok, detail dict).
+    Returns (ok, detail dict, checked), checked the number of (z, p, s)
+    grid points compared.
     """
     curve = (1, -1)  # K^2 - s, indexed by the power of s
     first, second = _classical_part(1), _classical_part(2)
@@ -273,10 +260,11 @@ def semiclassical_identity():
             total += 2 * z ** zpow * sum(c * (z * p) ** (w - 2 * b) * s ** b for b, c in enumerate(top))
         return total
 
-    shift_ok = False
+    grid = []
     if first and second:
         n = max(first[0] + 1, second[0], 4)  # degree bound in z and in p, n // 2 in s
-        shift_ok = all(symbol(z, p + 1, s) == -(z * z * (p + 1) ** 2 - s) * (z * z * p * p - z * z - s)
-                       for z in range(n + 1) for p in range(n + 1) for s in range(n // 2 + 1))
+        grid = [(z, p, s) for z in range(n + 1) for p in range(n + 1) for s in range(n // 2 + 1)]
+    shift_ok = bool(grid) and all(
+        symbol(z, p + 1, s) == -(z * z * (p + 1) ** 2 - s) * (z * z * p * p - z * z - s) for z, p, s in grid)
     ok = shift_ok and product_ok
-    return ok, {"shift_matches_curve": shift_ok, "factor_product": product_ok}
+    return ok, {"shift_matches_curve": shift_ok, "factor_product": product_ok}, len(grid)

@@ -1,5 +1,8 @@
 import pytest
 
+from gbgw.affine import _int_basis
+from gbgw.poly import ParamPoly
+
 
 def _transposition_defects(coeffs):
     """[(key, (i, j))] for each stored key whose value changes when index 0 is
@@ -21,3 +24,18 @@ def _transposition_defects(coeffs):
 @pytest.fixture
 def transposition_defects():
     return _transposition_defects
+
+
+def _basis_pair(T):
+    """phi1 and phi2 through z^-T as {exponent: ParamPoly}: the ParamPoly view
+    of the integer basis ``gbgw.affine._int_basis``."""
+    d1, p1, d2, p2u, p2v = _int_basis(T)
+    phi1 = {e: ParamPoly.from_u(c, d1, eh=-e) for e, c in p1.items()}
+    phi2 = {e: ParamPoly.from_u(c, d2, eh=1 - e) + ParamPoly.from_u(p2v[e], d2, eh=1 - e, ev=1)
+            for e, c in p2u.items()}
+    return phi1, phi2
+
+
+@pytest.fixture
+def basis_pair():
+    return _basis_pair

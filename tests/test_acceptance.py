@@ -143,7 +143,7 @@ def test_criterion_10_quantum_curve():
     for k_plus_1, c in report["q_leading"]:
         expected = (ParamPoly.const(4), ParamPoly.monomial(1, eh=2) * schurq.theta(k_plus_1))
         assert c == expected, k_plus_1
-    ok, detail = quantum.semiclassical_identity()
+    ok, detail, _ = quantum.semiclassical_identity()
     assert ok, detail
     _report(10, "annihilation, [P,Q] = h, span stability, semiclassical factor", t0)
 

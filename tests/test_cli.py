@@ -175,25 +175,25 @@ def test_unwritable_out_reports_an_error(monkeypatch, tmp_path, capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, tmp_path):
-    # force a failure by breaking one golden value
+    # force a failure by breaking one golden value; the kernel comparison
+    # skips (1, 1), so it needs arity 2 to have the pair (1, 2) to compare
     import gbgw.cli as cli
-    import gbgw.eo
+    from gbgw.poly import ParamPoly
+    from gbgw.series import SparseTensor
 
-    real = gbgw.eo.omega
+    real = cli.eo.omega
 
     def broken(g, n, kind="standard"):
-        t = real(g, n, kind)
         if (g, n) == (1, 1):
-            from gbgw.series import SparseTensor
-            from fractions import Fraction
-
-            return SparseTensor(1, {(0,): __import__("gbgw.poly", fromlist=["ParamPoly"]).ParamPoly.const(Fraction(1, 3))})
-        return t
+            return SparseTensor(1, {(0,): ParamPoly.const(Fraction(1, 3))})
+        return real(g, n, kind)
 
     monkeypatch.setattr(cli.eo, "omega", broken)
-    rc = main(["verify", "--suite", "eo", "--genus-max", "1", "--arity-max", "1",
-               "--weight-max", "3", "--out", str(tmp_path / "f.json")])
+    rc, text = run_cli(["verify", "--suite", "eo", "--genus-max", "1", "--arity-max", "2",
+                        "--weight-max", "3"], tmp_path, "f.json")
     assert rc == 1
+    assert _failed(text) == {"eo/closed-form-invariants": "omega_{1,1}",
+                             "eo/residue-vs-coefficient-recursion": "(1,1)"}
 
 
 def test_each_suite_passes_small(tmp_path):
@@ -537,7 +537,7 @@ REGISTRY_CASES = {
     "qsc/annihilation-through-20": (["--window", "4"], 5),  # z^-1 .. z^-5
     "qsc/canonical-commutator": (["--window", "4"], 21),
     "qsc/span-stability": (["--window", "1"], None),
-    "qsc/semiclassical-factorization": (["--window", "4"], 2),
+    "qsc/semiclassical-factorization": (["--window", "4"], 75),  # the (z, p, s) grid
 }
 
 
@@ -570,8 +570,8 @@ def test_registered_check_fails_on_nothing_or_counts_its_range(tmp_path, capsys,
 
 # The checked count of every check of verify --suite all, in registry order
 CHECKED_COUNTS = {
-    (): [32, 4, 32, 108, 20, 5, 10, 51, 1120, 2, 90, 7, 6, 21, 21, 539, 2],
-    ("--weight-max", "5", "--window", "12"): [9, 4, 9, 60, 9, 3, 3, 15, 240, 2, 24, 7, 6, 13, 21, 203, 2],
+    (): [32, 4, 32, 108, 20, 5, 10, 51, 1120, 2, 90, 7, 6, 21, 21, 539, 75],
+    ("--weight-max", "5", "--window", "12"): [9, 4, 9, 60, 9, 3, 3, 15, 240, 2, 24, 7, 6, 13, 21, 203, 75],
 }
 
 

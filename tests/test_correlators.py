@@ -6,14 +6,13 @@ import pytest
 
 from gbgw.poly import ParamPoly
 from gbgw.correlators import (
+    _aut,
     correlator,
     correlator_expand_distinguishing,
     correlator_monomial,
-    free_energy,
     odd_partitions,
     one_point_closed,
     verify_special_deformation,
-    w01_closed,
     w02_closed,
     wgn,
 )
@@ -128,14 +127,40 @@ def test_genus_cancellation_at_quarter():
 
 
 def test_w01_closed_vs_correlators():
-    w = w01_closed(14)
-    assert w.coeff(-2) == mono(Fraction(-1, 2), 1)
-    assert w.coeff(0) == 0
-    for n in range(0, 6):
-        assert w.coeff(-2 * n - 2) == correlator(0, (2 * n + 1,))
-    # s = 0 kills it
-    for c in w.coeffs.values():
-        assert c.coeff(es=0) == 0
+    # W_{0,1} = 1 - sqrt(1 + s/x^2), expanded by sympy in t = 1/x through t^18:
+    # its only terms are <p_{2n+1}>_0 = c s^e at t^(2n+2)
+    import sympy as sp
+
+    s, t = sp.symbols("s t")
+    w01 = sp.Poly(sp.series(1 - sp.sqrt(1 + s * t ** 2), t, 0, 19).removeO(), t, s)
+    got = {key: Fraction(int(c.p), int(c.q)) for key, c in w01.terms()}
+    want = {(2 * n + 2, e): c for n in range(9) for e, c in [correlator_monomial(0, (2 * n + 1,))]}
+    assert got == want and got[(2, 1)] == Fraction(-1, 2)
+
+
+def test_w02_closed_form_vs_sympy():
+    # W_{0,2} = X^2 Y^2 [(X^2 + Y^2 + 2 s X^2 Y^2) a(X) a(Y) - X^2 - Y^2] / (X^2 - Y^2)^2
+    # with X = 1/x, Y = 1/y and a(X) = (1 + s X^2)^(-1/2).  Put X = t p, Y = t q:
+    # the bracket is t^2 G, and the t^m part of G divides exactly by (p^2 - q^2)^2
+    # into the part of W_{0,2} at total degree m + 2 in X, Y
+    import sympy as sp
+
+    p, q, s, t, z = sp.symbols("p q s t z")
+    depth = 8  # entries down to x^-8 and y^-8, so total degree <= 16
+    a = sp.series((1 + z) ** sp.Rational(-1, 2), z, 0, depth).removeO()
+    g = sp.Poly(sp.expand((p ** 2 + q ** 2 + 2 * s * t ** 2 * p ** 2 * q ** 2)
+                          * a.subs(z, s * t ** 2 * p ** 2) * a.subs(z, s * t ** 2 * q ** 2)
+                          - p ** 2 - q ** 2), t)
+    got = {}
+    for m in range(0, 2 * depth - 1):
+        quotient, remainder = sp.div(sp.Poly(g.coeff_monomial(t ** m), p, q, s),
+                                     sp.Poly((p ** 2 - q ** 2) ** 2, p, q, s))
+        assert remainder.is_zero, m
+        for (i, j, e), c in quotient.terms():
+            if c and max(i, j) + 2 <= depth:  # the zero polynomial has the one term 0
+                got[(-i - 2, -j - 2)] = mono(Fraction(int(c.p), int(c.q)), e)
+    want = {k: v for k, v in wgn(0, 2, 2 * depth).coeffs.items() if min(k) >= -depth}
+    assert got == want and len(want) == (depth // 2) ** 2
 
 
 def test_w02_closed_vs_recursion():
@@ -159,16 +184,16 @@ def test_w02_closed_is_exact_through_its_depth(depth):
 
 def test_w02_remainder_check_sees_a_wrong_series(monkeypatch):
     # (1 + x^-2)^(-1/2) off by one at x^-4: the numerator is no longer divisible
-    from gbgw.series import LaurentSeries
+    import gbgw.correlators as corr
 
-    real = LaurentSeries.inverse
+    real = corr._inv_sqrt_coeffs
 
-    def planted(self):
-        out = real(self)
-        out.coeffs[-4] += 1
+    def planted(m_max):
+        out = real(m_max)
+        out[2] += 1
         return out
 
-    monkeypatch.setattr(LaurentSeries, "inverse", planted)
+    monkeypatch.setattr(corr, "_inv_sqrt_coeffs", planted)
     with pytest.raises(ArithmeticError, match="nonzero remainder"):
         w02_closed(9)
 
@@ -177,6 +202,16 @@ def test_wgn_symmetry(transposition_defects):
     for (g, n) in [(0, 3), (1, 2), (0, 4)]:
         t = wgn(g, n, 8)
         assert t.coeffs and transposition_defects(t.coeffs) == [], (g, n)
+
+
+def free_energy(g, degree, max_weight):
+    """Truncated genus-g free energy: {mu: coefficient of prod t_{mu_i}}.
+
+    The coefficient of the monomial for a partition mu with part
+    multiplicities m_j is <p_mu>_g / prod_j m_j!.
+    """
+    return {mu: Fraction(1, _aut(mu)) * correlator(g, mu)
+            for mu in odd_partitions(max_weight, degree) if correlator(g, mu)}
 
 
 def test_free_energy_coefficients():

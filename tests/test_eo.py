@@ -6,8 +6,6 @@ from gbgw.poly import ParamPoly, double_factorial
 from gbgw.series import SparseTensor
 from gbgw.correlators import correlator
 from gbgw.eo import (
-    b01_closed,
-    b02_closed,
     compare_kernels,
     from_x_coords,
     normalized,
@@ -99,19 +97,27 @@ def test_omega_closed_step_full_range():
 
 
 def test_b01_b02_instances():
-    assert b01_closed(0) == mono(Fraction(1, 2), 1)
-    assert b02_closed(0, 0) == mono(Fraction(-1, 2), 1)
+    # the (0,1) and (0,2) flat-coordinate tensors come from the closed forms
+    # B^k_{0,1} = -(-s)^(k+1) / (2^(k+1) (k+1)! (2k+1)) and
+    # B^{k1,k2}_{0,2} = (-s)^w / (2^w k1! k2! w), w = k1 + k2 + 1
+    assert x_tensor(0, 1, 1).coeffs == {(0,): mono(Fraction(1, 2), 1)}
+    assert x_tensor(0, 2, 2).coeffs == {(0, 0): mono(Fraction(-1, 2), 1)}
+    assert x_tensor(0, 2, 4).get((1, 0)) == mono(Fraction(1, 8), 2)
 
 
 def test_b01_b02_match_correlators():
     # B_{0,1}^k (2k+1)!! = -<p_{2k+1}>_0 and B_{0,2} pairs likewise
+    b01 = x_tensor(0, 1, 11).coeffs
+    assert set(b01) == {(k,) for k in range(6)}
     for k in range(0, 6):
-        assert double_factorial(2 * k + 1) * b01_closed(k) == -correlator(0, (2 * k + 1,))
+        assert double_factorial(2 * k + 1) * b01[(k,)] == -correlator(0, (2 * k + 1,))
+    b02 = x_tensor(0, 2, 14).coeffs
+    assert set(b02) == {(k1, k2) for k1 in range(7) for k2 in range(7 - k1)}
     for k1 in range(0, 4):
         for k2 in range(0, 4):
             d = double_factorial(2 * k1 + 1) * double_factorial(2 * k2 + 1)
             mu = tuple(sorted((2 * k1 + 1, 2 * k2 + 1), reverse=True))
-            assert d * b02_closed(k1, k2) == correlator(0, mu)
+            assert d * b02[(k1, k2)] == correlator(0, mu)
 
 
 def test_transform_roundtrip():

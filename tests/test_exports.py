@@ -1,6 +1,9 @@
-"""Every name a gbgw module exports in __all__ resolves, so `import *` works."""
+"""Every name a gbgw module exports in __all__ resolves, so `import *` works,
+and every top-level definition in the package is used by the package."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -25,3 +28,41 @@ def test_a_stale_export_is_reported(monkeypatch):
 
     monkeypatch.setattr(poly, "__all__", poly.__all__ + ["no_such_name"])
     assert unresolved(poly) == ["no_such_name"]
+
+
+def unreferenced(sources):
+    """Top-level functions and classes of {module: source} that no module
+    names outside their own body, by a load, an attribute or an import."""
+    defs, uses = set(), []
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.add(node.name)
+                owner = node.name
+            else:
+                owner = None
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    uses.append((sub.id, owner))
+                elif isinstance(sub, ast.Attribute):
+                    uses.append((sub.attr, owner))
+                elif isinstance(sub, ast.ImportFrom):
+                    uses += [(alias.name, owner) for alias in sub.names]
+    return defs - {name for name, owner in uses if name != owner}
+
+
+def package_sources():
+    root = pathlib.Path(gbgw.__file__).parent
+    return {path.stem: path.read_text() for path in sorted(root.glob("*.py"))}
+
+
+def test_every_package_definition_is_used_in_the_package():
+    # helpers that only tests call belong in the tests; the flat transforms
+    # are the public handle of the flat-coordinate property tests
+    assert unreferenced(package_sources()) == {"reset_caches", "to_x_coords", "from_x_coords"}
+
+
+def test_an_unreferenced_definition_is_reported():
+    sources = dict(package_sources())
+    sources["extra"] = "def helper(n):\n    return helper(n - 1) if n else 0\n"
+    assert unreferenced(sources) == {"reset_caches", "to_x_coords", "from_x_coords", "helper"}

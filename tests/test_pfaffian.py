@@ -4,7 +4,39 @@ from itertools import permutations
 
 import pytest
 
-from gbgw.pfaffian import pfaffian, determinant
+from gbgw.pfaffian import pfaffian
+
+
+def determinant(m):
+    """Exact determinant by first-column minor expansion with subset
+    memoization (the oracle for Pf(M)^2 = det M)."""
+    n = len(m)
+    for row in m:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+    memo = {}
+
+    def det(rows, cols):
+        if not rows:
+            return 1
+        cached = memo.get((rows, cols))
+        if cached is not None:
+            return cached
+        r0 = rows[0]
+        rest = rows[1:]
+        total = 0
+        sign = 1
+        for t, c in enumerate(cols):
+            entry = m[r0][c]
+            if entry:
+                term = entry * det(rest, cols[:t] + cols[t + 1:])
+                total = total + (term if sign > 0 else -term)
+            sign = -sign
+        memo[(rows, cols)] = total
+        return total
+
+    idx = tuple(range(n))
+    return det(idx, idx)
 
 
 def matching_oracle(m):

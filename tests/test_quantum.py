@@ -4,17 +4,28 @@ import pytest
 
 from gbgw.poly import ParamPoly, ONE, H, U, u_add, u_mul
 from gbgw.schurq import theta, theta_u
-from gbgw.affine import basis_pair
 from gbgw.quantum import (
+    _basis,
     _exact_quotient,
+    _q_coeff,
     annihilation_defects,
     commutator_on_monomial,
     p_monomial,
-    phiB,
-    q_monomial,
     semiclassical_identity,
     verify_ks,
 )
+
+
+def phiB(k, depth):
+    """PhiB_k through z^-depth as {exponent: ParamPoly}: the ParamPoly view
+    of the integer basis ``gbgw.quantum._basis``."""
+    d, coeffs = _basis(k, depth)
+    return {e: ParamPoly.from_u(c, d, eh=k - e) for e, c in coeffs.items()}
+
+
+def q_monomial(k):
+    """Q(z^k) = c(k) z^(k+1), with c(k) = 4 h^-2 / theta(k+1) as (numerator, denominator)."""
+    return k + 1, _q_coeff(k, (1,), 1, 0)
 
 
 def factored_P_on_monomial(k):
@@ -72,16 +83,16 @@ def test_commutator_is_h():
 
 def test_phiB_leading_and_tail():
     p0 = phiB(0, 8)
-    assert p0.coeff(0) == ONE
-    assert p0.coeff(-1) == ParamPoly.monomial(Fraction(-1, 8), eh=1) * theta(1)
+    assert p0[0] == ONE
+    assert p0[-1] == ParamPoly.monomial(Fraction(-1, 8), eh=1) * theta(1)
     p1 = phiB(1, 8)
-    assert p1.coeff(1) == ONE
+    assert p1[1] == ONE
 
 
 def test_phiB0_trivial_at_quarter():
     p0 = phiB(0, 8)
     for e in range(-8, 0):
-        c = p0.coeff(e)
+        c = p0.get(e, 0)
         if c:
             assert c.subs_u(Fraction(1, 4)) == 0
 
@@ -98,7 +109,7 @@ def test_verify_ks_small():
         assert c == (ParamPoly.const(4), ParamPoly.monomial(1, eh=2) * theta(k_plus_1))
 
 
-def test_phiB0_equals_phi1_mirrored():
+def test_phiB0_equals_phi1_mirrored(basis_pair):
     # observed (not assumed): the zeroth basis series coincides with the
     # first KdV basis series with z -> -z on the whole computed window
     depth = 12
@@ -106,15 +117,16 @@ def test_phiB0_equals_phi1_mirrored():
     phi1, _ = basis_pair(depth)
     rows = []
     for e in range(0, -depth - 1, -1):
-        same = p0.coeff(e) == (phi1.coeff(e) if e % 2 == 0 else -phi1.coeff(e))
+        same = p0.get(e, 0) == (phi1[e] if e % 2 == 0 else -phi1[e])
         rows.append((e, same))
     print("observed relation PhiB_0(z) vs phi1(-z):", rows)
     assert all(same for _, same in rows)
 
 
 def test_semiclassical_identity():
-    ok, detail = semiclassical_identity()
+    ok, detail, checked = semiclassical_identity()
     assert ok, detail
+    assert checked == 5 * 5 * 3  # z and p in 0..4, s in 0..2
 
 
 def test_verify_ks_counts_compared_exponents():
