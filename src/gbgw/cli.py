@@ -12,10 +12,9 @@ failure) to stderr.
 ``--out`` that names a directory or lies in no existing directory,
 ``npoint --pipeline affine --format csv``, and an option the command never
 reads exit 2 before any computation.  A subcommand accepts only the options
-it reads (``correlators`` takes no ``--window``, ``--kernel`` or ``--u``,
-``verify`` no ``--format``, ``npoint`` no ``--window``); ``npoint`` reads
-``--kernel`` only with ``--pipeline eo``, ``--u`` only with ``affine``, and
-``--genus-max`` with every pipeline but ``affine``.
+it reads (``correlators`` takes no ``--window`` or ``--u``, ``verify`` no
+``--format``, ``npoint`` no ``--window``); ``npoint`` reads ``--u`` only
+with ``--pipeline affine``, and ``--genus-max`` with the other pipelines.
 Exit codes: 0 all requested work passed, 1 a verification or computation
 failed, 2 usage errors, including an ``--out`` that cannot be written
 (reported as ``error: ...``, never as a traceback).  Output written with
@@ -202,9 +201,9 @@ def _stable_pairs(cfg):
 
 
 def _goldens(cfg):
-    if eo.omega(1, 1, cfg.kernel).get((0,)) != ParamPoly.const(Fraction(-1, 8)):
+    if eo.omega(1, 1).get((0,)) != ParamPoly.const(Fraction(-1, 8)):
         return False, "omega_{1,1}", 2
-    if eo.omega(0, 3, cfg.kernel).get((0, 0, 0)) != S:
+    if eo.omega(0, 3).get((0, 0, 0)) != S:
         return False, "omega_{0,3}", 2
     return True, "", 2
 
@@ -212,7 +211,7 @@ def _goldens(cfg):
 def _equivalence(cfg):
     total = 0
     for (g, n) in _stable_pairs(cfg):
-        ok, mism, checked = eo.verify_equivalence_theorem(g, n, cfg.weight_max, cfg.kernel)
+        ok, mism, checked = eo.verify_equivalence_theorem(g, n, cfg.weight_max)
         total += checked
         if not ok:
             return False, f"({g},{n}): {mism[:2]}", total
@@ -222,7 +221,7 @@ def _equivalence(cfg):
 def _closed_step(cfg):
     pairs = _stable_pairs(cfg)
     for (g, n) in pairs:
-        if eo.omega_closed_step(g, n) != eo.normalized(eo.omega(g, n, cfg.kernel)):
+        if eo.omega_closed_step(g, n) != eo.normalized(eo.omega(g, n)):
             return False, f"({g},{n})", len(pairs)
     return True, "", len(pairs)
 
@@ -301,7 +300,6 @@ def cmd_verify(cfg):
         "suite": cfg.suite,
         "bounds": {"genus_max": cfg.genus_max, "arity_max": cfg.arity_max,
                    "weight_max": cfg.weight_max, "window": cfg.window,
-                   "kernel": cfg.kernel,
                    "u": "symbolic" if cfg.u is None else str(cfg.u)},
         "checks": all_checks,
         "all_passed": ok,
@@ -321,14 +319,13 @@ def cmd_npoint(cfg):
         entries = [{"mu": [-e - 1 for e in key], "value": _poly(t[key], "s")} for key in sorted(t)]
         meta = {"normalization": "W_{g,n} coefficients in s", "g": g}
     else:  # eo: the flat-coordinate tensor, times (-1)^n prod (2k+1)!!
-        t = eo.x_tensor(g, n, cfg.weight_max, cfg.kernel).coeffs
+        t = eo.x_tensor(g, n, cfg.weight_max).coeffs
         sign = (-1) ** n
         entries = [{"mu": [2 * k + 1 for k in key],
                     "value": _poly(sign * math.prod(double_factorial(2 * k + 1) for k in key)
                                    * t[key], "s")}
                    for key in sorted(t)]
-        meta = {"normalization": "W_{g,n} coefficients in s (flat coordinate)",
-                "g": g, "kernel": cfg.kernel}
+        meta = {"normalization": "W_{g,n} coefficients in s (flat coordinate)", "g": g}
     _write(_csv({"g": g, **e} for e in entries) if cfg.format == "csv" else
            _json({"command": "npoint", "pipeline": cfg.pipeline, "n": n,
                   "weight_max": cfg.weight_max, "meta": meta, "entries": entries}), cfg)
@@ -352,14 +349,13 @@ def build_parser():
         add("--arity-max", type=int, default=defaults.get("n", 3))
         add("--weight-max", type=int, default=defaults.get("w", 9))
         add("--window", type=int, default=defaults.get("window", 20))
-        add("--kernel", choices=("standard", "typeB"), default=defaults.get("kernel", "standard"))
         add("--u", type=_parse_u, default=defaults.get("u"),
             help="'symbolic' (default) or an exact rational like 1/4")
         add("--format", choices=("json", "csv"), default="json")
         add("--out", default=None, help="output path (stdout if omitted)")
 
     sp = sub.add_parser("correlators", help="emit connected correlators")
-    common(sp, {"g": 2, "n": 3, "w": 9}, omit=("--window", "--kernel", "--u"))
+    common(sp, {"g": 2, "n": 3, "w": 9}, omit=("--window", "--u"))
     sp.set_defaults(func=cmd_correlators)
 
     sp = sub.add_parser("verify", help="run a verification suite")
@@ -370,8 +366,7 @@ def build_parser():
     # the options one pipeline reads stay out of the namespace unless given;
     # main rejects them for the other pipelines and then fills NPOINT_DEFAULTS
     sp = sub.add_parser("npoint", help="emit n-point tensors from a chosen pipeline")
-    common(sp, {"g": argparse.SUPPRESS, "n": 2, "w": 9, "kernel": argparse.SUPPRESS,
-                "u": argparse.SUPPRESS}, omit=("--window",))
+    common(sp, {"g": argparse.SUPPRESS, "n": 2, "w": 9, "u": argparse.SUPPRESS}, omit=("--window",))
     sp.add_argument("--pipeline", choices=("affine", "virasoro", "eo"), required=True)
     sp.set_defaults(func=cmd_npoint)
     return p
@@ -379,7 +374,6 @@ def build_parser():
 
 # npoint options read by some pipelines only: (name, default, pipelines that read it)
 NPOINT_DEFAULTS = (("genus_max", 1, ("virasoro", "eo")),
-                   ("kernel", "standard", ("eo",)),
                    ("u", None, ("affine",)))
 
 

@@ -19,15 +19,16 @@ The bracket is built in index space, as one row per external index tuple
 k, with row[j] the coefficient at z^(-2j) prod z_i^(-2k_i-2).  Only the
 positions the kernel step reads are built: 0 <= j <= bound + 4, where
 bound = omega_support_bound(g, n) (entries up to m = bound + 3 are formed,
-so that the pole-bound guard sees the slots just past the support).  An
-omega_{0,2} factor contributes the stream z^m z_i^(-m-2); a term with odd
-m puts z_i at an odd power, which no index reaches, so the parity rule
-drops it where the factor enters index space.
+so that the pole-bound guard sees the slots just past the support).
 
-The type-B variant replaces the unstable two-point part by its z -> -z
-symmetrization, whose diagonal value is singular; its (1,1) entry is
-therefore seeded, not recursed.  Both variants must produce identical
-tables above (1,1), which compare_kernels checks.
+One recursion serves the standard and the type-B Bergman kernel, by
+induction on 2g-2+n.  The (1,1) entry is seeded, since the type-B bracket
+is singular on the diagonal.  The recursion kernel is shared, since the
+integral of B from -z to z, 2z dz0/(z0^2 - z^2), is also that of its
+z -> -z symmetrization.  The omega_{0,2} factor of the bracket is the
+stream (m+1) (+-z)^m z_i^(-m-2), symmetrized to (m+1) (1 + (-1)^m)/2 for
+type B; the two differ only at odd m, where z_i sits at an odd power that
+no index reaches, so the parity rule makes them equal (compare_kernels).
 
 The recursion tables are stored at s = 1, and s^e is attached only where a
 table leaves the module.  This is exact because the recursion is graded:
@@ -80,7 +81,7 @@ __all__ = [
     "compare_kernels",
 ]
 
-_omega_cache = {}  # (kind, g, n) -> {k: 2^(3(2g-2+n)) * coefficient at s = 1, an int}
+_omega_cache = {}  # (g, n) -> {k: 2^(3(2g-2+n)) * coefficient at s = 1, an int}
 _closed_cache = {}  # (g, n) -> {k: 8^(2g-2+n) * raw coefficient at s = 1, an int}
 
 
@@ -107,31 +108,30 @@ def _with_s(g, n, table):
     return t
 
 
-def omega(g, n, kind="standard"):
+def omega(g, n):
     """Raw coefficient tensor of omega_{g,n}: value at (k_1..k_n) multiplies
     prod z_i^(-2 k_i - 2)."""
     _check_stable(g, n)
     den = 8 ** (2 * g - 2 + n)  # the residue table's scale, divided out once
-    return _with_s(g, n, {kk: Fraction(v, den) for kk, v in _omega(g, n, kind).items()})
+    return _with_s(g, n, {kk: Fraction(v, den) for kk, v in _omega(g, n).items()})
 
 
-def _omega(g, n, kind):
-    key = (kind, g, n)
+def _omega(g, n):
+    key = (g, n)
     out = _omega_cache.get(key)
     if out is not None:
         return out
     if (g, n) == (1, 1):
         # the standard bracket is omega_{0,2}(z,-z) = 1/(4 z^2), so c_{-2} = 1/4;
-        # the type-B bracket is singular on the diagonal, so both kernels
-        # take this seed: -1/8 and 1/8, times 2^3
+        # both kernels take this seed: -1/8 and 1/8, times 2^3
         out = {(0,): -1, (1,): 1}
     else:
-        out = _recurse(g, n, kind)
+        out = _recurse(g, n)
     _omega_cache[key] = out
     return out
 
 
-def _bracket(g, next_n, kind):
+def _bracket(g, next_n):
     """Rows of the recursion bracket for the entry (g, next_n), at scale
     2^(3(2g-2+next_n) - 3) (module docstring), in index space.
 
@@ -148,7 +148,7 @@ def _bracket(g, next_n, kind):
 
     # 1. the (g-1, n+2) term at (z, -z, externals): z^(-2k_0-2) (-z)^(-2k_1-2)
     if g >= 1:
-        for kk, v in _omega(g - 1, n + 2, kind).items():
+        for kk, v in _omega(g - 1, n + 2).items():
             j = kk[0] + kk[1] + 2
             if j <= top:
                 rows[kk[2:]][j] += v
@@ -165,8 +165,8 @@ def _bracket(g, next_n, kind):
             g2 = g - g1
             if (g1 == 0 and not I) or (g2 == 0 and not J):
                 continue  # omega_{0,1} factors are excluded
-            f2 = _factor(g2, len(J), -1, kind, top)
-            for ext1, terms1 in _factor(g1, len(I), +1, kind, top).items():
+            f2 = _factor(g2, len(J), top)
+            for ext1, terms1 in _factor(g1, len(I), top).items():
                 for ext2, terms2 in f2.items():
                     row = rows[ext1 + ext2 if place is None else place(ext1 + ext2)]
                     for j1, v1 in terms1:
@@ -176,34 +176,30 @@ def _bracket(g, next_n, kind):
     return rows
 
 
-def _factor(gf, nf, sign, kind, top):
-    """omega_{gf, nf+1}(sign*z, z_1..z_nf) in index space, grouped by its
+def _factor(gf, nf, top):
+    """omega_{gf, nf+1}(+-z, z_1..z_nf) in index space, grouped by its
     external indices: {(k_1..k_nf): [(j, value), ...]}, each term at
     z^(-2j) prod z_i^(-2k_i-2).  The caller excludes omega_{0,1}.
 
     A stable entry at (k_0, k_1..k_nf) sits at j = k_0 + 1; its power of z
-    is even, so the sign drops out.  omega_{0,2}(sign*z, z_1) near z = 0 is
-    the integer stream (m+1) (sign z)^m z_1^(-m-2), m <= 2*top, even m only
-    for the type-B kernel.  The parity rule turns it into index space: an
-    odd m puts z_1 at an odd power, which no index k reaches, so the term is
-    dropped; an even m sits at j = -m/2 with k_1 = m/2.
+    is even, so the sign of z drops out.  omega_{0,2} is the stream of the
+    module docstring after the parity rule: its term m = 2k sits at j = -k,
+    k_1 = k, with value 2k + 1, for k <= top.
     """
     if gf == 0 and nf == 1:
-        stream = [(m, -m - 1 if sign < 0 and m % 2 else m + 1)
-                  for m in range(0, 2 * top + 1, 2 if kind == "typeB" else 1)]
-        return {(m // 2,): [(-(m // 2), v)] for m, v in stream if m % 2 == 0}
+        return {(k,): [(-k, 2 * k + 1)] for k in range(top + 1)}
     out = defaultdict(list)
-    for kk, v in _omega(gf, nf + 1, kind).items():
+    for kk, v in _omega(gf, nf + 1).items():
         out[kk[1:]].append((kk[0] + 1, v))
     return out
 
 
-def _recurse(g, next_n, kind):
+def _recurse(g, next_n):
     """The entry (g, next_n) from its bracket rows: 4 (row[m] - row[m+1]) at
     (m, k_1..k_{next_n-1}) for m <= bound + 3."""
     bound = omega_support_bound(g, next_n)
     t = {}
-    for ext, row in _bracket(g, next_n, kind).items():
+    for ext, row in _bracket(g, next_n).items():
         for m in range(bound + 4):
             if row[m] != row[m + 1]:
                 t[(m,) + ext] = 4 * (row[m] - row[m + 1])
@@ -422,13 +418,13 @@ def _b02(k1, k2):
     return Fraction((-1) ** w, 2 ** w * factorial(k1) * factorial(k2) * w)
 
 
-def x_tensor(g, n, max_weight, kind="standard"):
+def x_tensor(g, n, max_weight):
     """Normalized B-coefficients of omega_{g,n} in the flat coordinate."""
-    t, scale = _x_table(g, n, max_weight, kind)
+    t, scale = _x_table(g, n, max_weight)
     return _with_s(g, n, {ll: Fraction(v, scale * _dfact(ll)) for ll, v in t.items()})
 
 
-def _x_table(g, n, max_weight, kind):
+def _x_table(g, n, max_weight):
     """(T, scale) with (2l+1)!! B^l = T[l] / scale at s = 1: integers from the
     residue table, or the (0,1) and (0,2) closed forms with scale 1."""
     if (g, n) == (0, 1):
@@ -439,11 +435,11 @@ def _x_table(g, n, max_weight, kind):
                 for k1 in range(kmax + 1) for k2 in range(kmax - k1 + 1)}, 1
     _check_stable(g, n)
     # the residue table holds 8^(2g-2+n) W at s = 1, the raw coefficients
-    t, scale = _flat_scatter(_omega(g, n, kind), n, max_weight, -1)
+    t, scale = _flat_scatter(_omega(g, n), n, max_weight, -1)
     return t, 8 ** (2 * g - 2 + n) * scale
 
 
-def verify_equivalence_theorem(g, n, max_weight, kind="standard"):
+def verify_equivalence_theorem(g, n, max_weight):
     """Check B^k prod(2k_i+1)!! = (-1)^n <p_{2k_1+1} ... p_{2k_n+1}>_g
     for every k with sum (2k_i + 1) <= max_weight.  Both sides are compared
     at s = 1: they sit at the same s-exponent |k|+1-g by the grading.  The
@@ -452,7 +448,7 @@ def verify_equivalence_theorem(g, n, max_weight, kind="standard"):
 
     Returns (ok, mismatches, checked).
     """
-    t, scale = _x_table(g, n, max_weight, kind)
+    t, scale = _x_table(g, n, max_weight)
     sign = (-1) ** n
     mismatches = []
     checked = 0
@@ -468,14 +464,24 @@ def verify_equivalence_theorem(g, n, max_weight, kind="standard"):
     return not mismatches, mismatches, checked
 
 
+def _omega02_streams(top):
+    """omega_{0,2}(sigma z, z_1) near z = 0 as {kernel: [(m, coefficient of z^m z_1^(-m-2))]},
+    m <= 2*top: (m+1) sigma^m at sigma = +-1, and (m+1) (1 + (-1)^m)/2 for type B."""
+    return {"standard, sigma=+1": [(m, m + 1) for m in range(2 * top + 1)],
+            "standard, sigma=-1": [(m, (m + 1) * (-1) ** m) for m in range(2 * top + 1)],
+            "typeB": [(m, (m + 1) * (1 + (-1) ** m) // 2) for m in range(2 * top + 1)]}
+
+
 def compare_kernels(pairs):
-    """omega tables must agree between the two kernels on the given (g,n)
-    pairs.  (1,1) is skipped: both kernels share its seed.  Returns
-    (ok, mismatches, compared), compared counting the pairs other than (1,1)."""
+    """Each stream of _omega02_streams, after the parity rule, must equal the
+    omega_{0,2} factor of each pair's bracket.  (1,1) is seeded and skipped.
+    Returns (ok, [(g, n, kernel)], compared), compared counting the other pairs."""
     compared = [(g, n) for (g, n) in pairs if (g, n) != (1, 1)]
     mismatches = []
     for (g, n) in compared:
         _check_stable(g, n)
-        if _omega(g, n, "standard") != _omega(g, n, "typeB"):
-            mismatches.append((g, n))
+        top = omega_support_bound(g, n) + 4
+        factor = _factor(0, 1, top)
+        mismatches += [(g, n, kernel) for kernel, stream in _omega02_streams(top).items()
+                       if {(m // 2,): [(-(m // 2), v)] for m, v in stream if m % 2 == 0} != factor]
     return not mismatches, mismatches, len(compared)

@@ -90,8 +90,8 @@ def q_two_row(m, n, q):
     antisymmetric whenever the couplings are supported on odd k, which is
     what makes it usable as the entry of a Pfaffian matrix.
     """
-    if m >= len(q) or n >= len(q) or m + n >= len(q):
-        raise ValueError("q-series too short for requested two-row value")
+    if min(m, n) < 0 or m + n >= len(q):
+        raise ValueError("two-row value needs 0 <= m, n and m + n < len(q)")
     if m == 0 and n == 0:
         return Fraction(0)
     acc = q[m] * q[n]

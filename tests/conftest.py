@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from gbgw.affine import _int_basis
 from gbgw.poly import ParamPoly
+
+# one profile for every property test: the same examples on every run, no
+# example database, no per-example deadline; each test sets only max_examples
+settings.register_profile("gbgw", derandomize=True, database=None, deadline=None)
+settings.load_profile("gbgw")
 
 
 def _transposition_defects(coeffs):

@@ -88,7 +88,7 @@ def test_criterion_05_kernel_equivalence():
     ok, mismatches, compared = eo.compare_kernels(PAIRS)
     assert ok, mismatches
     assert compared == len(PAIRS) - 1
-    _report(5, "type-B kernel reproduces standard-kernel invariants", t0)
+    _report(5, "type-B kernel gives the standard omega_{0,2} factor", t0)
 
 
 def test_criterion_06_affine_vs_virasoro_bridge():

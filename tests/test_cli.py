@@ -129,6 +129,8 @@ def test_bad_invocation_exits_2_before_any_work(monkeypatch, tmp_path, capsys, a
     (["npoint", "--pipeline", "virasoro", "--u", "1/4"], "--u"),
     (["npoint", "--pipeline", "eo", "--u", "symbolic"], "--u"),
     (["npoint", "--pipeline", "affine", "--genus-max", "1"], "--genus-max"),
+    (["verify", "--kernel", "typeB"], "--kernel"),
+    (["npoint", "--pipeline", "eo", "--kernel", "typeB"], "--kernel"),
 ])
 def test_option_the_command_never_reads_exits_2(monkeypatch, capsys, args, option):
     import gbgw.cli as cli
@@ -147,9 +149,8 @@ def test_option_the_command_never_reads_exits_2(monkeypatch, capsys, args, optio
 
 @pytest.mark.parametrize("args, want", [
     (["npoint", "--pipeline", "affine", "--u", "1/4"], {"u": Fraction(1, 4), "genus_max": 1}),
-    (["npoint", "--pipeline", "eo", "--kernel", "typeB", "--genus-max", "0"],
-     {"kernel": "typeB", "genus_max": 0, "u": None}),
-    (["npoint", "--pipeline", "virasoro"], {"genus_max": 1, "kernel": "standard", "u": None}),
+    (["npoint", "--pipeline", "eo", "--genus-max", "0"], {"genus_max": 0, "u": None}),
+    (["npoint", "--pipeline", "virasoro"], {"genus_max": 1, "u": None}),
 ])
 def test_npoint_reads_the_options_of_its_pipeline(monkeypatch, args, want):
     import gbgw.cli as cli
@@ -176,17 +177,18 @@ def test_unwritable_out_reports_an_error(monkeypatch, tmp_path, capsys):
 
 def test_verify_failure_exit_code(monkeypatch, tmp_path):
     # force a failure by breaking one golden value; the kernel comparison
-    # skips (1, 1), so it needs arity 2 to have the pair (1, 2) to compare
+    # skips (1, 1), so it needs arity 2 to have the pair (1, 2) to compare,
+    # and it reads no omega table, so it passes
     import gbgw.cli as cli
     from gbgw.poly import ParamPoly
     from gbgw.series import SparseTensor
 
     real = cli.eo.omega
 
-    def broken(g, n, kind="standard"):
+    def broken(g, n):
         if (g, n) == (1, 1):
             return SparseTensor(1, {(0,): ParamPoly.const(Fraction(1, 3))})
-        return real(g, n, kind)
+        return real(g, n)
 
     monkeypatch.setattr(cli.eo, "omega", broken)
     rc, text = run_cli(["verify", "--suite", "eo", "--genus-max", "1", "--arity-max", "2",
@@ -465,18 +467,17 @@ def test_two_point_check_reads_every_closed_form_entry(monkeypatch, tmp_path):
     (["correlators", "--genus-max", "4", "--arity-max", "4", "--weight-max", "17"],
      "6c3073d150899b06449beef87f927595a1ae3028adab2a0932dbd666d4ae8a31"),
     (["npoint", "--pipeline", "eo", "--genus-max", "3", "--arity-max", "4", "--weight-max", "13"],
-     "fbee3e095e6719fbbab32c6c4f0ca0c07797a9b5160d99bcf6aa025b648d0d9e"),
+     "d48032ab30b7531266c3f99469b6c68e767e1ac80f6c8c83fd43d3d90f61ecc4"),
     (["verify", "--suite", "eo", "--genus-max", "3", "--arity-max", "4", "--weight-max", "13"],
-     "87df894ee2e70b9ca28b14f261e6a88eba9aa103b3ea5c48c7c33ad61da857d6"),
+     "897ad47672bdade4a2840882519bfedaafd0856b4b2b7f6dcded8570eb0ac910"),
     (["verify", "--suite", "all", "--u", "1/4"],
-     "4d00f58bbac6887c486781784127270efd04bc41567183a845b2b6a994143e14"),
+     "16e41ed81dcadbf5a5fdab29b97912f0f5632ba08207c73cef8db48cecd47187"),
     (["correlators", "--genus-max", "4", "--arity-max", "4", "--weight-max", "21"],
      "2c16349bdbd2fb83a29f549da1d6aa8f6b9e76230bc7d56b2007b4667b59420c"),
     (["npoint", "--pipeline", "affine", "--arity-max", "3", "--weight-max", "9"],
      "f25983ca00a762fa52dbb39ee5766a2faffec4a4a04b4fe9085af3e2b58e35ff"),
-    (["npoint", "--pipeline", "eo", "--kernel", "typeB", "--genus-max", "3", "--arity-max", "4",
-      "--weight-max", "13"],
-     "bc7d9792cd4c240487f2b6d0ca147a072d26e8594bcd5d80d1da7d980a6a8f22"),
+    (["verify", "--suite", "all", "--weight-max", "5", "--window", "12"],
+     "dca7af288cfb8c3e443038be12c27bc4425a83ab9aec295902529407c3e2869d"),
     (["correlators", "--genus-max", "4", "--arity-max", "4", "--weight-max", "9", "--format", "csv"],
      "6e25c308a7b6ee149aa8600292f51d5e24b7f92fcbe071195c25e46863ca76af"),
     (["npoint", "--pipeline", "eo", "--genus-max", "3", "--arity-max", "4", "--weight-max", "13",
@@ -658,3 +659,122 @@ def test_wronskian_check_fails_on_a_planted_basis_coefficient(monkeypatch, tmp_p
     failed = _failed(text)
     assert "'phi1_ode': False" in failed.pop("affine/wronskian-suite-order-8")
     assert set(failed) == {"affine/generating-series-closed-vs-direct"}
+
+
+def _plant_independence(monkeypatch):
+    # every step that distinguishes a part other than the largest is off by one
+    import gbgw.correlators as corr
+
+    real = corr._expand
+    monkeypatch.setattr(corr, "_expand", lambda g, parts, pick: real(g, parts, pick) + (1 if pick > 0 else 0))
+
+
+def _plant_bridge(monkeypatch):
+    import gbgw.npoint as npoint
+    from gbgw.poly import ParamPoly
+
+    real = npoint.bridge
+
+    def planted(mu, u_value=None):
+        value = real(mu, u_value=u_value)
+        return value + ParamPoly.const(1) if tuple(mu) == (3, 1) else value
+
+    monkeypatch.setattr(npoint, "bridge", planted)
+
+
+def _plant_closed_quotient(monkeypatch):
+    # the quotient of the closed form off by one at (-2, -3); the v-part
+    # quotient (no wx) is left alone
+    import gbgw.affine as affine
+    from gbgw.poly import u_add
+
+    real = affine._antisym_quotient
+
+    def planted(p1, p2, T, wx=0):
+        q = real(p1, p2, T, wx)
+        if wx:
+            q[(-2, -3)] = u_add(q.get((-2, -3), ()), (1,))
+        return q
+
+    monkeypatch.setattr(affine, "_antisym_quotient", planted)
+
+
+def _plant_special_deformation(monkeypatch):
+    import gbgw.correlators as corr
+
+    real = corr._dF0_series
+
+    def planted(nu, xlo):
+        out = real(nu, xlo)
+        if nu == (1,):
+            out[-4] = out.get(-4, 0) + 1
+        return out
+
+    monkeypatch.setattr(corr, "_dF0_series", planted)
+
+
+def _plant_type_b_stream(monkeypatch):
+    # the type-B omega_{0,2} stream off by one at z^2: the recursion never
+    # reads it, so only the kernel comparison can see it
+    import gbgw.eo as eo
+
+    real = eo._omega02_streams
+
+    def planted(top):
+        streams = real(top)
+        m, v = streams["typeB"][2]
+        streams["typeB"][2] = (m, v + 1)
+        return streams
+
+    monkeypatch.setattr(eo, "_omega02_streams", planted)
+
+
+@pytest.mark.parametrize("identity, plant", [
+    ("virasoro/distinguished-part-independence", _plant_independence),
+    ("affine/cycle-sum-vs-virasoro-bridge-weight<=9", _plant_bridge),
+    ("affine/generating-series-closed-vs-direct", _plant_closed_quotient),
+    ("virasoro/special-deformation", _plant_special_deformation),
+    ("eo/kernel-comparison", _plant_type_b_stream),
+])
+def test_check_fails_alone_on_its_planted_defect(monkeypatch, tmp_path, identity, plant):
+    # the defect goes into the code under check, never into the check; the
+    # memos are emptied so that no table built with it outlives the test
+    import gbgw
+
+    gbgw.reset_caches()
+    try:
+        plant(monkeypatch)
+        rc, text = run_cli(["verify", "--suite", "all"], tmp_path, "all.json")
+    finally:
+        gbgw.reset_caches()
+    assert rc == 1
+    assert set(_failed(text)) == {identity}
+
+
+def test_kernel_comparison_fails_on_a_planted_omega02_factor(monkeypatch, tmp_path):
+    # omega_{0,2} off by one at k = 1 where the bracket reads it: the residue
+    # tables above (0,3) move with it, so the checks that read them fail too.
+    # omega_{0,3} reads only k = 0, so its closed form still holds
+    import gbgw
+    import gbgw.eo as eo
+
+    real = eo._factor
+
+    def planted(gf, nf, top):
+        factor = real(gf, nf, top)
+        if (gf, nf) == (0, 1):
+            factor[(1,)] = [(-1, 4)]
+        return factor
+
+    gbgw.reset_caches()
+    try:
+        monkeypatch.setattr(eo, "_factor", planted)
+        rc, text = run_cli(["verify", "--suite", "all"], tmp_path, "all.json")
+    finally:
+        gbgw.reset_caches()
+    assert rc == 1
+    failed = _failed(text)
+    assert set(failed) == {"eo/equivalence-with-virasoro-weight<=9",
+                           "eo/residue-vs-coefficient-recursion", "eo/kernel-comparison"}
+    assert failed["eo/kernel-comparison"].startswith(
+        "[(0, 3, 'standard, sigma=+1'), (0, 3, 'standard, sigma=-1'), (0, 3, 'typeB'), ")

@@ -65,9 +65,8 @@ def test_omega_symmetry(transposition_defects):
     # a slot mix-up shows first where there are three or more externals.
     # Index 0 is the one each recursion singles out, so it is compared with
     # every external index (the Eynard-Orantin symmetry theorem)
-    for kind in ("standard", "typeB"):
-        for (g, n) in STABLE_PAIRS:
-            assert transposition_defects(omega(g, n, kind).coeffs) == [], (kind, g, n)
+    for (g, n) in STABLE_PAIRS:
+        assert transposition_defects(omega(g, n).coeffs) == [], (g, n)
 
 
 def test_omega_symmetry_check_sees_index_zero(monkeypatch, transposition_defects):
@@ -75,9 +74,9 @@ def test_omega_symmetry_check_sees_index_zero(monkeypatch, transposition_defects
     # the comparisons with index 0 can see it
     import gbgw.eo as eo
 
-    table = eo._omega(0, 4, "standard")
+    table = eo._omega(0, 4)
     planted = {**table, (1, 0, 0, 0): table.get((1, 0, 0, 0), 0) + 1}
-    monkeypatch.setitem(eo._omega_cache, ("standard", 0, 4), planted)
+    monkeypatch.setitem(eo._omega_cache, (0, 4), planted)
     defects = transposition_defects(omega(0, 4).coeffs)
     assert defects and all(swap[0] == 0 for _, swap in defects), defects
 
@@ -171,8 +170,9 @@ def test_kernel_equivalence_small():
 
 
 def test_kernel_comparison_needs_a_recursed_pair(tmp_path):
-    # both kernels share the (1,1) seed, so (1,1) alone compares nothing,
-    # and verify fails a check that compares nothing
+    # both kernels share the (1,1) seed, which reads no omega_{0,2} factor,
+    # so (1,1) alone compares nothing, and verify fails a check that
+    # compares nothing
     import json
     from gbgw.cli import main
 
@@ -220,7 +220,7 @@ def test_negative_s_exponent_raises(monkeypatch):
     # the entry k = (0,) of omega_{2,1} sits at s-exponent -1
     import gbgw.eo as eo
 
-    monkeypatch.setitem(eo._omega_cache, ("standard", 2, 1), {(0,): Fraction(1)})
+    monkeypatch.setitem(eo._omega_cache, (2, 1), {(0,): Fraction(1)})
     monkeypatch.setitem(eo._closed_cache, (2, 1), {(0,): Fraction(1)})
     with pytest.raises(ArithmeticError):
         omega(2, 1)
@@ -246,9 +246,8 @@ def test_residue_route_reads_no_other_table():
     import gbgw.eo as eo
 
     gbgw.reset_caches()
-    for kind in ("standard", "typeB"):
-        for (g, n) in STABLE_PAIRS:
-            omega(g, n, kind)
+    for (g, n) in STABLE_PAIRS:
+        omega(g, n)
     assert eo._omega_cache
     assert correlators._cache == {}
     assert eo._closed_cache == {}
@@ -262,9 +261,8 @@ def test_flat_transform_reads_no_other_table():
     import gbgw.eo as eo
 
     gbgw.reset_caches()
-    for kind in ("standard", "typeB"):
-        for (g, n) in STABLE_PAIRS:
-            assert x_tensor(g, n, 13, kind).coeffs, (kind, g, n)
+    for (g, n) in STABLE_PAIRS:
+        assert x_tensor(g, n, 13).coeffs, (g, n)
     assert correlators._cache == {}
     assert eo._closed_cache == {}
 
@@ -286,9 +284,9 @@ def test_residue_pole_bound_guard(monkeypatch):
     # one planted (1,2) entry beyond its pole bound pushes (1,3) past its own
     import gbgw.eo as eo
 
-    planted = {**eo._omega(1, 2, "standard"), (4, 0): 1}
-    monkeypatch.setitem(eo._omega_cache, ("standard", 1, 2), planted)
-    monkeypatch.delitem(eo._omega_cache, ("standard", 1, 3), raising=False)
+    planted = {**eo._omega(1, 2), (4, 0): 1}
+    monkeypatch.setitem(eo._omega_cache, (1, 2), planted)
+    monkeypatch.delitem(eo._omega_cache, (1, 3), raising=False)
     with pytest.raises(ArithmeticError, match="exceeds pole bound"):
         omega(1, 3)
 
@@ -320,8 +318,7 @@ def test_reset_caches_empties_every_memo():
     assert omega_closed_step(2, 2) == before
 
 
-@pytest.mark.parametrize("kind", ["standard", "typeB"])
-def test_omega_denominators_divide_their_power_of_two(kind):
+def test_omega_denominators_divide_their_power_of_two():
     # the residue table holds D = 2^(3(2g-2+n)) W, built without division
     import gbgw.eo as eo
 
@@ -330,7 +327,7 @@ def test_omega_denominators_divide_their_power_of_two(kind):
             if 2 * g - 2 + n <= 0:
                 continue
             scale = 2 ** (3 * (2 * g - 2 + n))
-            for kk, value in omega(g, n, kind).coeffs.items():
+            for kk, value in omega(g, n).coeffs.items():
                 (_, c), = value.sorted_terms()
                 assert (c * scale).denominator == 1, (g, n, kk)
     assert all(type(v) is int for table in eo._omega_cache.values() for v in table.values())

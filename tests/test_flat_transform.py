@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gbgw.eo import from_x_coords, to_x_coords
 from gbgw.series import SparseTensor
 
-PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+PROPERTY = settings(max_examples=40)
 
 
 def oracle(a, max_weight, s):

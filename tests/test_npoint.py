@@ -176,7 +176,7 @@ def _packable(draw):
     return tuple(draw(st.lists(st.integers(-bound, bound), max_size=12))), bits
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_packable())
 def test_pack_round_trip(case):
     p, bits = case

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gbgw.poly import ParamPoly, ONE, ZERO, H, U, V, double_factorial, u_add, u_mul, u_scale
 
-PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+PROPERTY = settings(max_examples=40)
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 

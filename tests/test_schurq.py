@@ -48,6 +48,15 @@ def test_two_row_antisymmetric_for_odd_couplings():
             assert q_two_row(m, n, q) == -q_two_row(n, m, q)
 
 
+def test_two_row_rejects_indices_outside_the_series():
+    # a negative index would wrap around q; m + n must stay inside it
+    q = q_series(DELTA, 6)
+    for m, n in [(-1, 2), (2, -1), (len(q), 0)]:
+        with pytest.raises(ValueError):
+            q_two_row(m, n, q)
+    assert q_two_row(len(q) - 1, 0, q) == q[-1] * q[0]
+
+
 def test_single_row_is_q():
     coup = {1: Fraction(1), 3: Fraction(2)}
     q = q_series(coup, 6)
