@@ -392,6 +392,9 @@ def main(argv=None):
         parser.error("--window must be positive")
     if cfg.command == "npoint" and cfg.arity_max < 1:
         parser.error("--arity-max must be positive for npoint")
+    if cfg.command == "npoint" and cfg.pipeline == "affine" and cfg.arity_max > npoint.AFFINE_ARITY_MAX:
+        parser.error(f"--arity-max of npoint --pipeline affine is certified up to "
+                     f"{npoint.AFFINE_ARITY_MAX} only")
     if cfg.command == "npoint" and cfg.pipeline == "affine" and cfg.format == "csv":
         parser.error("csv output is defined for s-polynomial pipelines only")
     if cfg.out and os.path.isdir(cfg.out):

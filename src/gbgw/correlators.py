@@ -37,7 +37,7 @@ from itertools import permutations
 from math import comb, factorial, lcm, prod
 
 from .poly import ParamPoly, ZERO
-from .series import SparseTensor, accumulate
+from .series import SparseTensor
 
 __all__ = [
     "check_odd_partition",
@@ -230,11 +230,11 @@ def w02_closed(depth):
     for m1, cx in enumerate(inv_sqrt):
         for m2, cy in enumerate(inv_sqrt):
             c, i, j = cx * cy, -2 * m1, -2 * m2
-            accumulate(num, (i + 2, j), c)
-            accumulate(num, (i, j + 2), c)
-            accumulate(num, (i, j), 2 * c)
-    accumulate(num, (2, 0), -scale)
-    accumulate(num, (0, 2), -scale)
+            num[(i + 2, j)] = num.get((i + 2, j), 0) + c
+            num[(i, j + 2)] = num.get((i, j + 2), 0) + c
+            num[(i, j)] = num.get((i, j), 0) + 2 * c
+    num[(2, 0)] = num.get((2, 0), 0) - scale
+    num[(0, 2)] = num.get((0, 2), 0) - scale
     # divide by x^4 - 2 x^2 y^2 + y^4:  q[i,j] = n[i+4,j] + 2 q[i+2,j-2] - q[i+4,j-4]
     q = {}
     for i in range(-2, -depth - 1, -2):

@@ -39,9 +39,10 @@ from math import factorial, lcm
 from .affine import _direct_a, _entry_poly, _with_tail, affine_scalar, theta_prod
 from .correlators import check_odd_partition, correlator_monomial, odd_partitions
 from .poly import ParamPoly, ZERO, u_add, u_mul, u_scale
-from .series import SparseTensor, accumulate
+from .series import SparseTensor
 
 __all__ = [
+    "AFFINE_ARITY_MAX",
     "correction_term",
     "cycles",
     "one_point_affine",
@@ -50,6 +51,11 @@ __all__ = [
     "crosscheck_affine_vs_virasoro",
     "WindowInstabilityError",
 ]
+
+
+# the largest n for which the tail window of ``_tail_hi`` has passed the
+# positive-exponent guard of ``npoint_affine``; the CLI rejects larger n
+AFFINE_ARITY_MAX = 4
 
 
 class WindowInstabilityError(ArithmeticError):
@@ -223,8 +229,34 @@ def _npoint_once(n, max_weight, tail_hi, u_value=None):
         # diagonal band (-m, +m) survives and is exactly the correction term
         # (the positive slot always carries the larger variable index, x_2)
         for key, c in correction_term(max_weight).coeffs.items():
-            accumulate(out.coeffs, key, -c)
+            r = out.coeffs.pop(key, ZERO) + (-c)
+            if r:
+                out.coeffs[key] = r
     return out
+
+
+def _tail_hi(n, max_weight):
+    """The last tail index i, at (-i, i) of At, that an n-point pass reads.
+
+    Every target coefficient (all exponents negative) is exact from this
+    window.  A factor of a cycle is an entry of A (both slots <= 0, weight
+    -(i+j) <= W = max_weight) or a tail entry (slots +i and -i, weight 0).
+    At a target key the exponents e_v lie in [-W, -1] and sum to minus the
+    total weight D <= W of the A factors, so sum |e_v| = D.  Some factor F
+    is from A, or the exponents would sum to 0.  Walk from F, with slot s,
+    along the tail factors t_1, t_2, ... that follow it.  The variable that
+    F and t_1 share gives i_1 <= max(|e_v|, |s|).  The variable that t_j
+    and t_(j+1) share gives i_(j+1) <= i_j + |e_v|, since +i_j and
+    +i_(j+1) would sum to at least 2.  So every tail index on a path to a
+    target is at most |s| + sum |e_v| <= 2W.  At n = 2 the one tail factor
+    sits between the two slots of one A factor, so i <= W - 1.
+
+    The positive-exponent guard of ``npoint_affine`` has no such bound:
+    keys with a positive exponent are reached by chains of tail factors
+    that may climb by W per step.  2W + 1 has passed it for n = 3 and 4.
+    At n = 5 and W = 7 it fails, so n <= AFFINE_ARITY_MAX is certified.
+    """
+    return max_weight if n <= 2 else 2 * max_weight + 1
 
 
 def npoint_affine(n, max_weight, u_value=None):
@@ -239,10 +271,7 @@ def npoint_affine(n, max_weight, u_value=None):
         raise ValueError("n must be >= 1")
     if n == 1:
         return SparseTensor(1, {(e,): c for e, c in one_point_affine(max_weight, u_value).items()})
-    # tail artifacts inside the certified band cancel once the window
-    # covers the wandering range, which grows with the cycle length;
-    # 2W is enough for n = 3 empirically, and the stability pass guards it
-    tail_hi = max_weight if n <= 2 else 2 * max_weight + 1
+    tail_hi = _tail_hi(n, max_weight)
     runs = [_npoint_once(n, max_weight, t, u_value) for t in (tail_hi, tail_hi + 4)]
 
     def targets(t):

@@ -1,23 +1,25 @@
-"""Sparse exact polynomials over the formal generators h, u, s, v.
+"""Sparse exact polynomials over the formal generators h, u, s.
 
-Every value this package returns lies in the ring
-
-    Q[h, u, s, v] / (v^2 - u)
-
-where the generators are read as follows:
+Every value this package returns lies in the ring Q[h, u, s], where the
+generators are read as follows:
 
     h -- the genus-expansion parameter (hbar),
     u -- N^2 for the model parameter N,
-    s -- S^2 for the scale parameter S = hbar * N,
-    v -- N itself, a square root of u used only by the few identities
-         that involve N to the first power.
+    s -- S^2 for the scale parameter S = hbar * N.
+
+No value carries N to an odd power: correlators, omega entries and affine
+coordinates depend on N through u alone.  The one linear appearance of N,
+in the KdV basis series phi2, stays inside the integer basis of
+``affine._int_basis``, and ``affine.gen_A`` checks that it cancels.
 
 ParamPoly is the format a value takes where it leaves a module: every
 recursion runs on ints or Fractions, and the tables are built as ParamPoly
 only on the way out.  Keeping s distinct from h^2*u makes the two natural
 normalizations of the theory coexist; npoint.bridge applies s -> h^2*u to
-the correlator monomials.  Powers of v reduce automatically via v^2 = u,
-so every element has a canonical form with v-exponent 0 or 1.
+the correlator monomials.
+
+A key is the exponent tuple (eh, eu, es, ev) with ev always 0: serialized
+terms are read as four exponent columns (h, u, s, v), so the slot stays.
 """
 
 from __future__ import annotations
@@ -29,28 +31,18 @@ __all__ = [
     "ZERO",
     "ONE",
     "H",
-    "U",
     "S",
-    "V",
     "double_factorial",
     "u_mul",
     "u_add",
     "u_scale",
 ]
 
-_GENS = ("h", "u", "s", "v")
-
-
-def _reduce_key(key):
-    """Push even v-powers into u: (eh, eu, es, ev) with ev >= 2 -> eu += ev//2."""
-    ev = key[3]
-    if ev < 2:
-        return key
-    return (key[0], key[1] + ev // 2, key[2], ev % 2)
+_GENS = ("h", "u", "s")
 
 
 class ParamPoly:
-    """Exact sparse polynomial in (h, u, s, v) with Fraction coefficients.
+    """Exact sparse polynomial in (h, u, s) with Fraction coefficients.
 
     Instances are treated as immutable; all operations return new objects.
     Zero coefficients are never stored.
@@ -58,9 +50,7 @@ class ParamPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
+    def __init__(self, terms):
         self.terms = terms
 
     # -- constructors ------------------------------------------------------
@@ -73,16 +63,16 @@ class ParamPoly:
         return cls({(0, 0, 0, 0): q})
 
     @classmethod
-    def monomial(cls, coeff, eh=0, eu=0, es=0, ev=0):
+    def monomial(cls, coeff, eh=0, eu=0, es=0):
         q = Fraction(coeff)
         if q == 0:
             return ZERO
-        return cls({_reduce_key((eh, eu, es, ev)): q})
+        return cls({(eh, eu, es, 0): q})
 
     @classmethod
-    def from_u(cls, coeffs, den, eh=0, ev=0):
-        """h^eh v^ev sum_k coeffs[k] u^k / den, from a dense int u-tuple."""
-        return cls({(eh, eu, 0, ev): Fraction(c, den) for eu, c in enumerate(coeffs) if c})
+    def from_u(cls, coeffs, den, eh=0):
+        """h^eh sum_k coeffs[k] u^k / den, from a dense int u-tuple."""
+        return cls({(eh, eu, 0, 0): Fraction(c, den) for eu, c in enumerate(coeffs) if c})
 
     # -- ring operations ---------------------------------------------------
 
@@ -120,18 +110,6 @@ class ParamPoly:
     def __neg__(self):
         return ParamPoly({k: -q for k, q in self.terms.items()})
 
-    def __sub__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._promote(other)
         if o is None:
@@ -139,13 +117,9 @@ class ParamPoly:
         if not self.terms or not o.terms:
             return ZERO
         out = {}
-        for (a0, a1, a2, a3), qa in self.terms.items():
-            for (b0, b1, b2, b3), qb in o.terms.items():
-                ev = a3 + b3
-                if ev >= 2:
-                    key = (a0 + b0, a1 + b1 + ev // 2, a2 + b2, ev % 2)
-                else:
-                    key = (a0 + b0, a1 + b1, a2 + b2, ev)
+        for (a0, a1, a2, _), qa in self.terms.items():
+            for (b0, b1, b2, _), qb in o.terms.items():
+                key = (a0 + b0, a1 + b1, a2 + b2, 0)
                 q = qa * qb
                 r = out.get(key)
                 if r is None:
@@ -171,18 +145,16 @@ class ParamPoly:
 
     # -- queries -----------------------------------------------------------
 
-    def coeff(self, eh=0, eu=0, es=0, ev=0):
-        return self.terms.get(_reduce_key((eh, eu, es, ev)), Fraction(0))
+    def coeff(self, eh=0, eu=0, es=0):
+        return self.terms.get((eh, eu, es, 0), Fraction(0))
 
     # -- substitutions -----------------------------------------------------
 
     def subs_u(self, value):
-        """Evaluate u at an exact rational; requires no stray v (sign ambiguity)."""
-        if any(k[3] for k in self.terms):
-            raise ValueError("cannot substitute u with v present (sign of v undetermined)")
+        """Evaluate u at an exact rational."""
         q = Fraction(value)
         out = {}
-        for (eh, eu, es, ev), c in self.terms.items():
+        for (eh, eu, es, _), c in self.terms.items():
             key = (eh, 0, es, 0)
             c = c * q ** eu
             if not c:
@@ -230,9 +202,7 @@ class ParamPoly:
 ZERO = ParamPoly({})
 ONE = ParamPoly.const(1)
 H = ParamPoly.monomial(1, eh=1)
-U = ParamPoly.monomial(1, eu=1)
 S = ParamPoly.monomial(1, es=1)
-V = ParamPoly.monomial(1, ev=1)
 
 
 def u_mul(a, b):

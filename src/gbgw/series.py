@@ -1,5 +1,5 @@
-"""Sparse coefficient containers: a windowed two-variable series, an
-arity-n tensor, and ``accumulate``, the one way to add into a sparse dict.
+"""Sparse coefficient containers: a windowed two-variable series and an
+arity-n tensor.
 
 Coefficients are exact values (int, Fraction, ParamPoly) kept in dicts
 keyed by exponents; absent keys are zero and zero values are never stored.
@@ -9,17 +9,7 @@ known, and reading outside it raises :class:`WindowError`.
 
 from __future__ import annotations
 
-__all__ = ["BiSeries", "SparseTensor", "accumulate"]
-
-
-def accumulate(coeffs, key, value):
-    """coeffs[key] += value in a sparse dict, dropping the key when the sum is zero."""
-    r = coeffs.get(key)
-    r = value if r is None else r + value
-    if r:
-        coeffs[key] = r
-    else:
-        coeffs.pop(key, None)
+__all__ = ["BiSeries", "SparseTensor"]
 
 
 class WindowError(ValueError):

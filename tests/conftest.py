@@ -33,12 +33,12 @@ def transposition_defects():
 
 
 def _basis_pair(T):
-    """phi1 and phi2 through z^-T as {exponent: ParamPoly}: the ParamPoly view
-    of the integer basis ``gbgw.affine._int_basis``."""
-    d1, p1, d2, p2u, p2v = _int_basis(T)
+    """phi1 and the u-part of phi2 through z^-T as {exponent: ParamPoly}: the
+    ParamPoly view of the integer basis ``gbgw.affine._int_basis``.  The
+    v-part of phi2 is checked on the integers, by ``verify_wronskian`` (iv)."""
+    d1, p1, d2, p2u, _ = _int_basis(T)
     phi1 = {e: ParamPoly.from_u(c, d1, eh=-e) for e, c in p1.items()}
-    phi2 = {e: ParamPoly.from_u(c, d2, eh=1 - e) + ParamPoly.from_u(p2v[e], d2, eh=1 - e, ev=1)
-            for e, c in p2u.items()}
+    phi2 = {e: ParamPoly.from_u(c, d2, eh=1 - e) for e, c in p2u.items()}
     return phi1, phi2
 
 

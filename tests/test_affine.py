@@ -83,7 +83,7 @@ def test_gen_a_relation_between_a_and_at():
     # At - A = -1/4 - (1/2) sum (-1)^i w^-i x^i
 
     def diff(i, j):
-        return at.coeff(i, j) - a.coeff(i, j)
+        return at.coeff(i, j) + (-a.coeff(i, j))
 
     assert diff(0, 0) == ParamPoly.const(Fraction(-1, 4))
     for i in range(1, 8):
@@ -124,6 +124,24 @@ def test_gen_a_direct_equals_closed():
             if atc.known(i, j) and atd.known(i, j):
                 assert atc.coeff(i, j) == atd.coeff(i, j), (i, j)
                 assert ac.coeff(i, j) == ad.coeff(i, j), (i, j)
+
+
+def test_closed_form_rejects_a_v_part_that_does_not_cancel(monkeypatch):
+    # the v-part of phi2 is proportional to phi1, so its antisymmetrized
+    # quotient vanishes; off by one at z^-1 it no longer does
+    import gbgw.affine as affine
+    from gbgw.poly import u_add
+
+    real = affine._int_basis
+
+    def planted(T):
+        d1, p1, d2, p2u, p2v = real(T)
+        return d1, p1, d2, p2u, {**p2v, -1: u_add(p2v[-1], (1,))}
+
+    gen_A("closed", -4, -4, 4, T=6)
+    monkeypatch.setattr(affine, "_int_basis", planted)
+    with pytest.raises(ArithmeticError, match="v survived the antisymmetrized quotient"):
+        gen_A("closed", -4, -4, 4, T=6)
 
 
 def test_wronskian_suite_small():

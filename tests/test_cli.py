@@ -147,6 +147,20 @@ def test_option_the_command_never_reads_exits_2(monkeypatch, capsys, args, optio
     assert last.startswith("gbgw: error: ") and option in last
 
 
+def test_affine_npoint_past_its_certified_arity_exits_2(monkeypatch, capsys):
+    import gbgw.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "cmd_npoint", lambda cfg: ran.append(cfg.arity_max) or 0)
+    assert main(["npoint", "--pipeline", "affine", "--arity-max", "4"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["npoint", "--pipeline", "affine", "--arity-max", "5"])
+    assert exc.value.code == 2 and ran == [4]
+    assert "certified up to 4 only" in capsys.readouterr().err.splitlines()[-1]
+    # the limit is the affine pipeline's own
+    assert main(["npoint", "--pipeline", "virasoro", "--arity-max", "5"]) == 0
+
+
 @pytest.mark.parametrize("args, want", [
     (["npoint", "--pipeline", "affine", "--u", "1/4"], {"u": Fraction(1, 4), "genus_max": 1}),
     (["npoint", "--pipeline", "eo", "--genus-max", "0"], {"genus_max": 0, "u": None}),
@@ -729,12 +743,29 @@ def _plant_type_b_stream(monkeypatch):
     monkeypatch.setattr(eo, "_omega02_streams", planted)
 
 
+def _plant_span_basis(monkeypatch):
+    # PhiB_2 off by one at z^-3; the annihilation check reads PhiB_0 only
+    import gbgw.quantum as quantum
+    from gbgw.poly import u_add
+
+    real = quantum._basis
+
+    def planted(k, depth):
+        d, coeffs = real(k, depth)
+        if k == 2:
+            coeffs = {**coeffs, -3: u_add(coeffs.get(-3, ()), (1,))}
+        return d, coeffs
+
+    monkeypatch.setattr(quantum, "_basis", planted)
+
+
 @pytest.mark.parametrize("identity, plant", [
     ("virasoro/distinguished-part-independence", _plant_independence),
     ("affine/cycle-sum-vs-virasoro-bridge-weight<=9", _plant_bridge),
     ("affine/generating-series-closed-vs-direct", _plant_closed_quotient),
     ("virasoro/special-deformation", _plant_special_deformation),
     ("eo/kernel-comparison", _plant_type_b_stream),
+    ("qsc/span-stability", _plant_span_basis),
 ])
 def test_check_fails_alone_on_its_planted_defect(monkeypatch, tmp_path, identity, plant):
     # the defect goes into the code under check, never into the check; the

@@ -1,5 +1,6 @@
 """Every name a gbgw module exports in __all__ resolves, so `import *` works,
-and every top-level definition in the package is used by the package."""
+and every top-level definition and constant in the package is used by the
+package."""
 
 import ast
 import importlib
@@ -31,24 +32,29 @@ def test_a_stale_export_is_reported(monkeypatch):
 
 
 def unreferenced(sources):
-    """Top-level functions and classes of {module: source} that no module
-    names outside their own body, by a load, an attribute or an import."""
+    """Top-level functions, classes and assigned names (other than __all__
+    and __version__) of {module: source} that no module names outside their
+    own definition, by a load, an attribute or an import."""
     defs, uses = set(), []
     for source in sources.values():
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.add(node.name)
-                owner = node.name
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+                names -= {"__all__", "__version__"}
             else:
-                owner = None
+                names = set()
+            defs |= names
             for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    uses.append((sub.id, owner))
+                if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                    uses.append((sub.id, names))
                 elif isinstance(sub, ast.Attribute):
-                    uses.append((sub.attr, owner))
+                    uses.append((sub.attr, names))
                 elif isinstance(sub, ast.ImportFrom):
-                    uses += [(alias.name, owner) for alias in sub.names]
-    return defs - {name for name, owner in uses if name != owner}
+                    uses += [(alias.name, names) for alias in sub.names]
+    return defs - {name for name, owners in uses if name not in owners}
 
 
 def package_sources():
@@ -64,5 +70,8 @@ def test_every_package_definition_is_used_in_the_package():
 
 def test_an_unreferenced_definition_is_reported():
     sources = dict(package_sources())
-    sources["extra"] = "def helper(n):\n    return helper(n - 1) if n else 0\n"
-    assert unreferenced(sources) == {"reset_caches", "to_x_coords", "from_x_coords", "helper"}
+    sources["extra"] = ("LIMIT = 3\n"
+                        "BASE = 0\n"
+                        "def helper(n):\n    return helper(n - 1) if n else BASE\n")
+    assert unreferenced(sources) == {"reset_caches", "to_x_coords", "from_x_coords", "helper",
+                                     "LIMIT"}

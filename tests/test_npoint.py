@@ -12,6 +12,7 @@ from gbgw.correlators import odd_partitions
 from gbgw.poly import ParamPoly, u_add, u_mul, u_scale
 from gbgw.schurq import theta
 from gbgw.npoint import (
+    WindowInstabilityError,
     bridge,
     correction_term,
     crosscheck_affine_vs_virasoro,
@@ -271,3 +272,23 @@ def test_packed_cycle_sum_fails_at_too_small_a_width(monkeypatch):
     # windows read back the same wrong values, so nothing else catches it
     monkeypatch.setattr(npoint_module, "_pack_bits", lambda n, at: 16)
     assert npoint_affine(3, 7).coeffs != want
+
+
+def _targets(n, max_weight, tail_hi):
+    out = npoint_module._npoint_once(n, max_weight, tail_hi)
+    return {k: c for k, c in out.coeffs.items() if all(e <= -1 for e in k)}
+
+
+@pytest.mark.parametrize("n, max_weight", [(2, 7), (3, 7), (4, 5)])
+def test_targets_are_exact_from_the_proven_tail(n, max_weight):
+    # the bound of _tail_hi's docstring: W - 1 at n = 2, 2W above
+    proven = max_weight - 1 if n == 2 else 2 * max_weight
+    assert npoint_module._tail_hi(n, max_weight) >= proven
+    assert _targets(n, max_weight, proven) == _targets(n, max_weight, 3 * max_weight)
+
+
+def test_a_short_tail_window_is_caught(monkeypatch):
+    # at n = 3, W = 7 the targets at tail 5 differ from those at tail 9
+    monkeypatch.setattr(npoint_module, "_tail_hi", lambda n, max_weight: 5)
+    with pytest.raises(WindowInstabilityError, match="target coefficients changed"):
+        npoint_affine(3, 7)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gbgw.poly import ParamPoly, ONE, H, U, u_add, u_mul
+from gbgw.poly import ParamPoly, ONE, H, u_add, u_mul
 from gbgw.schurq import theta, theta_u
 from gbgw.quantum import (
     _basis,
@@ -33,11 +33,13 @@ def factored_P_on_monomial(k):
 
     P = h^3 ((zD + 1/2)^2 - u)(D - h/(2 z^2) ((zD - 1/2)^2 - u)); on z^m the
     Euler factors act by ((m +- 1/2)^2 - u)."""
+    minus_u = ParamPoly.monomial(-1, eu=1)
+
     def euler_minus(m):
-        return ParamPoly.const(Fraction((2 * m - 1) ** 2, 4)) - U
+        return ParamPoly.const(Fraction((2 * m - 1) ** 2, 4)) + minus_u
 
     def euler_plus(m):
-        return ParamPoly.const(Fraction((2 * m + 1) ** 2, 4)) - U
+        return ParamPoly.const(Fraction((2 * m + 1) ** 2, 4)) + minus_u
 
     # inner bracket applied to z^k: k z^(k-1) - (h/2) eul_minus(k) z^(k-2)
     inner = {k - 1: ParamPoly.const(k), k - 2: ParamPoly.monomial(Fraction(-1, 2), eh=1) * euler_minus(k)}

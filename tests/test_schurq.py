@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from gbgw.poly import ParamPoly, U
+from gbgw.poly import ParamPoly
 from gbgw.schurq import (
     Q_delta_closed,
     Q_lambda,
@@ -88,9 +88,10 @@ def test_q_lambda_zero_couplings():
 
 
 def test_theta_values():
-    assert theta(1) == ParamPoly.const(1) - 4 * U
-    assert theta(0) == ParamPoly.const(1) - 4 * U
-    assert theta(2) == ParamPoly.const(9) - 4 * U
+    minus_4u = ParamPoly.monomial(-4, eu=1)
+    assert theta(1) == ParamPoly.const(1) + minus_4u
+    assert theta(0) == ParamPoly.const(1) + minus_4u
+    assert theta(2) == ParamPoly.const(9) + minus_4u
 
 
 def test_theta_lambda():
