@@ -41,10 +41,11 @@ and an entry's denominator divides 2^(3(2g-2+n)).  The coefficient route
 stores the same D: in that scale its triangular solve is a division-free
 integer recurrence (omega_closed_step), and the division by
 2^(3(2g-2+n)) prod (2k_i+1)!! happens once, where the table leaves the
-module.  The flat-coordinate transform is graded too:
-each shift m_i of an index multiplies by s^(m_i), so the B-entry at l sits
-at s^(|l|+1-g) as well: the transform runs on the s = 1 tables, and
-x_tensor attaches s^e at the same boundary.
+module.  It stores one entry per orbit of the externals, k_1 >= ... >=
+k_{n-1}, as the solve singles out index 0 only.  The flat-coordinate
+transform is graded too: each shift m_i of an index multiplies by s^(m_i),
+so the B-entry at l sits at s^(|l|+1-g) as well: the transform runs on the
+s = 1 tables, and x_tensor attaches s^e at the same boundary.
 
 The transform runs on integers as well.  Its weight (-1/2)^m / m! for a
 shift m of one index has a denominator dividing Z = 2^lmax lmax!, where
@@ -63,11 +64,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial, lcm, prod
 from operator import itemgetter, mul
 
-from .correlators import correlator_monomial
+from .correlators import _insert, correlator_monomial
 from .poly import ParamPoly, double_factorial
 from .series import SparseTensor
 
@@ -82,7 +83,7 @@ __all__ = [
 ]
 
 _omega_cache = {}  # (g, n) -> {k: 2^(3(2g-2+n)) * coefficient at s = 1, an int}
-_closed_cache = {}  # (g, n) -> {k: 8^(2g-2+n) * raw coefficient at s = 1, an int}
+_closed_cache = {}  # (g, n) -> {k: 8^(2g-2+n) * raw coefficient at s = 1, an int}, k_1 >= ... >= k_{n-1}
 
 
 def _check_stable(g, n):
@@ -240,14 +241,14 @@ def omega_closed_step(g, n):
     8^(2g-2+n) prod (2k_i+1)!! happens once, here, where the table leaves
     the module.
 
-    The sub-tables are scattered, not probed: each is indexed once by its
-    external tuple (head (a, b) for (g-1, n+1), one head index otherwise),
-    and for each kvec only the stored left x right products with a + b < mmax
-    and the (g, n-1) entries at kvec less one index enter the sums.
+    Only nonincreasing kvec are solved, one per orbit, and expanded to every
+    ordering here.  The sub-tables are scattered once by their externals: a split
+    half and (g, n-1) read subsequences of kvec, (g-1, n+1) reads (a, b, kvec) at
+    (a, kvec with b inserted in its place); only products with a + b < mmax count.
     """
     _check_stable(g, n)
     den = 8 ** (2 * g - 2 + n)
-    return _with_s(g, n, {kk: Fraction(v, den * _dfact(kk)) for kk, v in _closed(g, n).items()})
+    return _with_s(g, n, _orderings({kk: Fraction(v, den * _dfact(kk)) for kk, v in _closed(g, n).items()}))
 
 
 def _closed(g, n):
@@ -272,39 +273,39 @@ def _closed(g, n):
 def _closed_solve(g, n):
     ext_n = n - 1
     bound = omega_support_bound(g, n)
-    # candidate external tuples: total index bounded by the pole order of
-    # (g, n); the entrywise comparison against the residue route guards this
-    ext_candidates = [kk for kk in product(range(bound + 1), repeat=ext_n) if sum(kk) <= bound]
     mmax = bound + 3
     sigma = [[comb(m, k) * (-1) ** (m - k) for k in range(m + 1)] for m in range(mmax + 2)]
-    upper = _scatter(g - 1, n + 1, 2) if g >= 1 else {}
-    lower = _scatter(g, n - 1, 1) if ext_n else {}
+    upper = _scatter(g - 1, n + 1) if g >= 1 else {}
+    lower = _scatter(g, n - 1) if ext_n else {}
     halves = [(tuple(i for i in range(ext_n) if mask >> i & 1),
                tuple(i for i in range(ext_n) if not mask >> i & 1)) for mask in range(1 << ext_n)]
     # the splittings exclude one- and two-point factors; each names its half by index
-    splits = [(h, _scatter(g1, len(I) + 1, 1), _scatter(g - g1, len(J) + 1, 1))
+    splits = [(h, _scatter(g1, len(I) + 1), _scatter(g - g1, len(J) + 1))
               for g1 in range(g + 1) for h, (I, J) in enumerate(halves)
               if (g1 or len(I) > 1) and (g1 < g or len(J) > 1)]
     t = {}
-    for kvec in ext_candidates:
-        # the bracket depends on a + b only: accumulate it by a + b < mmax
+    # one external tuple per orbit, its total index bounded by the pole order
+    # of (g, n); the entrywise comparison against the residue route guards this
+    for kvec in _orbits(ext_n, bound, bound):
+        # the bracket depends on a + b only; (a, b, kvec) is stored at (a, _insert(kvec, b))
         inner = [0] * mmax
-        for (a, b), v in upper.get(kvec, {}).items():
-            if a + b < mmax:
-                inner[a + b] += v
-        # the (left, right) external keys of each half, shared by its g + 1 splits
+        for b in range(mmax) if upper else ():
+            for a, v in upper.get(_insert(kvec, b), {}).items():
+                if a + b < mmax:
+                    inner[a + b] += v
+        # the (left, right) keys of each half, shared by its g + 1 splits: subsequences of kvec
         keys = [(tuple(kvec[i] for i in I), tuple(kvec[i] for i in J)) for I, J in halves] if splits else ()
         for h, left, right in splits:
             lkey, rkey = keys[h]
             rights = right.get(rkey, {})
-            for (a,), lv in left.get(lkey, {}).items():
-                for (b,), rv in rights.items():
+            for a, lv in left.get(lkey, {}).items():
+                for b, rv in rights.items():
                     if a + b < mmax:
                         inner[a + b] += lv * rv
         # (2k_i + 1) times the (g, n-1) entries at (k_i + k0 - 1, rest), 0 <= k0 <= mmax + 1
         sub = [0] * (mmax + 2)
         for pos, ki in enumerate(kvec):
-            for (idx,), v in lower.get(kvec[:pos] + kvec[pos + 1:], {}).items():
+            for idx, v in lower.get(kvec[:pos] + kvec[pos + 1:], {}).items():
                 k0 = idx - ki + 1
                 if 0 <= k0 <= mmax + 1:
                     sub[k0] += (2 * ki + 1) * v
@@ -322,14 +323,27 @@ def _closed_solve(g, n):
     return t
 
 
-def _scatter(g, n, head):
-    """The closed table of (g, n) indexed by its external tuple, as
-    {kk[head:]: {kk[:head]: value}}; empty when (g, n) is unstable."""
+def _scatter(g, n):
+    """The stored closed table of (g, n) as {kk[1:]: {kk[0]: value}}.  Every
+    request is stable: off the seeds (1, 1) and (0, 3), (g-1, n+1) at g >= 1 and
+    (g, n-1) at n >= 2 have 2g'-2+n' = 2g-3+n >= 1, and a split half (g1, |I|+1)
+    has 2g1-1+|I| >= 1, as |I| >= 2 when g1 = 0."""
     out = {}
-    if 2 * g - 2 + n > 0:
-        for kk, v in _closed(g, n).items():
-            out.setdefault(kk[head:], {})[kk[:head]] = v
+    for kk, v in _closed(g, n).items():
+        out.setdefault(kk[1:], {})[kk[0]] = v
     return out
+
+
+def _orbits(length, total, top):
+    """Nonincreasing ``length``-tuples in [0, top], sum <= total, in lexicographic order: one per orbit."""
+    if not length:
+        return [()]
+    return [(k,) + rest for k in range(min(top, total) + 1) for rest in _orbits(length - 1, total - k, k)]
+
+
+def _orderings(table):
+    """A table stored one entry per orbit, with its externals in every order."""
+    return {(kk[0],) + ext: v for kk, v in table.items() for ext in set(permutations(kk[1:]))}
 
 
 def _dfact(kk):

@@ -1,6 +1,11 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbgw.poly import ParamPoly, double_factorial
 from gbgw.series import SparseTensor
@@ -300,6 +305,58 @@ def test_closed_step_pole_bound_guard(monkeypatch):
     monkeypatch.delitem(eo._closed_cache, (1, 3), raising=False)
     with pytest.raises(ArithmeticError):
         omega_closed_step(1, 3)
+
+
+def test_closed_tables_store_one_entry_per_orbit():
+    # every stored key has nonincreasing externals, and each table holds one
+    # entry per orbit: full storage, or a lost orbit, changes a stored count
+    import gbgw
+    import gbgw.eo as eo
+
+    gbgw.reset_caches()
+    omega_closed_step(3, 3)
+    for (g, n), table in eo._closed_cache.items():
+        for kk in table:
+            assert list(kk[1:]) == sorted(kk[1:], reverse=True), (g, n, kk)
+    counts = {(3, 3): (122, 216), (2, 4): (94, 329), (1, 5): (44, 252), (0, 6): (14, 84)}
+    for (g, n), (stored, expanded) in counts.items():
+        assert len(eo._closed_cache[(g, n)]) == stored, (g, n)
+        assert len(omega_closed_step(g, n).coeffs) == expanded, (g, n)
+
+
+def test_closed_step_expands_a_planted_orbit_to_every_ordering(monkeypatch):
+    # one stored (1,3) entry off by one: both orderings of its externals change,
+    # and nothing else does
+    import gbgw.eo as eo
+
+    planted = dict(eo._closed(1, 3))
+    planted[(0, 1, 0)] += 1
+    monkeypatch.setitem(eo._closed_cache, (1, 3), planted)
+    got = omega_closed_step(1, 3).coeffs
+    want = normalized(omega(1, 3)).coeffs
+    assert {kk for kk in got.keys() | want.keys() if got.get(kk) != want.get(kk)} == {(0, 1, 0), (0, 0, 1)}
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 5), st.integers(0, 9), st.integers(0, 9))
+def test_orbits_are_the_nonincreasing_tuples_of_the_product(length, total, top):
+    from gbgw.eo import _orbits
+
+    want = [kk for kk in product(range(top + 1), repeat=length)
+            if sum(kk) <= total and list(kk) == sorted(kk, reverse=True)]
+    assert _orbits(length, total, top) == want
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 9), st.lists(st.integers(0, 4), max_size=6))
+def test_orderings_expand_an_orbit_to_its_distinct_permutations(k0, ext):
+    from gbgw.eo import _orderings
+
+    ext = tuple(sorted(ext, reverse=True))
+    expanded = _orderings({(k0,) + ext: 7})
+    assert set(expanded.values()) == {7}
+    assert all(kk[0] == k0 and tuple(sorted(kk[1:], reverse=True)) == ext for kk in expanded)
+    assert len(expanded) == factorial(len(ext)) // prod(factorial(m) for m in Counter(ext).values())
 
 
 def test_reset_caches_empties_every_memo():
