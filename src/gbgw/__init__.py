@@ -23,10 +23,10 @@ __version__ = "0.1.0"
 
 
 def reset_caches():
-    """Empty the five module memos: the Virasoro table, the two EO tables
-    and the affine coordinates with their theta products."""
+    """Empty the six module memos: the Virasoro table with its split keys,
+    the two EO tables and the affine coordinates with their theta products."""
     from . import affine, correlators, eo
 
-    for memo in (correlators._cache, eo._omega_cache, eo._closed_cache,
-                 affine._affine_cache, affine._theta_prod_cache):
+    for memo in (correlators._cache, correlators._split_cache, eo._omega_cache,
+                 eo._closed_cache, affine._affine_cache, affine._theta_prod_cache):
         memo.clear()

@@ -25,9 +25,9 @@ known from its key; C is divided and s^e attached where a value leaves.
 The sum is symmetric under a <-> b: the split term (a, g1, I) equals the
 term (b, g2, J), and the upper term is the same for (a, b) and (b, a).  So
 a step sums over a <= b only, with weight 2 when a != b and weight 1 when
-a = b.  The subsets of the remaining parts are enumerated once per step, as
-pairs of descending tuples, and each key is formed by inserting a part into
-its place rather than by sorting.
+a = b.  The subsets of the remaining parts are enumerated once per
+(rest, a, b), as pairs of descending tuples shared by every genus, and each
+key is formed by inserting a part into its place rather than by sorting.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _cache = {}  # (g, parts) -> the int 2^(|parts|+2g) * coefficient at s = 1
+_split_cache = {}  # (rest, a, b) -> [(I + a, J + b)] over the splits I|J of rest, descending
 _SEEDS = {0: -1, 1: 1}  # <p_1>_0 = -s/2 and <p_1>_1 = 1/8, scaled
 
 
@@ -119,17 +120,14 @@ def _expand(g, parts, pick):
     upper = pairs = total = 0
 
     if k > 0:
-        n = len(rest)
-        # the 2^n splits I|J of rest, each side a descending tuple
-        splits = [(tuple(rest[i] for i in range(n) if mask >> i & 1),
-                   tuple(rest[i] for i in range(n) if not mask >> i & 1))
-                  for mask in range(1 << n)]
         for a in range(1, k + 1, 2):
             b = 2 * k - a
             weight = 1 if a == b else 2
             if g >= 1:
                 upper += weight * _corr(g - 1, _insert(_insert(rest, a), b))
-            keys = [(_insert(I, a), _insert(J, b)) for I, J in splits]
+            keys = _split_cache.get((rest, a, b))
+            if keys is None:
+                keys = _split_keys(rest, a, b)
             step = 0
             for g1 in range(g + 1):
                 g2 = g - g1
@@ -145,6 +143,23 @@ def _expand(g, parts, pick):
         if c:
             total += rest[i] * c
     return 4 * upper + pairs + 2 * total
+
+
+def _splits(parts):
+    """The 2^n splits I|J of the tuple ``parts``, as pairs of subsequences,
+    built by doubling over ``parts`` from its end: a descending tuple splits
+    into descending halves."""
+    splits = [((), ())]
+    for p in reversed(parts):
+        splits = [((p,) + I, J) for I, J in splits] + [(I, (p,) + J) for I, J in splits]
+    return splits
+
+
+def _split_keys(rest, a, b):
+    """The 2^n key pairs (I + a, J + b) over the splits I|J of the descending
+    tuple ``rest``, memoized per (rest, a, b)."""
+    keys = _split_cache[(rest, a, b)] = [(_insert(I, a), _insert(J, b)) for I, J in _splits(rest)]
+    return keys
 
 
 def correlator_expand_distinguishing(g, parts):

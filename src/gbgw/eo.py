@@ -15,11 +15,14 @@ evaluated in coefficient space: for the bracket
 
 (raw coefficient substitution; the sign of d(-z) and the -1/2 of the
 kernel cancel), the new entry at z0^(-2m-2) is (1/2)(s c_{-2m} - c_{-2m-2}).
-The bracket is built in index space, as one row per external index tuple
-k, with row[j] the coefficient at z^(-2j) prod z_i^(-2k_i-2).  Only the
-positions the kernel step reads are built: 0 <= j <= bound + 4, where
-bound = omega_support_bound(g, n) (entries up to m = bound + 3 are formed,
-so that the pole-bound guard sees the slots just past the support).
+The bracket is built in index space, as one row per orbit of the external
+indices (k_1 >= ... >= k_{n-1}, |k| <= bound), with row[j] the coefficient
+at z^(-2j) prod z_i^(-2k_i-2).  Only the positions the kernel step reads
+are built: 0 <= j <= bound + 4, where bound = omega_support_bound(g, n)
+(entries up to m = bound + 3 are formed, so that the pole-bound guard sees
+the slots just past the support).  Each table is stored one entry per
+orbit, index 0 free, as the recursion singles out index 0 only, and
+_orderings expands it where it leaves the module.
 
 One recursion serves the standard and the type-B Bergman kernel, by
 induction on 2g-2+n.  The (1,1) entry is seeded, since the type-B bracket
@@ -41,8 +44,8 @@ and an entry's denominator divides 2^(3(2g-2+n)).  The coefficient route
 stores the same D: in that scale its triangular solve is a division-free
 integer recurrence (omega_closed_step), and the division by
 2^(3(2g-2+n)) prod (2k_i+1)!! happens once, where the table leaves the
-module.  It stores one entry per orbit of the externals, k_1 >= ... >=
-k_{n-1}, as the solve singles out index 0 only.  The flat-coordinate
+module.  It stores one entry per orbit of the externals as well, and
+solves one orbit at a time.  The flat-coordinate
 transform is graded too: each shift m_i of an index multiplies by s^(m_i),
 so the B-entry at l sits at s^(|l|+1-g) as well: the transform runs on the
 s = 1 tables, and x_tensor attaches s^e at the same boundary.
@@ -66,9 +69,9 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, lcm, prod
-from operator import itemgetter, mul
+from operator import mul
 
-from .correlators import _insert, correlator_monomial
+from .correlators import _insert, _splits, correlator_monomial
 from .poly import ParamPoly, double_factorial
 from .series import SparseTensor
 
@@ -82,7 +85,7 @@ __all__ = [
     "compare_kernels",
 ]
 
-_omega_cache = {}  # (g, n) -> {k: 2^(3(2g-2+n)) * coefficient at s = 1, an int}
+_omega_cache = {}  # (g, n) -> {k: 2^(3(2g-2+n)) * coefficient at s = 1, an int}, k_1 >= ... >= k_{n-1}
 _closed_cache = {}  # (g, n) -> {k: 8^(2g-2+n) * raw coefficient at s = 1, an int}, k_1 >= ... >= k_{n-1}
 
 
@@ -114,7 +117,7 @@ def omega(g, n):
     prod z_i^(-2 k_i - 2)."""
     _check_stable(g, n)
     den = 8 ** (2 * g - 2 + n)  # the residue table's scale, divided out once
-    return _with_s(g, n, {kk: Fraction(v, den) for kk, v in _omega(g, n).items()})
+    return _with_s(g, n, {kk: Fraction(v, den) for kk, v in _orderings(_omega(g, n)).items()})
 
 
 def _omega(g, n):
@@ -136,44 +139,47 @@ def _bracket(g, next_n):
     """Rows of the recursion bracket for the entry (g, next_n), at scale
     2^(3(2g-2+next_n) - 3) (module docstring), in index space.
 
-    Returns {(k_1, ..., k_{next_n - 1}): row}: row[j] is the coefficient of
-    z^(-2j) prod z_i^(-2k_i-2), for j = 0..bound+4 with
-    bound = omega_support_bound(g, next_n).  _recurse reads row[m] and
-    row[m + 1] for m <= bound + 3 only, so nothing past bound + 4 is built,
-    and nothing at a positive power of z.  (1, 1) is seeded, so the
-    (g-1, n+2) term is stable.
+    Returns {ext: row}, one row per orbit ext of _orbits(next_n - 1, bound,
+    bound), bound = omega_support_bound(g, next_n): row[j] is the coefficient
+    of z^(-2j) prod z_i^(-2k_i-2), for j = 0..bound+4.  _recurse reads row[m]
+    and row[m + 1] for m <= bound + 3 only, so nothing past bound + 4 is
+    built, and nothing at a positive power of z.  (1, 1) is seeded, so the
+    (g-1, n+2) term is stable.  The sub-tables hold one entry per orbit too:
+    the (g-1, n+2) term reads (a, b, ext) at (a, ext with b inserted in its
+    place), and each split half reads a subsequence of ext.
     """
     n = next_n - 1
-    top = omega_support_bound(g, next_n) + 4
-    rows = defaultdict(lambda: [0] * (top + 1))
-
-    # 1. the (g-1, n+2) term at (z, -z, externals): z^(-2k_0-2) (-z)^(-2k_1-2)
-    if g >= 1:
-        for kk, v in _omega(g - 1, n + 2).items():
-            j = kk[0] + kk[1] + 2
-            if j <= top:
-                rows[kk[2:]][j] += v
-
-    # 2. ordered splittings; each factor is omega_{0,2} with one external
+    bound = omega_support_bound(g, next_n)
+    top = bound + 4
+    # 1. the (g-1, n+2) term at (z, -z, externals): z^(-2a-2) (-z)^(-2b-2) sits at
+    #    j = a + b + 2, so it scatters as a factor whose externals include b
+    upper = _factor(g - 1, n + 1, top) if g >= 1 else {}
+    # 2. splittings by position; each factor is omega_{0,2} with one external
     #    variable, or a stable entry; omega_{0,1} factors are excluded.
-    for mask in range(1 << n):
-        I = [i for i in range(n) if mask >> i & 1]
-        J = [i for i in range(n) if not mask >> i & 1]
-        slots = I + J
-        # the external tuple of a product: the left indices at I, the right ones at J
-        place = None if slots == sorted(slots) else itemgetter(*[slots.index(i) for i in range(n)])
-        for g1 in range(g + 1):
-            g2 = g - g1
-            if (g1 == 0 and not I) or (g2 == 0 and not J):
-                continue  # omega_{0,1} factors are excluded
-            f2 = _factor(g2, len(J), top)
-            for ext1, terms1 in _factor(g1, len(I), top).items():
-                for ext2, terms2 in f2.items():
-                    row = rows[ext1 + ext2 if place is None else place(ext1 + ext2)]
-                    for j1, v1 in terms1:
-                        for j2, v2 in terms2:
-                            if 0 <= j1 + j2 <= top:
-                                row[j1 + j2] += v1 * v2
+    #    Split h of ext is _splits(ext)[h], with halves of the sizes of halves[h];
+    #    every factor but omega_{g,n+1} itself pairs with one that is not omega_{0,1}.
+    halves = _splits(range(n))
+    factors = {(gf, nf): _factor(gf, nf, top) for gf in range(g + 1) for nf in range(n + 1)
+               if (gf or nf) and (gf < g or nf < n)}
+    splits = [(h, factors[g1, len(I)], factors[g - g1, len(J)])
+              for g1 in range(g + 1) for h, (I, J) in enumerate(halves) if (g1 or I) and (g1 < g or J)]
+    rows = {}
+    for ext in _orbits(n, bound, bound):
+        row = [0] * (top + 1)
+        for b in range(top - 1) if upper else ():
+            for j, v in upper.get(_insert(ext, b), ()):
+                if j + b < top:
+                    row[j + b + 1] += v
+        keys = _splits(ext)
+        for h, left, right in splits:
+            lkey, rkey = keys[h]
+            terms2 = right.get(rkey)
+            if terms2:
+                for j1, v1 in left.get(lkey, ()):
+                    for j2, v2 in terms2:
+                        if 0 <= j1 + j2 <= top:
+                            row[j1 + j2] += v1 * v2
+        rows[ext] = row
     return rows
 
 
@@ -182,10 +188,10 @@ def _factor(gf, nf, top):
     external indices: {(k_1..k_nf): [(j, value), ...]}, each term at
     z^(-2j) prod z_i^(-2k_i-2).  The caller excludes omega_{0,1}.
 
-    A stable entry at (k_0, k_1..k_nf) sits at j = k_0 + 1; its power of z
-    is even, so the sign of z drops out.  omega_{0,2} is the stream of the
-    module docstring after the parity rule: its term m = 2k sits at j = -k,
-    k_1 = k, with value 2k + 1, for k <= top.
+    A stable entry at (k_0, k_1..k_nf), stored with k_1 >= ... >= k_nf, sits
+    at j = k_0 + 1; its power of z is even, so the sign of z drops out.
+    omega_{0,2} is the stream of the module docstring after the parity rule:
+    its term m = 2k sits at j = -k, k_1 = k, with value 2k + 1, for k <= top.
     """
     if gf == 0 and nf == 1:
         return {(k,): [(-k, 2 * k + 1)] for k in range(top + 1)}
@@ -277,15 +283,15 @@ def _closed_solve(g, n):
     sigma = [[comb(m, k) * (-1) ** (m - k) for k in range(m + 1)] for m in range(mmax + 2)]
     upper = _scatter(g - 1, n + 1) if g >= 1 else {}
     lower = _scatter(g, n - 1) if ext_n else {}
-    halves = [(tuple(i for i in range(ext_n) if mask >> i & 1),
-               tuple(i for i in range(ext_n) if not mask >> i & 1)) for mask in range(1 << ext_n)]
+    halves = _splits(range(ext_n))
     # the splittings exclude one- and two-point factors; each names its half by index
     splits = [(h, _scatter(g1, len(I) + 1), _scatter(g - g1, len(J) + 1))
               for g1 in range(g + 1) for h, (I, J) in enumerate(halves)
               if (g1 or len(I) > 1) and (g1 < g or len(J) > 1)]
     t = {}
     # one external tuple per orbit, its total index bounded by the pole order
-    # of (g, n); the entrywise comparison against the residue route guards this
+    # of (g, n); the residue route shares _orbits, so the Virasoro equivalence
+    # guards this, not the entrywise comparison of the two routes
     for kvec in _orbits(ext_n, bound, bound):
         # the bracket depends on a + b only; (a, b, kvec) is stored at (a, _insert(kvec, b))
         inner = [0] * mmax
@@ -294,7 +300,7 @@ def _closed_solve(g, n):
                 if a + b < mmax:
                     inner[a + b] += v
         # the (left, right) keys of each half, shared by its g + 1 splits: subsequences of kvec
-        keys = [(tuple(kvec[i] for i in I), tuple(kvec[i] for i in J)) for I, J in halves] if splits else ()
+        keys = _splits(kvec) if splits else ()
         for h, left, right in splits:
             lkey, rkey = keys[h]
             rights = right.get(rkey, {})
@@ -302,12 +308,15 @@ def _closed_solve(g, n):
                 for b, rv in rights.items():
                     if a + b < mmax:
                         inner[a + b] += lv * rv
-        # (2k_i + 1) times the (g, n-1) entries at (k_i + k0 - 1, rest), 0 <= k0 <= mmax + 1
+        # (2k_i + 1) times the (g, n-1) entries at (k_i + k0 - 1, rest), 0 <= k0.
+        # k0 <= bound needs no test: the (g, n-1) table obeys its pole bound (it
+        # is seeded, or its own guard raises), so idx <= bound - 1 and
+        # k0 = idx - k_i + 1 <= bound < len(sub)
         sub = [0] * (mmax + 2)
         for pos, ki in enumerate(kvec):
             for idx, v in lower.get(kvec[:pos] + kvec[pos + 1:], {}).items():
                 k0 = idx - ki + 1
-                if 0 <= k0 <= mmax + 1:
+                if k0 >= 0:
                     sub[k0] += (2 * ki + 1) * v
         # row m; each map stops at the shorter list: k0 <= m+1, a+b <= m-1, k0 < m
         solved = []
@@ -449,7 +458,7 @@ def _x_table(g, n, max_weight):
                 for k1 in range(kmax + 1) for k2 in range(kmax - k1 + 1)}, 1
     _check_stable(g, n)
     # the residue table holds 8^(2g-2+n) W at s = 1, the raw coefficients
-    t, scale = _flat_scatter(_omega(g, n), n, max_weight, -1)
+    t, scale = _flat_scatter(_orderings(_omega(g, n)), n, max_weight, -1)
     return t, 8 ** (2 * g - 2 + n) * scale
 
 

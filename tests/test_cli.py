@@ -809,3 +809,30 @@ def test_kernel_comparison_fails_on_a_planted_omega02_factor(monkeypatch, tmp_pa
                            "eo/residue-vs-coefficient-recursion", "eo/kernel-comparison"}
     assert failed["eo/kernel-comparison"].startswith(
         "[(0, 3, 'standard, sigma=+1'), (0, 3, 'standard, sigma=-1'), (0, 3, 'typeB'), ")
+
+
+def test_equivalence_check_fails_on_a_defect_in_the_shared_orbits(monkeypatch, tmp_path):
+    # both EO routes solve only the orbits that eo._orbits lists, so a defect
+    # there moves both routes alike: eo/residue-vs-coefficient-recursion cannot
+    # see it, and the Virasoro equivalence must.  The orbits at sum == total are
+    # dropped where total > 0; the one (0,3) orbit, at total 0, stays, since the
+    # coefficient route seeds (0,3) and would differ there.  (1,2) loses its
+    # orbit (2,): its entries at (0, 2) are gone, and (1,3) and up are built on it
+    import gbgw
+    import gbgw.eo as eo
+
+    real = eo._orbits
+
+    def planted(length, total, top):
+        return [kk for kk in real(length, total, top) if sum(kk) < total or not total]
+
+    gbgw.reset_caches()
+    try:
+        monkeypatch.setattr(eo, "_orbits", planted)
+        rc, text = run_cli(["verify", "--suite", "all"], tmp_path, "all.json")
+    finally:
+        gbgw.reset_caches()
+    assert rc == 1
+    failed = _failed(text)
+    assert set(failed) == {"eo/equivalence-with-virasoro-weight<=9"}
+    assert failed["eo/equivalence-with-virasoro-weight<=9"].startswith("(1,2): [((0, 2), ")

@@ -1,8 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbgw.poly import ParamPoly
 from gbgw.correlators import (
@@ -350,9 +353,37 @@ def test_virasoro_table_reads_no_other_table():
     import gbgw.eo as eo
 
     gbgw.reset_caches()
+    assert (corr._cache, corr._split_cache) == ({}, {})
     for mu in odd_partitions(21, 4):
         for g in range(5):
             correlator(g, mu)
-    assert corr._cache
+    assert corr._cache and corr._split_cache
     assert (eo._omega_cache, eo._closed_cache, affine._affine_cache, affine._theta_prod_cache) == (
         {}, {}, {}, {})
+
+
+@st.composite
+def _split_case(draw):
+    """(rest, a, b): a descending tuple of at most 5 odd parts, and odd a <= b."""
+    rest = tuple(sorted(draw(st.lists(st.integers(0, 6), max_size=5)), reverse=True))
+    a, b = sorted(draw(st.lists(st.integers(0, 6), min_size=2, max_size=2)))
+    return tuple(2 * p + 1 for p in rest), 2 * a + 1, 2 * b + 1
+
+
+@settings(max_examples=200)
+@given(_split_case())
+def test_split_keys_are_the_per_mask_enumeration(case):
+    # the memoized keys equal the per-mask enumeration of the splits I|J of
+    # rest as a multiset of 2^n pairs (I + a, J + b), each side descending
+    from gbgw.correlators import _split_cache, _split_keys
+
+    rest, a, b = case
+    n = len(rest)
+    want = Counter((tuple(sorted([rest[i] for i in range(n) if mask >> i & 1] + [a], reverse=True)),
+                    tuple(sorted([rest[i] for i in range(n) if not mask >> i & 1] + [b], reverse=True)))
+                   for mask in range(1 << n))
+    keys = _split_keys(rest, a, b)
+    assert len(keys) == 1 << n
+    assert Counter(keys) == want
+    assert all(list(side) == sorted(side, reverse=True) for pair in keys for side in pair)
+    assert _split_cache[(rest, a, b)] is keys

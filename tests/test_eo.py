@@ -254,7 +254,7 @@ def test_residue_route_reads_no_other_table():
     for (g, n) in STABLE_PAIRS:
         omega(g, n)
     assert eo._omega_cache
-    assert correlators._cache == {}
+    assert (correlators._cache, correlators._split_cache) == ({}, {})
     assert eo._closed_cache == {}
 
 
@@ -268,7 +268,7 @@ def test_flat_transform_reads_no_other_table():
     gbgw.reset_caches()
     for (g, n) in STABLE_PAIRS:
         assert x_tensor(g, n, 13).coeffs, (g, n)
-    assert correlators._cache == {}
+    assert (correlators._cache, correlators._split_cache) == ({}, {})
     assert eo._closed_cache == {}
 
 
@@ -324,6 +324,25 @@ def test_closed_tables_store_one_entry_per_orbit():
         assert len(omega_closed_step(g, n).coeffs) == expanded, (g, n)
 
 
+def test_residue_tables_store_one_entry_per_orbit():
+    # the residue route stores the coefficient route's shape: nonincreasing
+    # externals, one entry per orbit, and the same integers at every key
+    import gbgw
+    import gbgw.eo as eo
+
+    gbgw.reset_caches()
+    omega(3, 3)
+    for (g, n), table in eo._omega_cache.items():
+        for kk in table:
+            assert list(kk[1:]) == sorted(kk[1:], reverse=True), (g, n, kk)
+    counts = {(3, 3): (122, 216), (2, 4): (94, 329), (1, 5): (44, 252), (0, 6): (14, 84)}
+    for (g, n), (stored, expanded) in counts.items():
+        assert len(eo._omega_cache[(g, n)]) == stored, (g, n)
+        assert len(omega(g, n).coeffs) == expanded, (g, n)
+    omega_closed_step(3, 3)
+    assert eo._omega_cache == eo._closed_cache
+
+
 def test_closed_step_expands_a_planted_orbit_to_every_ordering(monkeypatch):
     # one stored (1,3) entry off by one: both orderings of its externals change,
     # and nothing else does
@@ -363,7 +382,7 @@ def test_reset_caches_empties_every_memo():
     import gbgw
     from gbgw import affine, correlators, eo
 
-    memos = (correlators._cache, eo._omega_cache, eo._closed_cache,
+    memos = (correlators._cache, correlators._split_cache, eo._omega_cache, eo._closed_cache,
              affine._affine_cache, affine._theta_prod_cache)
     correlator(1, (3,))
     omega(1, 2)

@@ -166,7 +166,8 @@ def test_cycle_sums_read_no_other_table():
     for n in (1, 2, 3):
         npoint_affine(n, 15 if n == 1 else 11)
     assert affine._theta_prod_cache
-    assert (correlators._cache, eo._omega_cache, eo._closed_cache) == ({}, {}, {})
+    assert (correlators._cache, correlators._split_cache, eo._omega_cache, eo._closed_cache) == (
+        {}, {}, {}, {})
 
 
 @st.composite
