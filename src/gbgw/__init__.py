@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 def reset_caches():
     """Empty the six module memos: the Virasoro table with its split keys,
     the two EO tables and the affine coordinates with their theta products."""
-    from . import affine, correlators, eo
+    from . import affine, correlators, eo, schurq
 
     for memo in (correlators._cache, correlators._split_cache, eo._omega_cache,
-                 eo._closed_cache, affine._affine_cache, affine._theta_prod_cache):
+                 eo._closed_cache, affine._affine_cache, schurq._theta_prod_cache):
         memo.clear()

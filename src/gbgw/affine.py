@@ -22,15 +22,14 @@ closed-form construction asserts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .pfaffian import pfaffian
-from .poly import ParamPoly, ONE, ZERO, u_add, u_mul, u_scale
-from .schurq import theta_u, hypergeom_coeff
+from .poly import ParamPoly, double_factorial, u_add, u_mul, u_pack, u_scale, u_unpack
+from .schurq import check_strict, hypergeom_coeff, theta_prod, theta_u
 from .series import BiSeries
 
 __all__ = [
-    "theta_prod",
     "affine_scalar",
     "affine_coeff",
     "gen_A",
@@ -38,19 +37,7 @@ __all__ = [
     "verify_pfaffian_expansion",
 ]
 
-_theta_prod_cache = {}
 _affine_cache = {}
-
-
-def theta_prod(n):
-    """prod_{k=1}^n theta(k) as a dense int u-tuple, memoized."""
-    if n == 0:
-        return (1,)
-    out = _theta_prod_cache.get(n)
-    if out is None:
-        out = u_mul(theta_prod(n - 1), theta_u(n))
-        _theta_prod_cache[n] = out
-    return out
 
 
 def affine_scalar(n, m):
@@ -65,14 +52,15 @@ def affine_scalar(n, m):
 
 
 def affine_coeff(n, m):
-    """The affine coordinate a_{n,m} (n, m >= 0) as a polynomial in (h, u)."""
+    """The affine coordinate a_{n,m} (n, m >= 0) as its pair (r, P), memoized:
+    a_{n,m} = h^(n+m) r P(u), with r = r_{n,m} of ``affine_scalar`` and the
+    int u-tuple P = theta_prod(n) theta_prod(m), or () where r = 0."""
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
     out = _affine_cache.get((n, m))
     if out is None:
         r = affine_scalar(n, m)
-        out = _entry_poly((-n, -m), (r, u_mul(theta_prod(n), theta_prod(m)))) if r else ZERO
-        _affine_cache[(n, m)] = out
+        out = _affine_cache[(n, m)] = (r, u_mul(theta_prod(n), theta_prod(m)) if r else ())
     return out
 
 
@@ -112,20 +100,21 @@ def _direct_a(keys):
     """Entries of the direct A at ``keys``, pairs (i, j) with i, j <= 0.
 
     Each entry is a pair (r, P) of a Fraction and an int u-tuple, standing
-    for h^-(i+j) r P(u).  The sign and half-weight rules of the coordinate
-    double sum: (-1)^(n+m+1) a_{n,m} at (-n, -m), and (-1)^n/2 a_{0,n} at
-    (-n, 0) and minus that at (0, -n).
+    for h^-(i+j) r P(u), read from the pairs of ``affine_coeff``.  The sign
+    and half-weight rules of the coordinate double sum: (-1)^(n+m+1) a_{n,m}
+    at (-n, -m), and (-1)^n/2 a_{0,n} at (-n, 0) and minus that at (0, -n).
     """
     a = {}
     for i, j in keys:
         n, m = -i, -j
         if n and m:
-            r = affine_scalar(n, m)
+            r, p = affine_coeff(n, m)
             if r:
-                a[(i, j)] = (-r if (m + n) % 2 == 0 else r, u_mul(theta_prod(n), theta_prod(m)))
+                a[(i, j)] = (-r if (m + n) % 2 == 0 else r, p)
         elif n or m:
-            r = affine_scalar(0, n + m) / (2 if (n + m) % 2 == 0 else -2)
-            a[(i, j)] = (r if n else -r, theta_prod(n + m))
+            r, p = affine_coeff(0, n + m)
+            r /= 2 if (n + m) % 2 == 0 else -2
+            a[(i, j)] = (r if n else -r, p)
     return a
 
 
@@ -274,21 +263,46 @@ def verify_wronskian(T):
     return report
 
 
+def _pfaffian_bits(entries):
+    """A digit width that holds every coefficient of the Pfaffian of ``entries``.
+
+    With 2m the order and N the largest L1 norm of an entry, the Pfaffian
+    sums (2m-1)!! products of m entries, each with coefficients bounded by
+    N^m, so every coefficient is below (2m-1)!! N^m < 2^(bits-1).
+    """
+    m = len(entries) // 2
+    norm = max((sum(map(abs, p)) for row in entries for p in row), default=0)
+    return (double_factorial(2 * m - 1) * norm ** m).bit_length() + 1
+
+
+def _packed_pfaffian(entries):
+    """The Pfaffian of an antisymmetric matrix of int u-tuples, as an int
+    u-tuple: each entry is packed into one int (``u_pack``) at the width of
+    ``_pfaffian_bits``, the Pfaffian runs on the ints, and its value is
+    unpacked once."""
+    bits = _pfaffian_bits(entries)
+    return u_unpack(pfaffian([[u_pack(p, bits) for p in row] for row in entries]), bits)
+
+
 def pfaffian_expansion_sides(parts):
     """Both sides of the Pfaffian/hypergeometric-weight identity for one
-    strict partition: ((-1)^ceil(l/2) Pf(a_{mu_i,mu_j}), expansion weight)."""
-    from .schurq import check_strict
+    strict partition: ((-1)^ceil(l/2) Pf(a_{mu_i,mu_j}), expansion weight).
 
+    Each term of a Pfaffian of order 2m multiplies m entries
+    a_{mu_i,mu_j} = h^(mu_i+mu_j) r P(u) whose indices cover mu once, so
+    every term carries h^|lambda|.  The Pfaffian therefore runs at h = 1 on
+    the int u-tuples r L P, with L the lcm of the denominators of the r
+    (``_packed_pfaffian``), and leaves as h^|lambda| tuple / L^m.
+    """
     parts = check_strict(parts)
-    if not parts:
-        return ONE, ONE
     mu = parts if len(parts) % 2 == 0 else parts + (0,)
-    m = [[affine_coeff(a, b) for b in mu] for a in mu]
+    pairs = [[affine_coeff(a, b) for b in mu] for a in mu]
+    scale = lcm(*(r.denominator for row in pairs for r, _ in row))
+    pf = _packed_pfaffian([[u_scale(p, r.numerator * scale // r.denominator) for r, p in row]
+                           for row in pairs])
     sign = (-1) ** ((len(parts) + 1) // 2)
-    lhs = pfaffian(m)
-    if sign < 0:
-        lhs = -lhs
-    return lhs, hypergeom_coeff(parts)
+    return (ParamPoly.from_u(u_scale(pf, sign), scale ** (len(mu) // 2), eh=sum(parts)),
+            hypergeom_coeff(parts))
 
 
 def verify_pfaffian_expansion(parts):

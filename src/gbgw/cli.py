@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from fractions import Fraction
 from functools import partial
 
-from .poly import ParamPoly, H, S, double_factorial
+from .poly import ParamPoly, H, S, u_eval
 from . import correlators as corr
 from . import schurq
 from . import affine
@@ -158,7 +157,8 @@ def _trivialization(cfg):
     size = 9 * 9 + 2  # a[n, m] for n, m <= 8, the 2-point cycle sum and the 1-point series
     for n in range(0, 9):
         for m in range(0, 9):
-            if affine.affine_coeff(n, m).subs_u(cfg.u):
+            r, p = affine.affine_coeff(n, m)
+            if r and u_eval(p, cfg.u):
                 return False, f"a[{n},{m}] nonzero", size
     if npoint.npoint_affine(2, 7, u_value=cfg.u).coeffs:
         return False, "2-point cycle sum did not vanish", size
@@ -318,12 +318,12 @@ def cmd_npoint(cfg):
         t = corr.wgn(g, n, cfg.weight_max).coeffs
         entries = [{"mu": [-e - 1 for e in key], "value": _poly(t[key], "s")} for key in sorted(t)]
         meta = {"normalization": "W_{g,n} coefficients in s", "g": g}
-    else:  # eo: the flat-coordinate tensor, times (-1)^n prod (2k+1)!!
+    else:  # eo: the flat-coordinate tensor, each coefficient times (-1)^n prod (2k+1)!!
         t = eo.x_tensor(g, n, cfg.weight_max).coeffs
         sign = (-1) ** n
         entries = [{"mu": [2 * k + 1 for k in key],
-                    "value": _poly(sign * math.prod(double_factorial(2 * k + 1) for k in key)
-                                   * t[key], "s")}
+                    "value": _poly(ParamPoly({e: sign * eo._dfact(key) * q
+                                              for e, q in t[key].terms.items()}), "s")}
                    for key in sorted(t)]
         meta = {"normalization": "W_{g,n} coefficients in s (flat coordinate)", "g": g}
     _write(_csv({"g": g, **e} for e in entries) if cfg.format == "csv" else

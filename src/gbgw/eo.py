@@ -284,10 +284,13 @@ def _closed_solve(g, n):
     upper = _scatter(g - 1, n + 1) if g >= 1 else {}
     lower = _scatter(g, n - 1) if ext_n else {}
     halves = _splits(range(ext_n))
-    # the splittings exclude one- and two-point factors; each names its half by index
-    splits = [(h, _scatter(g1, len(I) + 1), _scatter(g - g1, len(J) + 1))
-              for g1 in range(g + 1) for h, (I, J) in enumerate(halves)
-              if (g1 or len(I) > 1) and (g1 < g or len(J) > 1)]
+    # the splittings exclude one- and two-point factors; each names its half by
+    # index, and each factor table is scattered once per solve
+    pairs = [(h, (g1, len(I) + 1), (g - g1, len(J) + 1))
+             for g1 in range(g + 1) for h, (I, J) in enumerate(halves)
+             if (g1 or len(I) > 1) and (g1 < g or len(J) > 1)]
+    tables = {key: _scatter(*key) for key in {key for _, *keys in pairs for key in keys}}
+    splits = [(h, tables[left], tables[right]) for h, left, right in pairs]
     t = {}
     # one external tuple per orbit, its total index bounded by the pole order
     # of (g, n); the residue route shares _orbits, so the Virasoro equivalence
@@ -362,10 +365,8 @@ def _dfact(kk):
 
 def normalized(tensor):
     """Divide raw coefficients by prod (2k_i + 1)!!: the A-normalization."""
-    out = SparseTensor(tensor.arity)
-    for kk, v in tensor.coeffs.items():
-        out.coeffs[kk] = Fraction(1, _dfact(kk)) * v
-    return out
+    return SparseTensor(tensor.arity, {kk: ParamPoly({e: q / _dfact(kk) for e, q in v.terms.items()})
+                                       for kk, v in tensor.coeffs.items()})
 
 
 def to_x_coords(a_tensor, max_weight):

@@ -15,7 +15,7 @@ The entries of At arrive as the (r, P) pairs of ``affine._direct_a``
 (h^-(i+j) times a rational times an int u-tuple), so the sum runs at h = 1
 under one integer scale and builds a ParamPoly only for its output.  Each
 scaled u-tuple P enters the cycle sum packed as the single int P(2^bits)
-(``_pack``), so a product or sum of u-polynomials is one int operation;
+(``u_pack``), so a product or sum of u-polynomials is one int operation;
 packing is a ring map Z[u] -> Z, and each output value is unpacked once,
 which is exact while its coefficients stay below 2^(bits-1).  With L the
 largest L1 norm of a scaled entry, every output coefficient is a sum over
@@ -36,9 +36,10 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm
 
-from .affine import _direct_a, _entry_poly, _with_tail, affine_scalar, theta_prod
+from .affine import _direct_a, _entry_poly, _with_tail, affine_scalar
 from .correlators import check_odd_partition, correlator_monomial, odd_partitions
-from .poly import ParamPoly, ZERO, u_add, u_mul, u_scale
+from .poly import ParamPoly, u_add, u_eval, u_mul, u_pack, u_scale, u_unpack
+from .schurq import theta_prod
 from .series import SparseTensor
 
 __all__ = [
@@ -63,11 +64,8 @@ class WindowInstabilityError(ArithmeticError):
 
 
 def correction_term(max_order):
-    """The n=2 correction sum_{m odd} (m/2) x1^-m x2^m as a sparse tensor."""
-    t = SparseTensor(2)
-    for m in range(1, max_order + 1, 2):
-        t.coeffs[(-m, m)] = ParamPoly.const(Fraction(m, 2))
-    return t
+    """The n=2 correction sum_{m odd} (m/2) x1^-m x2^m as a sparse tensor of Fractions."""
+    return SparseTensor(2, {(-m, m): Fraction(m, 2) for m in range(1, max_order + 1, 2)})
 
 
 def cycles(n):
@@ -97,28 +95,10 @@ def one_point_affine(max_weight, u_value=None):
             total = u_add(total, u_scale(p, r.numerator * scale // r.denominator))
         entry = (Fraction(1, scale), total)
         if u is not None:
-            entry = (entry[0] * sum(c * u ** e for e, c in enumerate(total)), (1,))
+            entry = (entry[0] * u_eval(total, u), (1,))
         if entry[0] and entry[1]:
             out[-mu] = _entry_poly((-mu,), entry)
     return out
-
-
-def _pack(p, bits):
-    """The int u-tuple p as the single int p(2^bits); signed coefficients."""
-    return sum(c << (bits * e) for e, c in enumerate(p))
-
-
-def _unpack(x, bits):
-    """The int u-tuple whose value at u = 2^bits is x, read in balanced
-    base-2^bits digits (bits >= 2): the inverse of ``_pack`` on tuples
-    whose coefficients c satisfy |c| < 2^(bits-1), trailing zeros trimmed."""
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    out = []
-    while x:
-        d = ((x + half) & mask) - half
-        out.append(d)
-        x = (x - d) >> bits
-    return tuple(out)
 
 
 def _pack_bits(n, at):
@@ -146,7 +126,7 @@ def _contract_cycle(order, at, budget):
     """Multiply the xi factors along one cycle under an exact weight budget.
 
     ``at`` holds the entries of At at h = 1, each a scaled int u-tuple
-    packed into one int (``_pack``), so the products and sums along the
+    packed into one int (``u_pack``), so the products and sums along the
     cycle are plain int arithmetic; the caller unpacks the totals.  The
     entry at (i, j) stands for h^-(i+j) times its tuple, with
     0 <= -(i + j) <= budget, so the degree of a partial product is minus
@@ -209,12 +189,12 @@ def _npoint_once(n, max_weight, tail_hi, u_value=None):
     at = _with_tail(_direct_a(keys), tail_hi)
     if u_value is not None:
         u = Fraction(u_value)
-        at = {k: (r * sum(c * u ** e for e, c in enumerate(p)), (1,)) for k, (r, p) in at.items()}
+        at = {k: (r * u_eval(p, u), (1,)) for k, (r, p) in at.items()}
         at = {k: entry for k, entry in at.items() if entry[0]}
     scale = lcm(*(r.denominator for r, _ in at.values()))
     at = {k: u_scale(p, r.numerator * scale // r.denominator) for k, (r, p) in at.items()}
     bits = _pack_bits(n, at)
-    at = {k: _pack(p, bits) for k, p in at.items()}
+    at = {k: u_pack(p, bits) for k, p in at.items()}
     total = {}
     for order in cycles(n):
         where = [order.index(v) for v in range(1, n + 1)]
@@ -222,17 +202,19 @@ def _npoint_once(n, max_weight, tail_hi, u_value=None):
             k = tuple(key[p] for p in where)
             total[k] = total.get(k, 0) + c
     factor = Fraction(-(2 ** (n - 1)), scale ** n)
-    out = SparseTensor(n, {key: _entry_poly(key, (factor, _unpack(c, bits)))
-                           for key, c in total.items() if c})
+    total = {key: u_unpack(c, bits) for key, c in total.items() if c}
     if n == 2:
         # off-diagonal tail artifacts self-cancel within the window; the
         # diagonal band (-m, +m) survives and is exactly the correction term
-        # (the positive slot always carries the larger variable index, x_2)
+        # (the positive slot always carries the larger variable index, x_2).
+        # It is subtracted as the integer c / factor = -c L^2 / 2, an integer
+        # because 4 | L: the -1/4 tail entry is among the r of the scale
         for key, c in correction_term(max_weight).coeffs.items():
-            r = out.coeffs.pop(key, ZERO) + (-c)
-            if r:
-                out.coeffs[key] = r
-    return out
+            shift = c / factor
+            if shift.denominator != 1:
+                raise ArithmeticError(f"correction at {key} is not an integer multiple of the scale")
+            total[key] = u_add(total.get(key, ()), (-shift.numerator,))
+    return SparseTensor(n, {key: _entry_poly(key, (factor, p)) for key, p in total.items() if p})
 
 
 def _tail_hi(n, max_weight):
@@ -293,16 +275,17 @@ def bridge(mu, u_value=None):
     mu = check_odd_partition(mu)
     n = len(mu)
     w = sum(mu)
-    out = ZERO
+    # each g gives its own power of u: e = (|mu| - n + 2 - 2g)/2, so the
+    # h-degree n + 2g - 2 + 2e is |mu|
+    terms = {}
     for g in range(0, (w - n + 2) // 2 + 1):
         e, c = correlator_monomial(g, mu)
-        if e is None:
-            continue
-        # e = (|mu| - n + 2 - 2g)/2, so the h-degree n + 2g - 2 + 2e is |mu|
-        out = out + ParamPoly.monomial(c * Fraction(1, 2 ** n), eh=w, eu=e)
-    if u_value is not None:
-        out = out.subs_u(u_value)
-    return out
+        if e is not None:
+            terms[(w, e, 0, 0)] = c / 2 ** n
+    if u_value is None:
+        return ParamPoly(terms)
+    u = Fraction(u_value)
+    return ParamPoly.monomial(sum(c * u ** e for (_, e, _, _), c in terms.items()), eh=w)
 
 
 def crosscheck_affine_vs_virasoro(n_max, weight_max, one_point_weight=None, u_value=None):

@@ -1,8 +1,9 @@
 """Pfaffians of small exact antisymmetric matrices.
 
-Entries are arbitrary exact ring elements (Fraction, ParamPoly, ...); the
-matrices that occur here never exceed 12x12, so recursive expansion wins
-on clarity and is plenty fast.
+Entries are exact ring elements: Fractions for the Schur Q-values, and
+ints for the affine coordinates, each a u-polynomial packed into one int
+(``affine._packed_pfaffian``).  The matrices that occur here never exceed
+12x12, so recursive expansion wins on clarity and is plenty fast.
 """
 
 from __future__ import annotations

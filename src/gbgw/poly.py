@@ -1,4 +1,5 @@
-"""Sparse exact polynomials over the formal generators h, u, s.
+"""Exact polynomials over the formal generators h, u, s: one output format
+and one arithmetic.
 
 Every value this package returns lies in the ring Q[h, u, s], where the
 generators are read as follows:
@@ -12,11 +13,16 @@ coordinates depend on N through u alone.  The one linear appearance of N,
 in the KdV basis series phi2, stays inside the integer basis of
 ``affine._int_basis``, and ``affine.gen_A`` checks that it cancels.
 
-ParamPoly is the format a value takes where it leaves a module: every
-recursion runs on ints or Fractions, and the tables are built as ParamPoly
-only on the way out.  Keeping s distinct from h^2*u makes the two natural
-normalizations of the theory coexist; npoint.bridge applies s -> h^2*u to
-the correlator monomials.
+Each value has a fixed shape: an affine coordinate is h^(n+m) times a
+rational times a polynomial in u, and a correlator or omega entry is one
+monomial c s^e.  So the arithmetic runs on that shape alone: a polynomial
+in u is a dense int tuple (index = power of u) combined by ``u_add``,
+``u_mul`` and ``u_scale``, or packed into one int by ``u_pack``, and
+``u_eval`` evaluates it at a rational u.  ParamPoly is the output format,
+with no arithmetic: a value is built as a ParamPoly once, where it leaves
+a module, and is then only compared, read and printed.  Keeping s distinct
+from h^2*u makes the two natural normalizations of the theory coexist;
+npoint.bridge applies s -> h^2*u to the correlator monomials.
 
 A key is the exponent tuple (eh, eu, es, ev) with ev always 0: serialized
 terms are read as four exponent columns (h, u, s, v), so the slot stays.
@@ -29,23 +35,25 @@ from fractions import Fraction
 __all__ = [
     "ParamPoly",
     "ZERO",
-    "ONE",
     "H",
     "S",
     "double_factorial",
     "u_mul",
     "u_add",
     "u_scale",
+    "u_eval",
+    "u_pack",
+    "u_unpack",
 ]
 
 _GENS = ("h", "u", "s")
 
 
 class ParamPoly:
-    """Exact sparse polynomial in (h, u, s) with Fraction coefficients.
-
-    Instances are treated as immutable; all operations return new objects.
-    Zero coefficients are never stored.
+    """Exact sparse polynomial in (h, u, s) with Fraction coefficients: the
+    output format, which is built, compared, read and printed, never
+    combined.  Zero coefficients are never stored.  A ParamPoly equals an
+    int or a Fraction when it is that constant.
     """
 
     __slots__ = ("terms",)
@@ -74,71 +82,12 @@ class ParamPoly:
         """h^eh sum_k coeffs[k] u^k / den, from a dense int u-tuple."""
         return cls({(eh, eu, 0, 0): Fraction(c, den) for eu, c in enumerate(coeffs) if c})
 
-    # -- ring operations ---------------------------------------------------
-
-    @staticmethod
-    def _promote(other):
-        if isinstance(other, ParamPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ParamPoly.const(other)
-        return None
-
-    def __add__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        if not self.terms:
-            return o
-        if not o.terms:
-            return self
-        terms = dict(self.terms)
-        for k, q in o.terms.items():
-            r = terms.get(k)
-            if r is None:
-                terms[k] = q
-            else:
-                r = r + q
-                if r:
-                    terms[k] = r
-                else:
-                    del terms[k]
-        return ParamPoly(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamPoly({k: -q for k, q in self.terms.items()})
-
-    def __mul__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        if not self.terms or not o.terms:
-            return ZERO
-        out = {}
-        for (a0, a1, a2, _), qa in self.terms.items():
-            for (b0, b1, b2, _), qb in o.terms.items():
-                key = (a0 + b0, a1 + b1, a2 + b2, 0)
-                q = qa * qb
-                r = out.get(key)
-                if r is None:
-                    out[key] = q
-                else:
-                    r = r + q
-                    if r:
-                        out[key] = r
-                    else:
-                        del out[key]
-        return ParamPoly(out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
+        if isinstance(other, ParamPoly):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({(0, 0, 0, 0): other} if other else {})
+        return NotImplemented
 
     def __bool__(self):
         return bool(self.terms)
@@ -147,28 +96,6 @@ class ParamPoly:
 
     def coeff(self, eh=0, eu=0, es=0):
         return self.terms.get((eh, eu, es, 0), Fraction(0))
-
-    # -- substitutions -----------------------------------------------------
-
-    def subs_u(self, value):
-        """Evaluate u at an exact rational."""
-        q = Fraction(value)
-        out = {}
-        for (eh, eu, es, _), c in self.terms.items():
-            key = (eh, 0, es, 0)
-            c = c * q ** eu
-            if not c:
-                continue
-            r = out.get(key)
-            if r is None:
-                out[key] = c
-            else:
-                r = r + c
-                if r:
-                    out[key] = r
-                else:
-                    del out[key]
-        return ParamPoly(out)
 
     # -- presentation ------------------------------------------------------
 
@@ -200,7 +127,6 @@ class ParamPoly:
 
 
 ZERO = ParamPoly({})
-ONE = ParamPoly.const(1)
 H = ParamPoly.monomial(1, eh=1)
 S = ParamPoly.monomial(1, es=1)
 
@@ -236,6 +162,37 @@ def u_add(a, b):
 def u_scale(a, k):
     """A dense int u-coefficient tuple times a nonzero integer k."""
     return tuple(k * x for x in a)
+
+
+def u_eval(p, q):
+    """The dense int u-tuple p at the exact rational u = q (an int or a
+    Fraction), as a Fraction.  Horner's rule runs on ints: with q = a/b, the
+    numerator of p(a/b) accumulates over the denominator b^len(p)."""
+    a, b = q.numerator, q.denominator
+    num, den = 0, 1
+    for c in reversed(p):
+        num, den = num * a + c * den * b, den * b
+    return Fraction(num, den)
+
+
+def u_pack(p, bits):
+    """The int u-tuple p as the single int p(2^bits); signed coefficients.
+    Packing is a ring map Z[u] -> Z, so sums and products of packed tuples
+    are int sums and products."""
+    return sum(c << (bits * e) for e, c in enumerate(p))
+
+
+def u_unpack(x, bits):
+    """The int u-tuple whose value at u = 2^bits is x, read in balanced
+    base-2^bits digits (bits >= 2): the inverse of ``u_pack`` on tuples
+    whose coefficients c satisfy |c| < 2^(bits-1), trailing zeros trimmed."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    while x:
+        d = ((x + half) & mask) - half
+        out.append(d)
+        x = (x - d) >> bits
+    return tuple(out)
 
 
 def double_factorial(n):

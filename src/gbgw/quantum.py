@@ -33,9 +33,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .affine import affine_scalar, theta_prod
+from .affine import affine_scalar
 from .poly import ParamPoly, u_add, u_mul, u_scale
-from .schurq import theta_u
+from .schurq import theta_prod, theta_u
 
 __all__ = [
     "p_monomial",

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from .pfaffian import pfaffian
-from .poly import ParamPoly, ONE
+from .poly import ParamPoly, u_mul, u_scale
 
 __all__ = [
     "check_strict",
@@ -28,11 +28,13 @@ __all__ = [
     "q_two_row",
     "Q_lambda",
     "Q_delta_closed",
-    "theta",
     "theta_u",
+    "theta_prod",
     "theta_lambda",
     "hypergeom_coeff",
 ]
+
+_theta_prod_cache = {}
 
 
 def check_strict(parts):
@@ -135,18 +137,22 @@ def theta_u(k):
     return ((2 * k - 1) ** 2, -4)
 
 
-def theta(k):
-    """theta(k) = (2k-1)^2 - 4u as an exact polynomial in u."""
-    return ParamPoly.from_u(theta_u(k), 1)
+def theta_prod(n):
+    """prod_{k=1}^n theta(k) as a dense int u-tuple, memoized."""
+    if n == 0:
+        return (1,)
+    out = _theta_prod_cache.get(n)
+    if out is None:
+        out = u_mul(theta_prod(n - 1), theta_u(n))
+        _theta_prod_cache[n] = out
+    return out
 
 
 def theta_lambda(parts):
-    """prod_j prod_{k=1}^{lambda_j} theta(k)."""
-    parts = check_strict(parts)
-    out = ONE
-    for p in parts:
-        for k in range(1, p + 1):
-            out = out * theta(k)
+    """prod_j prod_{k=1}^{lambda_j} theta(k) as a dense int u-tuple."""
+    out = (1,)
+    for p in check_strict(parts):
+        out = u_mul(out, theta_prod(p))
     return out
 
 
@@ -156,4 +162,4 @@ def hypergeom_coeff(parts):
     parts = check_strict(parts)
     w = sum(parts)
     scalar = Fraction(1, 16 ** w) * Fraction(1, 2 ** len(parts)) * Q_delta_closed(parts)
-    return ParamPoly.monomial(scalar, eh=w) * theta_lambda(parts)
+    return ParamPoly.from_u(u_scale(theta_lambda(parts), scalar.numerator), scalar.denominator, eh=w)

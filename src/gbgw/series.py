@@ -1,8 +1,10 @@
 """Sparse coefficient containers: a windowed two-variable series and an
 arity-n tensor.
 
-Coefficients are exact values (int, Fraction, ParamPoly) kept in dicts
-keyed by exponents; absent keys are zero and zero values are never stored.
+Coefficients are exact values (int, Fraction, or a ParamPoly on its way
+out of a module) kept in dicts keyed by exponents; the containers store,
+read and compare them and do no arithmetic.  Absent keys are zero and
+zero values are never stored.
 A :class:`BiSeries` also records the window where its coefficients are
 known, and reading outside it raises :class:`WindowError`.
 """

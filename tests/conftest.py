@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from gbgw.affine import _int_basis
+from gbgw.affine import _entry_poly, _int_basis, affine_coeff
 from gbgw.poly import ParamPoly
 
 # one profile for every property test: the same examples on every run, no
@@ -45,3 +45,14 @@ def _basis_pair(T):
 @pytest.fixture
 def basis_pair():
     return _basis_pair
+
+
+def _affine_poly(n, m):
+    """a_{n,m} as the ParamPoly h^(n+m) r P(u): the ParamPoly view of the
+    (r, P) pair of ``gbgw.affine.affine_coeff``."""
+    return _entry_poly((-n, -m), affine_coeff(n, m))
+
+
+@pytest.fixture
+def affine_poly():
+    return _affine_poly

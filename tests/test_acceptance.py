@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gbgw.poly import ParamPoly, H, double_factorial
+from gbgw.poly import ParamPoly, H, double_factorial, u_eval
 from gbgw import affine, correlators as corr, eo, npoint, quantum, schurq
 
 
@@ -96,7 +96,7 @@ def test_criterion_06_affine_vs_virasoro_bridge():
     ok, mismatches, checked = npoint.crosscheck_affine_vs_virasoro(3, 11, one_point_weight=15)
     assert ok, mismatches[:3]
     one = npoint.one_point_affine(1)
-    assert one[-1] == ParamPoly.monomial(Fraction(1, 16), eh=1) * schurq.theta(1)
+    assert one[-1] == ParamPoly.from_u((1, -4), 16, eh=1)  # (h/16) theta(1)
     _report(6, f"cycle sums equal bridged correlators ({checked} partitions, n<=3 w<=11, n=1 w<=15)", t0)
 
 
@@ -141,7 +141,7 @@ def test_criterion_10_quantum_curve():
     report = quantum.verify_ks(8, 20)
     assert report["p_ok"] and report["q_ok"], report["failures"]
     for k_plus_1, c in report["q_leading"]:
-        expected = (ParamPoly.const(4), ParamPoly.monomial(1, eh=2) * schurq.theta(k_plus_1))
+        expected = (ParamPoly.const(4), ParamPoly.from_u(schurq.theta_u(k_plus_1), 1, eh=2))
         assert c == expected, k_plus_1
     ok, detail, _ = quantum.semiclassical_identity()
     assert ok, detail
@@ -161,7 +161,8 @@ def test_criterion_12_trivialization_at_quarter():
     quarter = Fraction(1, 4)
     for n in range(0, 13):
         for m in range(0, 13):
-            assert affine.affine_coeff(n, m).subs_u(quarter) == 0, (n, m)
+            r, p = affine.affine_coeff(n, m)
+            assert r * u_eval(p, quarter) == 0, (n, m)
     for mu in corr.odd_partitions(11, 3):
         assert npoint.bridge(mu, u_value=quarter) == 0, mu
     assert npoint.one_point_affine(15, u_value=quarter) == {}

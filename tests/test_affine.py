@@ -3,9 +3,10 @@ from math import factorial, prod
 
 import pytest
 
-from gbgw.poly import ParamPoly, double_factorial
-from gbgw.schurq import strict_partitions, theta
+from gbgw.poly import ParamPoly, double_factorial, u_eval
+from gbgw.schurq import strict_partitions
 from gbgw.affine import (
+    _int_basis,
     _with_tail,
     affine_coeff,
     gen_A,
@@ -15,51 +16,56 @@ from gbgw.affine import (
 )
 
 
-def test_affine_a01():
-    assert affine_coeff(0, 1) == ParamPoly.monomial(Fraction(1, 16), eh=1) * theta(1)
+def test_affine_a01(affine_poly):
+    # a_{0,1} = h theta(1) / 16
+    assert affine_coeff(0, 1) == (Fraction(1, 16), (1, -4))
+    assert affine_poly(0, 1) == ParamPoly.from_u((1, -4), 16, eh=1)
 
 
-def test_affine_a12():
-    expected = ParamPoly.monomial(Fraction(1, 3 * 2 ** 12), eh=3) * (theta(1) * theta(1) * theta(2))
-    assert affine_coeff(1, 2) == expected
+def test_affine_a12(affine_poly):
+    # a_{1,2} = h^3 theta(1)^2 theta(2) / (3 2^12), theta(1)^2 theta(2) = (1 - 4u)^2 (9 - 4u)
+    assert affine_coeff(1, 2) == (Fraction(1, 3 * 2 ** 12), (9, -76, 176, -64))
+    assert affine_poly(1, 2) == ParamPoly.from_u((9, -76, 176, -64), 3 * 2 ** 12, eh=3)
 
 
-def test_affine_bgw_specialization():
+def test_affine_bgw_specialization(affine_poly):
     # At u = 0 the first-row coordinates reduce to h^n ((2n-1)!!)^2 / (2^(3n+1) n!).
     for n in range(1, 7):
-        got = affine_coeff(0, n).subs_u(0)
-        expected = ParamPoly.monomial(
-            Fraction(double_factorial(2 * n - 1) ** 2, 2 ** (3 * n + 1) * factorial(n)), eh=n
-        )
-        assert got == expected
+        got = affine_poly(0, n)
+        assert {key[0] for key in got.terms} == {n}
+        want = Fraction(double_factorial(2 * n - 1) ** 2, 2 ** (3 * n + 1) * factorial(n))
+        assert got.coeff(eh=n) == want
 
 
 def test_affine_antisymmetry():
     for n in range(0, 7):
         for m in range(0, 7):
-            assert affine_coeff(n, m) == -affine_coeff(m, n)
-    assert not affine_coeff(0, 0)
+            r, p = affine_coeff(n, m)
+            assert (-r, p) == affine_coeff(m, n)
+    assert affine_coeff(0, 0) == (0, ())
 
 
 def test_affine_vanishes_at_quarter():
     for n in range(0, 6):
         for m in range(0, 6):
-            assert affine_coeff(n, m).subs_u(Fraction(1, 4)) == 0
+            r, p = affine_coeff(n, m)
+            assert r * u_eval(p, Fraction(1, 4)) == 0
 
 
 def test_basis_pair_leading_terms(basis_pair):
     phi1, phi2 = basis_pair(8)
     # z^-1 coefficient of phi1 is h(1-4u)/8
-    assert phi1[-1] == ParamPoly.monomial(Fraction(1, 8), eh=1) * theta(1)
+    assert phi1[-1] == ParamPoly.from_u((1, -4), 8, eh=1)
     assert phi1[0] == ParamPoly.const(1)
     assert phi2[1] == ParamPoly.const(1)
 
 
-def test_phi1_trivial_at_quarter(basis_pair):
-    phi1, _ = basis_pair(10)
-    assert phi1[0].subs_u(Fraction(1, 4)) == 1
+def test_phi1_trivial_at_quarter():
+    # phi1 at z^-k is h^k p1[-k] / d1
+    d1, p1, _, _, _ = _int_basis(10)
+    assert u_eval(p1[0], Fraction(1, 4)) == d1
     for k in range(1, 11):
-        assert phi1[-k].subs_u(Fraction(1, 4)) == 0
+        assert u_eval(p1[-k], Fraction(1, 4)) == 0
 
 
 def test_gen_a_antisymmetry():
@@ -67,30 +73,32 @@ def test_gen_a_antisymmetry():
     # an antisymmetric series only on the diagonal band (the -1/4 and the
     # fixed tail), so it is antisymmetric on strictly negative exponent pairs.
     a, at = gen_A("direct", -8, -8, 8)
+
+    def negated(c):  # the terms of -c, for an entry c (a ParamPoly or 0)
+        return {key: -q for key, q in c.terms.items()} if c else {}
+
     # the windows are [-8, 0] x [-8, 8]: the swap of (i, j) is known for i, j <= 0
     assert any(a.coeffs.get((i, j)) for i in range(-8, 1) for j in range(-8, 1))
     for i in range(-8, 1):
         for j in range(-8, 1):
-            assert a.coeff(i, j) == -a.coeff(j, i), (i, j)
+            assert a.coeff(i, j) == ParamPoly(negated(a.coeff(j, i))), (i, j)
     for i in range(-8, 0):
         for j in range(-8, 0):
-            assert at.coeff(i, j) == -at.coeff(j, i)
+            assert at.coeff(i, j) == ParamPoly(negated(at.coeff(j, i)))
     assert at.coeff(0, 0) == ParamPoly.const(Fraction(-1, 4))
 
 
 def test_gen_a_relation_between_a_and_at():
     a, at = gen_A("direct", -8, -8, 8)
-    # At - A = -1/4 - (1/2) sum (-1)^i w^-i x^i
-
-    def diff(i, j):
-        return at.coeff(i, j) + (-a.coeff(i, j))
-
-    assert diff(0, 0) == ParamPoly.const(Fraction(-1, 4))
+    # At - A = -1/4 - (1/2) sum (-1)^i w^-i x^i, and A holds none of those keys
+    assert a.coeff(0, 0) == 0
+    assert at.coeff(0, 0) == ParamPoly.const(Fraction(-1, 4))
     for i in range(1, 8):
         expected = Fraction(1, 2) if i % 2 else Fraction(-1, 2)
-        assert diff(-i, i) == ParamPoly.const(expected)
-        assert diff(-i, 0) == 0
-        assert diff(0, -i) == 0
+        assert a.coeff(-i, i) == 0
+        assert at.coeff(-i, i) == ParamPoly.const(expected)
+        assert at.coeff(-i, 0) == a.coeff(-i, 0)
+        assert at.coeff(0, -i) == a.coeff(0, -i)
 
 
 def test_tail_key_held_by_a_is_an_error():
@@ -101,15 +109,14 @@ def test_tail_key_held_by_a_is_an_error():
     assert len(_with_tail({(0, -1): (Fraction(1), (1,))}, 3)) == 5
 
 
-def test_gen_a_first_column():
-    # Each slot of the single sum carries half of a_{0,1}; the anti-diagonal
-    # evaluation A(-x, x) reassembles the full a_{0,1} at x^-1.
+def test_gen_a_first_column(affine_poly):
+    # Each slot of the single sum carries half of a_{0,1}, with opposite
+    # signs; the anti-diagonal evaluation A(-x, x), where w -> -x picks up
+    # (-1)^1, reassembles the full a_{0,1} at x^-1.
     a, _ = gen_A("direct", -8, -8, 8)
-    half = ParamPoly.const(Fraction(1, 2))
-    assert a.coeff(0, -1) == half * affine_coeff(0, 1)
-    assert a.coeff(-1, 0) == -(half * affine_coeff(0, 1))
-    anti_diag_x1 = -a.coeff(-1, 0) + a.coeff(0, -1)  # w -> -x picks up (-1)^1
-    assert anti_diag_x1 == affine_coeff(0, 1)
+    half = {key: q / 2 for key, q in affine_poly(0, 1).terms.items()}
+    assert a.coeff(0, -1).terms == half
+    assert a.coeff(-1, 0).terms == {key: -q for key, q in half.items()}
 
 
 def test_gen_a_direct_equals_closed():
@@ -156,7 +163,7 @@ def test_wronskian_suite_small():
 
 def test_pfaffian_expansion_lambda_1():
     lhs, rhs = pfaffian_expansion_sides((1,))
-    assert lhs == ParamPoly.monomial(Fraction(1, 16), eh=1) * theta(1)
+    assert lhs == ParamPoly.from_u((1, -4), 16, eh=1)  # (h/16) theta(1)
     assert lhs == rhs
 
 

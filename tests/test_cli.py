@@ -393,12 +393,13 @@ def test_commutator_check_needs_the_z_k_entry(monkeypatch, tmp_path):
 def test_semiclassical_check_reads_p(monkeypatch, tmp_path):
     # -1/16 in place of -1/32 at z^(k-2) of P(z^k): only the classical limit reads p_monomial
     import gbgw.cli as cli
+    from gbgw.poly import ParamPoly
 
     real = cli.quantum.p_monomial
 
     def doubled(k):
         (e1, c1), (e2, c2) = real(k)
-        return [(e1, c1), (e2, 2 * c2)]
+        return [(e1, c1), (e2, ParamPoly({key: 2 * q for key, q in c2.terms.items()}))]
 
     monkeypatch.setattr(cli.quantum, "p_monomial", doubled)
     rc, text = run_cli(["verify", "--suite", "qsc", "--window", "4"], tmp_path, "qsc.json")
@@ -619,40 +620,58 @@ def test_schur_q_check_fails_on_a_planted_closed_form(monkeypatch, tmp_path):
 
 def test_one_point_check_fails_on_a_planted_closed_form(monkeypatch, tmp_path):
     import gbgw.cli as cli
+    from gbgw.poly import ParamPoly
 
     real = cli.corr.one_point_closed
     monkeypatch.setattr(cli.corr, "one_point_closed",
-                        lambda n: real(n) + real(n) if n == 2 else real(n))
+                        lambda n: ParamPoly({key: 2 * q for key, q in real(n).terms.items()})
+                        if n == 2 else real(n))
     rc, text = run_cli(["verify", "--suite", "virasoro", "--weight-max", "5"], tmp_path, "v.json")
     assert rc == 1
     assert _failed(text) == {"virasoro/one-point-closed-form": "n=2"}
 
 
 def test_pfaffian_expansion_check_fails_on_a_planted_coordinate(monkeypatch, tmp_path):
-    # a_{2,1} and a_{1,2} doubled change the Pfaffian of lambda = (2, 1) only
+    # a_{2,1} and a_{1,2} doubled change the Pfaffian of lambda = (2, 1) only;
+    # the direct generating series and the cycle sums read the same coordinates
     import gbgw.cli as cli
 
     real = cli.affine.affine_coeff
-    monkeypatch.setattr(cli.affine, "affine_coeff",
-                        lambda n, m: real(n, m) + real(n, m) if {n, m} == {1, 2} else real(n, m))
+
+    def doubled(n, m):
+        r, p = real(n, m)
+        return (2 * r, p) if {n, m} == {1, 2} else (r, p)
+
+    monkeypatch.setattr(cli.affine, "affine_coeff", doubled)
     rc, text = run_cli(["verify", "--suite", "affine", "--weight-max", "3", "--window", "8"],
                        tmp_path, "a.json")
     assert rc == 1
-    assert _failed(text) == {"affine/pfaffian-vs-expansion-weights": "mismatch at (2, 1)"}
+    assert _failed(text) == {"affine/pfaffian-vs-expansion-weights": "mismatch at (2, 1)",
+                             "affine/generating-series-closed-vs-direct": "At mismatch at (-2, -1)",
+                             "affine/cycle-sum-vs-virasoro-bridge-weight<=3": "1 mismatches of 6"}
 
 
 def test_trivialization_check_fails_on_a_planted_coordinate(monkeypatch, tmp_path):
     # a_{2,3} + 1 does not vanish at u = 1/4; weight 3 keeps it out of the Pfaffians
+    # and the cycle sums, and the direct generating series reads it
     import gbgw.cli as cli
-    from gbgw.poly import ParamPoly
+    from gbgw.poly import u_add, u_scale
 
     real = cli.affine.affine_coeff
-    monkeypatch.setattr(cli.affine, "affine_coeff",
-                        lambda n, m: real(n, m) + ParamPoly.const(1) if (n, m) == (2, 3) else real(n, m))
+
+    def planted(n, m):
+        # r P + 1 = (num P + den) / den at h = 1, with r = num / den
+        r, p = real(n, m)
+        if (n, m) != (2, 3):
+            return r, p
+        return Fraction(1, r.denominator), u_add(u_scale(p, r.numerator), (r.denominator,))
+
+    monkeypatch.setattr(cli.affine, "affine_coeff", planted)
     rc, text = run_cli(["verify", "--suite", "affine", "--u", "1/4", "--weight-max", "3",
                         "--window", "8"], tmp_path, "a.json")
     assert rc == 1
-    assert _failed(text) == {"affine/trivialization-at-u=1/4": "a[2,3] nonzero"}
+    assert _failed(text) == {"affine/trivialization-at-u=1/4": "a[2,3] nonzero",
+                             "affine/generating-series-closed-vs-direct": "At mismatch at (-2, -3)"}
 
 
 def test_wronskian_check_fails_on_a_planted_basis_coefficient(monkeypatch, tmp_path):
@@ -690,8 +709,9 @@ def _plant_bridge(monkeypatch):
     real = npoint.bridge
 
     def planted(mu, u_value=None):
+        # every bridge value has h-degree |mu| > 0, so + 1 is a new constant term
         value = real(mu, u_value=u_value)
-        return value + ParamPoly.const(1) if tuple(mu) == (3, 1) else value
+        return ParamPoly({**value.terms, (0, 0, 0, 0): Fraction(1)}) if tuple(mu) == (3, 1) else value
 
     monkeypatch.setattr(npoint, "bridge", planted)
 

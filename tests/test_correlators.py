@@ -213,8 +213,8 @@ def free_energy(g, degree, max_weight):
     The coefficient of the monomial for a partition mu with part
     multiplicities m_j is <p_mu>_g / prod_j m_j!.
     """
-    return {mu: Fraction(1, _aut(mu)) * correlator(g, mu)
-            for mu in odd_partitions(max_weight, degree) if correlator(g, mu)}
+    return {mu: mono(c / _aut(mu), e) for mu in odd_partitions(max_weight, degree)
+            for e, c in [correlator_monomial(g, mu)] if e is not None}
 
 
 def test_free_energy_coefficients():
@@ -351,6 +351,7 @@ def test_virasoro_table_reads_no_other_table():
     import gbgw.affine as affine
     import gbgw.correlators as corr
     import gbgw.eo as eo
+    import gbgw.schurq as schurq
 
     gbgw.reset_caches()
     assert (corr._cache, corr._split_cache) == ({}, {})
@@ -358,7 +359,7 @@ def test_virasoro_table_reads_no_other_table():
         for g in range(5):
             correlator(g, mu)
     assert corr._cache and corr._split_cache
-    assert (eo._omega_cache, eo._closed_cache, affine._affine_cache, affine._theta_prod_cache) == (
+    assert (eo._omega_cache, eo._closed_cache, affine._affine_cache, schurq._theta_prod_cache) == (
         {}, {}, {}, {})
 
 

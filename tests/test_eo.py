@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gbgw.poly import ParamPoly, double_factorial
 from gbgw.series import SparseTensor
-from gbgw.correlators import correlator
+from gbgw.correlators import correlator, correlator_monomial
 from gbgw.eo import (
     compare_kernels,
     from_x_coords,
@@ -114,14 +114,16 @@ def test_b01_b02_match_correlators():
     b01 = x_tensor(0, 1, 11).coeffs
     assert set(b01) == {(k,) for k in range(6)}
     for k in range(0, 6):
-        assert double_factorial(2 * k + 1) * b01[(k,)] == -correlator(0, (2 * k + 1,))
+        e, c = correlator_monomial(0, (2 * k + 1,))
+        assert b01[(k,)] == mono(-c / double_factorial(2 * k + 1), e)
     b02 = x_tensor(0, 2, 14).coeffs
     assert set(b02) == {(k1, k2) for k1 in range(7) for k2 in range(7 - k1)}
     for k1 in range(0, 4):
         for k2 in range(0, 4):
             d = double_factorial(2 * k1 + 1) * double_factorial(2 * k2 + 1)
             mu = tuple(sorted((2 * k1 + 1, 2 * k2 + 1), reverse=True))
-            assert d * b02[(k1, k2)] == correlator(0, mu)
+            e, c = correlator_monomial(0, mu)
+            assert b02[(k1, k2)] == mono(c / d, e)
 
 
 def test_transform_roundtrip():
@@ -163,9 +165,9 @@ def test_equivalence_theorem_small():
 def test_w11_x_expansion():
     # -W_{1,1} = -(1/(8x^2) - 5s/(16x^4) + 35s^2/(64x^6) - ...)
     b = x_tensor(1, 1, 9)
-    assert double_factorial(1) * b.get((0,)) == mono(Fraction(-1, 8))
-    assert double_factorial(3) * b.get((1,)) == mono(Fraction(5, 16), 1)
-    assert double_factorial(5) * b.get((2,)) == mono(Fraction(-35, 64), 2)
+    assert b.get((0,)) == mono(Fraction(-1, 8) / double_factorial(1))
+    assert b.get((1,)) == mono(Fraction(5, 16) / double_factorial(3), 1)
+    assert b.get((2,)) == mono(Fraction(-35, 64) / double_factorial(5), 2)
 
 
 def test_kernel_equivalence_small():
@@ -199,7 +201,7 @@ def test_s_zero_specialization_is_original_model():
             for k in kk:
                 d *= double_factorial(2 * k + 1)
             mu = tuple(sorted((2 * k + 1 for k in kk), reverse=True))
-            lhs = (d * v).coeff(es=0)
+            lhs = d * v.coeff(es=0)
             rhs = correlator(g, mu).coeff(es=0)
             if n % 2:
                 rhs = -rhs
@@ -380,10 +382,10 @@ def test_orderings_expand_an_orbit_to_its_distinct_permutations(k0, ext):
 
 def test_reset_caches_empties_every_memo():
     import gbgw
-    from gbgw import affine, correlators, eo
+    from gbgw import affine, correlators, eo, schurq
 
     memos = (correlators._cache, correlators._split_cache, eo._omega_cache, eo._closed_cache,
-             affine._affine_cache, affine._theta_prod_cache)
+             affine._affine_cache, schurq._theta_prod_cache)
     correlator(1, (3,))
     omega(1, 2)
     affine.affine_coeff(2, 1)

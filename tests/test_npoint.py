@@ -3,14 +3,11 @@ from itertools import permutations
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import gbgw.npoint as npoint_module
 from gbgw.affine import _direct_a, _entry_poly, _with_tail
 from gbgw.correlators import odd_partitions
 from gbgw.poly import ParamPoly, u_add, u_mul, u_scale
-from gbgw.schurq import theta
 from gbgw.npoint import (
     WindowInstabilityError,
     bridge,
@@ -24,9 +21,9 @@ from gbgw.npoint import (
 
 def test_correction_term_values():
     t = correction_term(9)
-    assert t.get((-1, 1)) == ParamPoly.const(Fraction(1, 2))
+    assert t.get((-1, 1)) == Fraction(1, 2)
     assert t.get((-2, 2)) == 0
-    assert t.get((-3, 3)) == ParamPoly.const(Fraction(3, 2))
+    assert t.get((-3, 3)) == Fraction(3, 2)
 
 
 def test_cycles_deterministic():
@@ -37,14 +34,12 @@ def test_cycles_deterministic():
 
 
 def test_bridge_mu1():
-    expected = ParamPoly.monomial(Fraction(1, 16), eh=1) * theta(1)
-    assert bridge((1,)) == expected
+    assert bridge((1,)) == ParamPoly.from_u((1, -4), 16, eh=1)  # (h/16) theta(1)
 
 
 def test_bridge_mu_1_1():
     # (h^2/4) (1/8 - u/2) = h^2 (1 - 4u)/32
-    expected = ParamPoly.monomial(Fraction(1, 32), eh=2) * theta(1)
-    assert bridge((1, 1)) == expected
+    assert bridge((1, 1)) == ParamPoly.from_u((1, -4), 32, eh=2)
 
 
 def test_bridge_h_degree_is_weight():
@@ -121,7 +116,10 @@ def test_rational_u_matches_symbolic_substitution():
     # a rational point changes the integer scale L of the cycle-sum core
     u = Fraction(3, 7)
     symbolic = npoint_affine(3, 7)
-    want = {k: v for k, v in ((k, c.subs_u(u)) for k, c in symbolic.coeffs.items()) if v}
+    # each entry is h^(-sum key) times a polynomial in u, evaluated term by term
+    want = {k: ParamPoly.monomial(sum(q * u ** eu for (_, eu, _, _), q in c.terms.items()), eh=-sum(k))
+            for k, c in symbolic.coeffs.items()}
+    want = {k: v for k, v in want.items() if v}
     assert want
     assert npoint_affine(3, 7, u_value=u).coeffs == want
 
@@ -158,43 +156,16 @@ def test_cycle_sums_read_no_other_table():
     # the affine route is an independent pipeline: its cycle sums build no
     # Virasoro table and no EO table
     import gbgw
-    import gbgw.affine as affine
     import gbgw.correlators as correlators
     import gbgw.eo as eo
+    import gbgw.schurq as schurq
 
     gbgw.reset_caches()
     for n in (1, 2, 3):
         npoint_affine(n, 15 if n == 1 else 11)
-    assert affine._theta_prod_cache
+    assert schurq._theta_prod_cache
     assert (correlators._cache, correlators._split_cache, eo._omega_cache, eo._closed_cache) == (
         {}, {}, {}, {})
-
-
-@st.composite
-def _packable(draw):
-    """(int u-tuple, bits) with every |c| < 2^(bits-1), trailing zeros allowed."""
-    bits = draw(st.integers(2, 80))
-    bound = (1 << (bits - 1)) - 1
-    return tuple(draw(st.lists(st.integers(-bound, bound), max_size=12))), bits
-
-
-@settings(max_examples=300)
-@given(_packable())
-def test_pack_round_trip(case):
-    p, bits = case
-    trimmed = list(p)
-    while trimmed and not trimmed[-1]:
-        trimmed.pop()
-    assert npoint_module._unpack(npoint_module._pack(p, bits), bits) == tuple(trimmed)
-
-
-def test_unpack_breaks_at_the_bound():
-    # the balanced digits run over [-2^(bits-1), 2^(bits-1)): one more reads back wrong
-    bits = 8
-    pack, unpack = npoint_module._pack, npoint_module._unpack
-    assert unpack(pack((), bits), bits) == ()
-    assert unpack(pack((3, 127, -127), bits), bits) == (3, 127, -127)
-    assert unpack(pack((3, 128, -127), bits), bits) == (3, -128, -126)
 
 
 def _oracle_xi_factor(p, q, at):
@@ -293,3 +264,12 @@ def test_a_short_tail_window_is_caught(monkeypatch):
     monkeypatch.setattr(npoint_module, "_tail_hi", lambda n, max_weight: 5)
     with pytest.raises(WindowInstabilityError, match="target coefficients changed"):
         npoint_affine(3, 7)
+
+
+def test_a_correction_off_the_scale_is_caught(monkeypatch):
+    # the n = 2 correction is subtracted as an integer multiple of the output
+    # scale 2 / L^2; a term whose denominator L does not clear must raise
+    monkeypatch.setattr(npoint_module, "correction_term",
+                        lambda max_order: npoint_module.SparseTensor(2, {(-1, 1): Fraction(1, 10007)}))
+    with pytest.raises(ArithmeticError, match="not an integer multiple of the scale"):
+        npoint_module._npoint_once(2, 3, 3)

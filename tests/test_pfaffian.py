@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import gbgw.affine as affine
 from gbgw.pfaffian import pfaffian
+from gbgw.poly import u_add, u_mul, u_scale
 
 
 def determinant(m):
@@ -118,3 +122,84 @@ def test_pf_asymmetric_rejected():
 def test_determinant_known():
     m = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
     assert determinant(m) == -2
+
+
+# -- the packed Pfaffian of the affine coordinates ---------------------------
+
+
+def _matchings(idx):
+    """Every perfect matching of the tuple ``idx``, as a list of pairs."""
+    if not idx:
+        yield []
+        return
+    for t in range(1, len(idx)):
+        for rest in _matchings(idx[1:t] + idx[t + 1:]):
+            yield [(idx[0], idx[t])] + rest
+
+
+def tuple_matching_oracle(m):
+    """Pf of an antisymmetric matrix of int u-tuples as the signed sum over
+    perfect matchings, each sign (-1)^(number of crossing pairs), on tuples."""
+    total = ()
+    for pairs in _matchings(tuple(range(len(m)))):
+        crossings = sum(1 for (a, b), (c, d) in combinations(pairs, 2) if a < c < b < d or c < a < d < b)
+        term = (1,)
+        for a, b in pairs:
+            term = u_mul(term, m[a][b])
+        total = u_add(total, u_scale(term, (-1) ** crossings))
+    return total
+
+
+def test_tuple_matching_oracle_matches_pfaffian():
+    # on constant tuples the oracle is the Pfaffian of the ints
+    rng = random.Random(37)
+    for n in (2, 4, 6):
+        ints = [[int(12 * q) for q in row] for row in rand_antisym(rng, n)]
+        pf = pfaffian(ints)
+        tuples = [[(c,) if c else () for c in row] for row in ints]
+        assert tuple_matching_oracle(tuples) == ((pf,) if pf else ())
+
+
+def _from_upper(n, upper):
+    """The antisymmetric n x n matrix of int u-tuples with ``upper`` above the diagonal."""
+    m = [[()] * n for _ in range(n)]
+    for (i, j), p in upper.items():
+        m[i][j], m[j][i] = p, u_scale(p, -1)
+    return m
+
+
+@st.composite
+def _antisymmetric_u_matrices(draw):
+    """Antisymmetric matrices of int u-tuples of even order <= 8."""
+    n = 2 * draw(st.integers(0, 4))
+    coeffs = st.integers(-10 ** 6, 10 ** 6)
+    upper = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = tuple(draw(st.lists(coeffs, max_size=4)))
+            while p and not p[-1]:
+                p = p[:-1]
+            upper[(i, j)] = p
+    return _from_upper(n, upper)
+
+
+# the width bound is attained: at order 4 with every entry of norm N,
+# a01 a23 - a02 a13 + a03 a12 = 3 N^2 = (2m - 1)!! N^m
+_N = 2 ** 20
+_ATTAINED = _from_upper(4, {(0, 1): (_N,), (2, 3): (_N,), (0, 2): (-_N,), (1, 3): (_N,),
+                            (0, 3): (_N,), (1, 2): (_N,)})
+
+
+@settings(max_examples=60)
+@given(_antisymmetric_u_matrices())
+@example(_ATTAINED)
+def test_packed_pfaffian_matches_the_matching_sum(m):
+    assert affine._packed_pfaffian(m) == tuple_matching_oracle(m)
+
+
+def test_pfaffian_expansion_fails_at_too_small_a_width(monkeypatch):
+    # the bound gives 67 bits for lambda = (4, 3, 2, 1); at 8 the digits overlap
+    lam = (4, 3, 2, 1)
+    assert affine.verify_pfaffian_expansion(lam)
+    monkeypatch.setattr(affine, "_pfaffian_bits", lambda entries: 8)
+    assert not affine.verify_pfaffian_expansion(lam)

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from gbgw.poly import ParamPoly, ONE, H, u_add, u_mul
-from gbgw.schurq import theta, theta_u
+from gbgw.affine import _int_basis
+from gbgw.poly import ParamPoly, H, u_add, u_eval, u_mul, u_scale
+from gbgw.schurq import theta_u
 from gbgw.quantum import (
     _basis,
     _exact_quotient,
@@ -32,22 +33,17 @@ def factored_P_on_monomial(k):
     """Independent oracle: expand the factored operator definition on z^k.
 
     P = h^3 ((zD + 1/2)^2 - u)(D - h/(2 z^2) ((zD - 1/2)^2 - u)); on z^m the
-    Euler factors act by ((m +- 1/2)^2 - u)."""
-    minus_u = ParamPoly.monomial(-1, eu=1)
+    Euler factors act by ((m +- 1/2)^2 - u), a quarter of the int u-tuple
+    euler(m, +-1).  The inner bracket takes z^k to
+    k z^(k-1) - (h/2) ((k - 1/2)^2 - u) z^(k-2), and the outer factor then
+    multiplies the z^m term by h^3 ((m + 1/2)^2 - u)."""
+    def euler(m, sign):  # 4 ((m + sign/2)^2 - u)
+        return ((2 * m + sign) ** 2, -4)
 
-    def euler_minus(m):
-        return ParamPoly.const(Fraction((2 * m - 1) ** 2, 4)) + minus_u
-
-    def euler_plus(m):
-        return ParamPoly.const(Fraction((2 * m + 1) ** 2, 4)) + minus_u
-
-    # inner bracket applied to z^k: k z^(k-1) - (h/2) eul_minus(k) z^(k-2)
-    inner = {k - 1: ParamPoly.const(k), k - 2: ParamPoly.monomial(Fraction(-1, 2), eh=1) * euler_minus(k)}
-    out = {}
-    for m, c in inner.items():
-        v = ParamPoly.monomial(1, eh=3) * (euler_plus(m) * c)
-        if v:
-            out[m] = v
+    # z^(k-2): h^3 euler(k-2, 1)/4 * -(h/2) euler(k, -1)/4
+    out = {k - 2: ParamPoly.from_u(u_scale(u_mul(euler(k - 2, 1), euler(k, -1)), -1), 32, eh=4)}
+    if k:  # z^(k-1): h^3 euler(k-1, 1)/4 * k
+        out[k - 1] = ParamPoly.from_u(u_scale(euler(k - 1, 1), k), 4, eh=3)
     return out
 
 
@@ -58,14 +54,14 @@ def test_p_monomial_matches_factored_definition():
 
 
 def test_p_of_z0_and_z1():
-    # P(z^0) = -(h^4/32) theta(0) theta(-1) z^-2
+    # P(z^0) = -(h^4/32) theta(0) theta(-1) z^-2, theta(0) theta(-1) = (1 - 4u)(9 - 4u)
     got = dict(p_monomial(0))
     assert not got[-1]
-    assert got[-2] == ParamPoly.monomial(Fraction(-1, 32), eh=4) * (theta(0) * theta(-1))
-    # P(z^1) = (h^3/4) theta(1) (1 - (h/8) theta(0) z^-1)
+    assert got[-2] == ParamPoly.from_u((-9, 40, -16), 32, eh=4)
+    # P(z^1) = (h^3/4) theta(1) (1 - (h/8) theta(0) z^-1), theta(1) = theta(0) = 1 - 4u
     got = dict(p_monomial(1))
-    assert got[0] == ParamPoly.monomial(Fraction(1, 4), eh=3) * theta(1)
-    assert got[-1] == ParamPoly.monomial(Fraction(-1, 32), eh=4) * (theta(1) * theta(0))
+    assert got[0] == ParamPoly.from_u((1, -4), 4, eh=3)
+    assert got[-1] == ParamPoly.from_u((-1, 8, -16), 32, eh=4)
 
 
 def test_q_of_z0():
@@ -73,8 +69,9 @@ def test_q_of_z0():
     assert e == 1
     # h^-2 / (1/4 - u): the monomial action divided by the shifted Euler value
     num, den = c
-    assert (num, den) == (ParamPoly.const(4), ParamPoly.monomial(1, eh=2) * theta(1))
-    assert num * (ParamPoly.monomial(Fraction(1, 4), eh=2) * theta(1)) == den
+    assert (num, den) == (ParamPoly.const(4), ParamPoly.from_u((1, -4), 1, eh=2))
+    assert {key: q / 4 for key, q in den.terms.items()} == {(2, 0, 0, 0): Fraction(1, 4),
+                                                           (2, 1, 0, 0): -1}
 
 
 def test_commutator_is_h():
@@ -85,18 +82,18 @@ def test_commutator_is_h():
 
 def test_phiB_leading_and_tail():
     p0 = phiB(0, 8)
-    assert p0[0] == ONE
-    assert p0[-1] == ParamPoly.monomial(Fraction(-1, 8), eh=1) * theta(1)
+    assert p0[0] == 1
+    assert p0[-1] == ParamPoly.from_u((-1, 4), 8, eh=1)  # -(h/8) theta(1)
     p1 = phiB(1, 8)
-    assert p1[1] == ONE
+    assert p1[1] == 1
 
 
 def test_phiB0_trivial_at_quarter():
-    p0 = phiB(0, 8)
+    # PhiB_0 at z^e is h^-e coeffs[e] / d
+    _, coeffs = _basis(0, 8)
+    assert any(coeffs.get(e) for e in range(-8, 0))
     for e in range(-8, 0):
-        c = p0.get(e, 0)
-        if c:
-            assert c.subs_u(Fraction(1, 4)) == 0
+        assert u_eval(coeffs.get(e, ()), Fraction(1, 4)) == 0
 
 
 def test_P_annihilates_phiB0():
@@ -108,18 +105,18 @@ def test_verify_ks_small():
     assert report["p_ok"] and report["q_ok"], report["failures"]
     # the recorded leading Q-coefficient is 4 h^-2 / theta(k+1)
     for k_plus_1, c in report["q_leading"]:
-        assert c == (ParamPoly.const(4), ParamPoly.monomial(1, eh=2) * theta(k_plus_1))
+        assert c == (ParamPoly.const(4), ParamPoly.from_u(theta_u(k_plus_1), 1, eh=2))
 
 
-def test_phiB0_equals_phi1_mirrored(basis_pair):
+def test_phiB0_equals_phi1_mirrored():
     # observed (not assumed): the zeroth basis series coincides with the
     # first KdV basis series with z -> -z on the whole computed window
     depth = 12
     p0 = phiB(0, depth)
-    phi1, _ = basis_pair(depth)
+    d1, p1, _, _, _ = _int_basis(depth)
     rows = []
     for e in range(0, -depth - 1, -1):
-        same = p0.get(e, 0) == (phi1[e] if e % 2 == 0 else -phi1[e])
+        same = p0.get(e, 0) == ParamPoly.from_u(p1[e] if e % 2 == 0 else u_scale(p1[e], -1), d1, eh=-e)
         rows.append((e, same))
     print("observed relation PhiB_0(z) vs phi1(-z):", rows)
     assert all(same for _, same in rows)

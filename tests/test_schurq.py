@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from gbgw.poly import ParamPoly
+from gbgw.poly import ParamPoly, u_eval
 from gbgw.schurq import (
     Q_delta_closed,
     Q_lambda,
@@ -12,8 +12,9 @@ from gbgw.schurq import (
     q_series,
     q_two_row,
     strict_partitions,
-    theta,
     theta_lambda,
+    theta_prod,
+    theta_u,
 )
 
 DELTA = {1: Fraction(1)}
@@ -88,33 +89,37 @@ def test_q_lambda_zero_couplings():
 
 
 def test_theta_values():
-    minus_4u = ParamPoly.monomial(-4, eu=1)
-    assert theta(1) == ParamPoly.const(1) + minus_4u
-    assert theta(0) == ParamPoly.const(1) + minus_4u
-    assert theta(2) == ParamPoly.const(9) + minus_4u
+    # theta(k) = (2k - 1)^2 - 4u
+    assert theta_u(1) == (1, -4)
+    assert theta_u(0) == (1, -4)
+    assert theta_u(2) == (9, -4)
+    assert theta_prod(0) == (1,)
+    assert theta_prod(2) == (9, -40, 16)  # (1 - 4u)(9 - 4u)
 
 
 def test_theta_lambda():
-    t1 = theta_lambda((1,))
-    assert t1 == theta(1)
-    assert theta_lambda((2,)) == theta(1) * theta(2)
+    assert theta_lambda((1,)) == theta_u(1)
+    assert theta_lambda((2,)) == (9, -40, 16)
+    assert theta_lambda((2, 1)) == (9, -76, 176, -64)  # (1 - 4u)^2 (9 - 4u)
     # u = 1/4 kills theta(1), hence every nonempty partition
     for lam in strict_partitions(5):
         if lam:
-            assert theta_lambda(lam).subs_u(Fraction(1, 4)) == 0
+            assert u_eval(theta_lambda(lam), Fraction(1, 4)) == 0
     # one factor 1 - 4u, 9 - 4u, ... per box: the top power is (-4u)^4
     top = theta_lambda((3, 1))
-    assert top.coeff(eu=4) == 256 and max(k[1] for k in top.terms) == 4
+    assert top[4] == 256 and len(top) == 5
 
 
 def test_hypergeom_coeff():
-    c1 = hypergeom_coeff((1,))
-    expected = ParamPoly.monomial(Fraction(1, 16), eh=1) * theta(1)
-    assert c1 == expected
+    assert hypergeom_coeff((1,)) == ParamPoly.from_u((1, -4), 16, eh=1)  # (h/16) theta(1)
     assert hypergeom_coeff(()) == ParamPoly.const(1)
+    # (h/16)^|lambda| 2^(-length) Q_lambda(delta) theta_lambda, whose u-part
+    # vanishes at u = 1/4 (test_theta_lambda)
     for lam in strict_partitions(5):
-        if lam:
-            assert hypergeom_coeff(lam).subs_u(Fraction(1, 4)) == 0
+        w = sum(lam)
+        scalar = Fraction(1, 16 ** w * 2 ** len(lam)) * Q_delta_closed(lam)
+        want = {(w, e, 0, 0): scalar * c for e, c in enumerate(theta_lambda(lam)) if c}
+        assert hypergeom_coeff(lam).terms == want, lam
 
 
 def test_check_strict_rejects():
