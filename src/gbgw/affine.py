@@ -268,10 +268,11 @@ def _pfaffian_bits(entries):
 
     With 2m the order and N the largest L1 norm of an entry, the Pfaffian
     sums (2m-1)!! products of m entries, each with coefficients bounded by
-    N^m, so every coefficient is below (2m-1)!! N^m < 2^(bits-1).
+    N^m, so every coefficient is below (2m-1)!! N^m < 2^(bits-1).  N is
+    taken as at least 1, so that bits >= 2 (``u_unpack``) for a zero matrix.
     """
     m = len(entries) // 2
-    norm = max((sum(map(abs, p)) for row in entries for p in row), default=0)
+    norm = max((sum(map(abs, p)) for row in entries for p in row), default=0) or 1
     return (double_factorial(2 * m - 1) * norm ** m).bit_length() + 1
 
 

@@ -36,10 +36,9 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm
 
-from .affine import _direct_a, _entry_poly, _with_tail, affine_scalar
+from .affine import _direct_a, _entry_poly, _with_tail, affine_coeff
 from .correlators import check_odd_partition, correlator_monomial, odd_partitions
-from .poly import ParamPoly, u_add, u_eval, u_mul, u_pack, u_scale, u_unpack
-from .schurq import theta_prod
+from .poly import ParamPoly, u_add, u_eval, u_pack, u_scale, u_unpack
 from .series import SparseTensor
 
 __all__ = [
@@ -79,20 +78,20 @@ def one_point_affine(max_weight, u_value=None):
     At x^-mu (mu odd) it is a_{0,mu} + sum_{n+m=mu} (-1)^(m+1) a_{n,m}, the
     odd projection -[A(x,-x)]_odd: for odd mu the sign (-1)^(m+1) is (-1)^n.
     Every a_{n,m} = h^mu r_{n,m} P_n P_m with n + m = mu shares the power of
-    h, so the sum runs on int u-tuples over L, the lcm of the denominators
-    of the r_{n,m}, and leaves as one ParamPoly h^mu tuple / L; at a
-    rational u_value the tuple is evaluated there first.
+    h, so the sum runs on the memoized (r, P) pairs of ``affine_coeff``, on
+    int u-tuples over L, the lcm of the denominators of the r_{n,m}, and
+    leaves as one ParamPoly h^mu tuple / L; at a rational u_value the tuple
+    is evaluated there first.
     Returns {exponent: value} for odd exponents.
     """
     u = None if u_value is None else Fraction(u_value)
     out = {}
     for mu in range(1, max_weight + 1, 2):
-        rs = [(-1) ** n * affine_scalar(n, mu - n) for n in range(mu)]
-        scale = lcm(*(r.denominator for r in rs))
+        pairs = [affine_coeff(n, mu - n) for n in range(mu)]  # n != mu - n: every r is nonzero
+        scale = lcm(*(r.denominator for r, _ in pairs))
         total = ()
-        for n, r in enumerate(rs):
-            p = u_mul(theta_prod(n), theta_prod(mu - n))
-            total = u_add(total, u_scale(p, r.numerator * scale // r.denominator))
+        for n, (r, p) in enumerate(pairs):
+            total = u_add(total, u_scale(p, (-1) ** n * r.numerator * scale // r.denominator))
         entry = (Fraction(1, scale), total)
         if u is not None:
             entry = (entry[0] * u_eval(total, u), (1,))

@@ -185,7 +185,11 @@ def u_pack(p, bits):
 def u_unpack(x, bits):
     """The int u-tuple whose value at u = 2^bits is x, read in balanced
     base-2^bits digits (bits >= 2): the inverse of ``u_pack`` on tuples
-    whose coefficients c satisfy |c| < 2^(bits-1), trailing zeros trimmed."""
+    whose coefficients c satisfy |c| < 2^(bits-1), trailing zeros trimmed.
+    Narrower digits have no balanced form: at bits = 1 the digits are -1
+    and 0, and the loop would never end."""
+    if bits < 2:
+        raise ValueError("u_unpack needs bits >= 2")
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     out = []
     while x:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+import gbgw
 from gbgw.affine import _entry_poly, _int_basis, affine_coeff
 from gbgw.poly import ParamPoly
 
@@ -56,3 +57,13 @@ def _affine_poly(n, m):
 @pytest.fixture
 def affine_poly():
     return _affine_poly
+
+
+@pytest.fixture
+def fresh_caches():
+    """Every module memo empty when the test starts and again when it ends:
+    a test sees which memos its route fills, and no table built under a
+    planted defect outlives it."""
+    gbgw.reset_caches()
+    yield
+    gbgw.reset_caches()

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from gbgw.cli import main
+from gbgw.poly import ParamPoly, u_add, u_scale
+from gbgw.series import SparseTensor
 
 
 def run_cli(args, tmp_path, name):
@@ -189,29 +192,6 @@ def test_unwritable_out_reports_an_error(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: [Errno 28] No space left on device: '{out}'\n"
 
 
-def test_verify_failure_exit_code(monkeypatch, tmp_path):
-    # force a failure by breaking one golden value; the kernel comparison
-    # skips (1, 1), so it needs arity 2 to have the pair (1, 2) to compare,
-    # and it reads no omega table, so it passes
-    import gbgw.cli as cli
-    from gbgw.poly import ParamPoly
-    from gbgw.series import SparseTensor
-
-    real = cli.eo.omega
-
-    def broken(g, n):
-        if (g, n) == (1, 1):
-            return SparseTensor(1, {(0,): ParamPoly.const(Fraction(1, 3))})
-        return real(g, n)
-
-    monkeypatch.setattr(cli.eo, "omega", broken)
-    rc, text = run_cli(["verify", "--suite", "eo", "--genus-max", "1", "--arity-max", "2",
-                        "--weight-max", "3"], tmp_path, "f.json")
-    assert rc == 1
-    assert _failed(text) == {"eo/closed-form-invariants": "omega_{1,1}",
-                             "eo/residue-vs-coefficient-recursion": "(1,1)"}
-
-
 def test_each_suite_passes_small(tmp_path):
     for suite in ("schurq", "virasoro", "qsc"):
         rc, text = run_cli(["verify", "--suite", suite, "--genus-max", "1", "--arity-max", "2",
@@ -337,100 +317,6 @@ def test_span_stability_fails_when_nothing_compared(monkeypatch, tmp_path):
     assert checks["qsc/span-stability"]["detail"] == "no instance checked"
 
 
-def test_coefficient_recursion_check_fails_on_a_planted_entry(monkeypatch, tmp_path):
-    # one stored (1,2) entry off by one, and (1,3) rebuilt from it
-    import gbgw.eo as eo
-
-    planted = dict(eo._closed(1, 2))
-    planted[(0, 0)] += 1
-    monkeypatch.setitem(eo._closed_cache, (1, 2), planted)
-    monkeypatch.delitem(eo._closed_cache, (1, 3), raising=False)
-    rc, text = run_cli(["verify", "--suite", "eo", "--genus-max", "1", "--arity-max", "3",
-                        "--weight-max", "5"], tmp_path, "eo.json")
-    assert rc == 1
-    checks = {c["identity"]: c for c in json.loads(text)["checks"]}
-    assert checks["eo/residue-vs-coefficient-recursion"]["status"] == "fail"
-    assert checks["eo/residue-vs-coefficient-recursion"]["detail"] == "(1,2)"
-
-
-def test_equivalence_check_fails_on_a_planted_flat_weight(monkeypatch, tmp_path):
-    # the weight of a shift 0 -> 1 of one index off by one; the other EO
-    # checks never read the flat-coordinate transform
-    import gbgw.cli as cli
-
-    real = cli.eo._flat_weights
-
-    def planted(lmax, sign):
-        rows = real(lmax, sign)
-        rows[0][1] += 1
-        return rows
-
-    monkeypatch.setattr(cli.eo, "_flat_weights", planted)
-    rc, text = run_cli(["verify", "--suite", "eo", "--genus-max", "3", "--arity-max", "4",
-                        "--weight-max", "13"], tmp_path, "eo.json")
-    assert rc == 1
-    failed = _failed(text)
-    assert set(failed) == {"eo/equivalence-with-virasoro-weight<=13"}
-    assert failed["eo/equivalence-with-virasoro-weight<=13"].startswith("(0,3): [((0, 0, 1), ")
-
-
-def test_commutator_check_needs_the_z_k_entry(monkeypatch, tmp_path):
-    # a pruned z^k entry must fail the check, not pass it vacuously
-    import gbgw.cli as cli
-
-    real = cli.quantum.commutator_on_monomial
-
-    def pruned(k):
-        return [(e, v) for e, v in real(k) if (e, k) != (3, 3)]
-
-    monkeypatch.setattr(cli.quantum, "commutator_on_monomial", pruned)
-    rc, text = run_cli(["verify", "--suite", "qsc", "--window", "4"], tmp_path, "qsc.json")
-    assert rc == 1
-    checks = {c["identity"]: c for c in json.loads(text)["checks"]}
-    assert checks["qsc/canonical-commutator"]["detail"] == "k=3: no z^k entry"
-
-
-def test_semiclassical_check_reads_p(monkeypatch, tmp_path):
-    # -1/16 in place of -1/32 at z^(k-2) of P(z^k): only the classical limit reads p_monomial
-    import gbgw.cli as cli
-    from gbgw.poly import ParamPoly
-
-    real = cli.quantum.p_monomial
-
-    def doubled(k):
-        (e1, c1), (e2, c2) = real(k)
-        return [(e1, c1), (e2, ParamPoly({key: 2 * q for key, q in c2.terms.items()}))]
-
-    monkeypatch.setattr(cli.quantum, "p_monomial", doubled)
-    rc, text = run_cli(["verify", "--suite", "qsc", "--window", "4"], tmp_path, "qsc.json")
-    assert rc == 1
-    failed = {c["identity"]: c["detail"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
-    assert failed == {"qsc/semiclassical-factorization":
-                      "{'shift_matches_curve': False, 'factor_product': False}"}
-
-
-def test_annihilation_check_fails_on_a_planted_coefficient(monkeypatch, tmp_path):
-    # PhiB_0 off by one at z^-3; P moves the defect to z^-4 and z^-5
-    import gbgw.cli as cli
-
-    real = cli.quantum._basis
-
-    def planted(k, depth):
-        d, coeffs = real(k, depth)
-        if k == 0:
-            c = coeffs[-3]
-            coeffs[-3] = (c[0] + d,) + c[1:]
-        return d, coeffs
-
-    monkeypatch.setattr(cli.quantum, "_basis", planted)
-    rc, text = run_cli(["verify", "--suite", "qsc", "--window", "4"], tmp_path, "qsc.json")
-    assert rc == 1
-    failed = {c["identity"]: c["detail"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
-    assert failed["qsc/annihilation-through-4"] == "[-4, -5]"
-    # span stability reads the same basis; the commutator and the classical limit do not
-    assert set(failed) == {"qsc/annihilation-through-4", "qsc/span-stability"}
-
-
 def test_span_stability_fails_at_window_one(tmp_path):
     # window 1 leaves k_max = 0: only P(PhiB_0) at z^-1, where both sides are 0
     rc, text = run_cli(["verify", "--suite", "qsc", "--window", "1"], tmp_path, "qsc.json")
@@ -459,23 +345,6 @@ def test_virasoro_checks_fail_when_nothing_compared(tmp_path, weight):
     checks = {c["identity"]: c for c in json.loads(text)["checks"]}
     for name in ("virasoro/two-point-closed-form", "virasoro/distinguished-part-independence"):
         assert checks[name]["detail"] == "no instance checked", name
-
-
-def test_two_point_check_reads_every_closed_form_entry(monkeypatch, tmp_path):
-    import gbgw.cli as cli
-
-    wgn = cli.corr.wgn
-
-    def missing_entry(g, n, max_weight):
-        t = wgn(g, n, max_weight)
-        del t.coeffs[(-4, -2)]
-        return t
-
-    monkeypatch.setattr(cli.corr, "wgn", missing_entry)
-    rc, text = run_cli(["verify", "--suite", "virasoro", "--weight-max", "5"], tmp_path, "v.json")
-    assert rc == 1
-    checks = {c["identity"]: c for c in json.loads(text)["checks"]}
-    assert checks["virasoro/two-point-closed-form"]["detail"] == "mismatch at (-4, -2)"
 
 
 @pytest.mark.parametrize("args, digest", [
@@ -558,9 +427,9 @@ REGISTRY_CASES = {
 
 
 def test_registry_cases_cover_every_check():
-    # a new check with no case here fails this test
-    assert _registry_names(["--u", "1/4"]) == list(REGISTRY_CASES)
-    assert _registry_names([]) == [name for name in REGISTRY_CASES
+    # a new check with no vacuity case or no planted defect here fails this test
+    assert _registry_names(["--u", "1/4"]) == list(REGISTRY_CASES) == list(DEFECT_CASES)
+    assert _registry_names([]) == [name for name in DEFECT_CASES
                                    if name != "affine/trivialization-at-u=1/4"]
 
 
@@ -607,252 +476,212 @@ def _failed(text):
     return {c["identity"]: c["detail"] for c in json.loads(text)["checks"] if c["status"] == "fail"}
 
 
-def test_schur_q_check_fails_on_a_planted_closed_form(monkeypatch, tmp_path):
-    import gbgw.cli as cli
-
-    real = cli.schurq.Q_delta_closed
-    monkeypatch.setattr(cli.schurq, "Q_delta_closed",
-                        lambda parts: real(parts) + (1 if parts == (3, 1) else 0))
-    rc, text = run_cli(["verify", "--suite", "schurq", "--weight-max", "5"], tmp_path, "s.json")
-    assert rc == 1
-    assert _failed(text) == {"schur-q/pfaffian-vs-closed-weight<=5": "mismatch at (3, 1)"}
+class Prefix(str):
+    """An expected detail that the reported detail need only start with."""
 
 
-def test_one_point_check_fails_on_a_planted_closed_form(monkeypatch, tmp_path):
-    import gbgw.cli as cli
-    from gbgw.poly import ParamPoly
+def _wrap(target, edit):
+    """A plant: every result of the function at ``target`` ("module.name" in
+    gbgw) passes through edit(result, *args) on its way to the caller."""
+    module, name = f"gbgw.{target}".rsplit(".", 1)
 
-    real = cli.corr.one_point_closed
-    monkeypatch.setattr(cli.corr, "one_point_closed",
-                        lambda n: ParamPoly({key: 2 * q for key, q in real(n).terms.items()})
-                        if n == 2 else real(n))
-    rc, text = run_cli(["verify", "--suite", "virasoro", "--weight-max", "5"], tmp_path, "v.json")
-    assert rc == 1
-    assert _failed(text) == {"virasoro/one-point-closed-form": "n=2"}
-
-
-def test_pfaffian_expansion_check_fails_on_a_planted_coordinate(monkeypatch, tmp_path):
-    # a_{2,1} and a_{1,2} doubled change the Pfaffian of lambda = (2, 1) only;
-    # the direct generating series and the cycle sums read the same coordinates
-    import gbgw.cli as cli
-
-    real = cli.affine.affine_coeff
-
-    def doubled(n, m):
-        r, p = real(n, m)
-        return (2 * r, p) if {n, m} == {1, 2} else (r, p)
-
-    monkeypatch.setattr(cli.affine, "affine_coeff", doubled)
-    rc, text = run_cli(["verify", "--suite", "affine", "--weight-max", "3", "--window", "8"],
-                       tmp_path, "a.json")
-    assert rc == 1
-    assert _failed(text) == {"affine/pfaffian-vs-expansion-weights": "mismatch at (2, 1)",
-                             "affine/generating-series-closed-vs-direct": "At mismatch at (-2, -1)",
-                             "affine/cycle-sum-vs-virasoro-bridge-weight<=3": "1 mismatches of 6"}
+    def plant(monkeypatch):
+        real = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(f"gbgw.{target}", lambda *args, **kw: edit(real(*args, **kw), *args, **kw))
+    plant.__name__ = target
+    return plant
 
 
-def test_trivialization_check_fails_on_a_planted_coordinate(monkeypatch, tmp_path):
-    # a_{2,3} + 1 does not vanish at u = 1/4; weight 3 keeps it out of the Pfaffians
-    # and the cycle sums, and the direct generating series reads it
-    import gbgw.cli as cli
-    from gbgw.poly import u_add, u_scale
-
-    real = cli.affine.affine_coeff
-
-    def planted(n, m):
-        # r P + 1 = (num P + den) / den at h = 1, with r = num / den
-        r, p = real(n, m)
-        if (n, m) != (2, 3):
-            return r, p
-        return Fraction(1, r.denominator), u_add(u_scale(p, r.numerator), (r.denominator,))
-
-    monkeypatch.setattr(cli.affine, "affine_coeff", planted)
-    rc, text = run_cli(["verify", "--suite", "affine", "--u", "1/4", "--weight-max", "3",
-                        "--window", "8"], tmp_path, "a.json")
-    assert rc == 1
-    assert _failed(text) == {"affine/trivialization-at-u=1/4": "a[2,3] nonzero",
-                             "affine/generating-series-closed-vs-direct": "At mismatch at (-2, -3)"}
+def _doubled(p):
+    return ParamPoly({key: 2 * q for key, q in p.terms.items()})
 
 
-def test_wronskian_check_fails_on_a_planted_basis_coefficient(monkeypatch, tmp_path):
-    # phi1 off at z^-3; the closed form of the generating series reads the same basis
-    import gbgw.cli as cli
-    from gbgw.poly import u_add
+def _closed_entry(monkeypatch):
+    # one stored (1,2) entry of the coefficient route off by one
+    import gbgw.eo as eo
 
-    real = cli.affine._int_basis
-
-    def planted(T):
-        d1, p1, d2, p2u, p2v = real(T)
-        return d1, {**p1, -3: u_add(p1[-3], (d1,))}, d2, p2u, p2v
-
-    monkeypatch.setattr(cli.affine, "_int_basis", planted)
-    rc, text = run_cli(["verify", "--suite", "affine", "--weight-max", "3", "--window", "8"],
-                       tmp_path, "a.json")
-    assert rc == 1
-    failed = _failed(text)
-    assert "'phi1_ode': False" in failed.pop("affine/wronskian-suite-order-8")
-    assert set(failed) == {"affine/generating-series-closed-vs-direct"}
+    planted = dict(eo._closed(1, 2))
+    planted[(0, 0)] += 1
+    monkeypatch.setitem(eo._closed_cache, (1, 2), planted)
 
 
-def _plant_independence(monkeypatch):
-    # every step that distinguishes a part other than the largest is off by one
-    import gbgw.correlators as corr
-
-    real = corr._expand
-    monkeypatch.setattr(corr, "_expand", lambda g, parts, pick: real(g, parts, pick) + (1 if pick > 0 else 0))
-
-
-def _plant_bridge(monkeypatch):
-    import gbgw.npoint as npoint
-    from gbgw.poly import ParamPoly
-
-    real = npoint.bridge
-
-    def planted(mu, u_value=None):
+# Every registered check, by its identity at default bounds: the defects
+# planted into the code it checks (never into the check), each a row
+# (plant, verify arguments, {identity: detail} of every check that must
+# fail).  Every other check must pass; a Prefix detail is compared as a prefix.
+DEFECT_CASES = {
+    "schur-q/pfaffian-vs-closed-weight<=9": [
+        (_wrap("schurq.Q_delta_closed", lambda q, parts: q + (1 if parts == (3, 1) else 0)),
+         ["--suite", "schurq", "--weight-max", "5"],
+         {"schur-q/pfaffian-vs-closed-weight<=5": "mismatch at (3, 1)"}),
+    ],
+    "affine/wronskian-suite-order-20": [
+        # phi1 off at z^-3; the closed form of the generating series reads the same basis
+        (_wrap("affine._int_basis", lambda b, T: (b[0], {**b[1], -3: u_add(b[1][-3], (b[0],))}, *b[2:])),
+         ["--suite", "affine", "--weight-max", "3", "--window", "8"],
+         {"affine/wronskian-suite-order-8":
+          "{'wronskian_2z': False, 'det_g_one': False, 'phi1_ode': False, 'phi2_from_phi1': False}",
+          "affine/generating-series-closed-vs-direct":
+          "exception: nonzero remainder dividing by (w + x): convention bug"}),
+    ],
+    "affine/pfaffian-vs-expansion-weights": [
+        # a_{2,1} and a_{1,2} doubled change the Pfaffian of lambda = (2, 1) only;
+        # the direct generating series and the cycle sums read the same coordinates
+        (_wrap("affine.affine_coeff", lambda rp, n, m: (2 * rp[0], rp[1]) if {n, m} == {1, 2} else rp),
+         ["--suite", "affine", "--weight-max", "3", "--window", "8"],
+         {"affine/pfaffian-vs-expansion-weights": "mismatch at (2, 1)",
+          "affine/generating-series-closed-vs-direct": "At mismatch at (-2, -1)",
+          "affine/cycle-sum-vs-virasoro-bridge-weight<=3": "1 mismatches of 6"}),
+    ],
+    "affine/generating-series-closed-vs-direct": [
+        # the quotient of the closed form off by one at (-2, -3); the v-part
+        # quotient (no wx) is left alone
+        (_wrap("affine._antisym_quotient", lambda q, p1, p2, T, wx=0:
+               {**q, (-2, -3): u_add(q.get((-2, -3), ()), (1,))} if wx else q),
+         ["--suite", "all"],
+         {"affine/generating-series-closed-vs-direct": "At mismatch at (-2, -3)"}),
+    ],
+    "affine/cycle-sum-vs-virasoro-bridge-weight<=9": [
         # every bridge value has h-degree |mu| > 0, so + 1 is a new constant term
-        value = real(mu, u_value=u_value)
-        return ParamPoly({**value.terms, (0, 0, 0, 0): Fraction(1)}) if tuple(mu) == (3, 1) else value
+        (_wrap("npoint.bridge", lambda v, mu, u_value=None:
+               ParamPoly({**v.terms, (0, 0, 0, 0): Fraction(1)}) if tuple(mu) == (3, 1) else v),
+         ["--suite", "all"],
+         {"affine/cycle-sum-vs-virasoro-bridge-weight<=9": "1 mismatches of 20"}),
+    ],
+    "affine/trivialization-at-u=1/4": [
+        # a_{2,3} + 1 does not vanish at u = 1/4; weight 3 keeps it out of the
+        # Pfaffians and the cycle sums, and the direct generating series reads it.
+        # With r = num / den, r P + 1 = (num P + den) / den at h = 1
+        (_wrap("affine.affine_coeff", lambda rp, n, m: (
+            Fraction(1, rp[0].denominator), u_add(u_scale(rp[1], rp[0].numerator), (rp[0].denominator,)))
+            if (n, m) == (2, 3) else rp),
+         ["--suite", "affine", "--u", "1/4", "--weight-max", "3", "--window", "8"],
+         {"affine/trivialization-at-u=1/4": "a[2,3] nonzero",
+          "affine/generating-series-closed-vs-direct": "At mismatch at (-2, -3)"}),
+    ],
+    "virasoro/one-point-closed-form": [
+        (_wrap("correlators.one_point_closed", lambda p, n: _doubled(p) if n == 2 else p),
+         ["--suite", "virasoro", "--weight-max", "5"],
+         {"virasoro/one-point-closed-form": "n=2"}),
+    ],
+    "virasoro/two-point-closed-form": [
+        # one entry missing from the table: the check reads every closed-form entry
+        (_wrap("correlators.wgn", lambda t, g, n, w:
+               SparseTensor(n, {key: v for key, v in t.coeffs.items() if key != (-4, -2)})),
+         ["--suite", "virasoro", "--weight-max", "5"],
+         {"virasoro/two-point-closed-form": "mismatch at (-4, -2)"}),
+    ],
+    "virasoro/distinguished-part-independence": [
+        # every step that distinguishes a part other than the largest is off by one
+        (_wrap("correlators._expand", lambda c, g, parts, pick: c + (1 if pick > 0 else 0)),
+         ["--suite", "all"],
+         {"virasoro/distinguished-part-independence":
+          "exception: <p_(1, 1)>_2 = 1/64 at negative s-exponent -1"}),
+    ],
+    "virasoro/special-deformation": [
+        (_wrap("correlators._dF0_series", lambda out, nu, xlo:
+               {**out, -4: out.get(-4, 0) + 1} if nu == (1,) else out),
+         ["--suite", "all"],
+         {"virasoro/special-deformation":
+          "[((1,), -4, Fraction(-2, 1)), ((1,), -6, Fraction(-1, 1)), ((1,), -8, Fraction(1, 4))]"}),
+    ],
+    "eo/closed-form-invariants": [
+        # omega_{1,1} broken; the kernel comparison skips (1, 1), so it needs
+        # arity 2 to have the pair (1, 2) to compare, and reads no omega table
+        (_wrap("eo.omega", lambda t, g, n:
+               SparseTensor(1, {(0,): ParamPoly.const(Fraction(1, 3))}) if (g, n) == (1, 1) else t),
+         ["--suite", "eo", "--genus-max", "1", "--arity-max", "2", "--weight-max", "3"],
+         {"eo/closed-form-invariants": "omega_{1,1}",
+          "eo/residue-vs-coefficient-recursion": "(1,1)"}),
+    ],
+    "eo/equivalence-with-virasoro-weight<=9": [
+        # the weight of a shift 0 -> 1 of one index off by one; the other EO
+        # checks never read the flat-coordinate transform
+        (_wrap("eo._flat_weights", lambda rows, lmax, sign:
+               [[w + 1 if (k, m) == (0, 1) else w for m, w in enumerate(row)] for k, row in enumerate(rows)]),
+         ["--suite", "eo", "--genus-max", "3", "--arity-max", "4", "--weight-max", "13"],
+         {"eo/equivalence-with-virasoro-weight<=13": Prefix("(0,3): [((0, 0, 1), ")}),
+        # both EO routes solve only the orbits that eo._orbits lists, so a
+        # defect there moves both alike and only the Virasoro equivalence can
+        # see it.  The orbits at sum == total are dropped where total > 0; the
+        # one (0,3) orbit, at total 0, stays, since the coefficient route seeds
+        # (0,3) and would differ there.  (1,2) loses its orbit (2,)
+        (_wrap("eo._orbits", lambda orbits, length, total, top:
+               [kk for kk in orbits if sum(kk) < total or not total]),
+         ["--suite", "all"],
+         {"eo/equivalence-with-virasoro-weight<=9": Prefix("(1,2): [((0, 2), ")}),
+    ],
+    "eo/residue-vs-coefficient-recursion": [
+        (_closed_entry,
+         ["--suite", "eo", "--genus-max", "1", "--arity-max", "3", "--weight-max", "5"],
+         {"eo/residue-vs-coefficient-recursion": "(1,2)"}),
+    ],
+    "eo/kernel-comparison": [
+        # the type-B omega_{0,2} stream off by one at z^2: the recursion never
+        # reads it, so only the kernel comparison can see it
+        (_wrap("eo._omega02_streams", lambda streams, top:
+               {**streams, "typeB": [(m, v + 1 if m == 2 else v) for m, v in streams["typeB"]]}),
+         ["--suite", "all"],
+         {"eo/kernel-comparison":
+          "[(0, 3, 'typeB'), (1, 2, 'typeB'), (1, 3, 'typeB'), (2, 1, 'typeB'), (2, 2, 'typeB'), "
+          "(2, 3, 'typeB')]"}),
+        # omega_{0,2} off by one at k = 1 where the bracket reads it: the residue
+        # tables above (0,3) move with it, so the checks that read them fail too;
+        # omega_{0,3} reads only k = 0, so its closed form still holds
+        (_wrap("eo._factor", lambda f, gf, nf, top: {**f, (1,): [(-1, 4)]} if (gf, nf) == (0, 1) else f),
+         ["--suite", "all"],
+         {"eo/equivalence-with-virasoro-weight<=9":
+          "(1,2): [((0, 1), Fraction(-19, 16), Fraction(-15, 16)), "
+          "((0, 2), Fraction(215, 64), Fraction(175, 64))]",
+          "eo/residue-vs-coefficient-recursion": "(1,2)",
+          "eo/kernel-comparison": Prefix(
+              "[(0, 3, 'standard, sigma=+1'), (0, 3, 'standard, sigma=-1'), (0, 3, 'typeB'), ")}),
+    ],
+    "qsc/annihilation-through-20": [
+        # PhiB_0 off by one at z^-3; P moves the defect to z^-4 and z^-5, and
+        # span stability reads the same basis
+        (_wrap("quantum._basis", lambda b, k, depth:
+               (b[0], {**b[1], -3: u_add(b[1][-3], (b[0],))}) if k == 0 else b),
+         ["--suite", "qsc", "--window", "4"],
+         {"qsc/annihilation-through-4": "[-4, -5]",
+          "qsc/span-stability":
+          "[('P', 0, [-4]), ('Q', 0, [-3, -2]), ('P', 1, [-3]), ('Q', 1, [-3]), ('P', 2, [-3]), "
+          "('Q', 2, [-3])]"}),
+    ],
+    "qsc/canonical-commutator": [
+        # a pruned z^k entry must fail the check, not pass it vacuously
+        (_wrap("quantum.commutator_on_monomial", lambda terms, k:
+               [(e, v) for e, v in terms if (e, k) != (3, 3)]),
+         ["--suite", "qsc", "--window", "4"],
+         {"qsc/canonical-commutator": "k=3: no z^k entry"}),
+    ],
+    "qsc/span-stability": [
+        # PhiB_2 off by one at z^-3; the annihilation check reads PhiB_0 only
+        (_wrap("quantum._basis", lambda b, k, depth:
+               (b[0], {**b[1], -3: u_add(b[1].get(-3, ()), (1,))}) if k == 2 else b),
+         ["--suite", "all"],
+         {"qsc/span-stability":
+          "[('Q', 1, [-3]), ('P', 2, [-5, -4]), ('Q', 2, [-2]), ('P', 3, [-3]), ('P', 4, [-3])]"}),
+    ],
+    "qsc/semiclassical-factorization": [
+        # -1/16 in place of -1/32 at z^(k-2) of P(z^k): only the classical limit reads p_monomial
+        (_wrap("quantum.p_monomial", lambda terms, k: [terms[0], (terms[1][0], _doubled(terms[1][1]))]),
+         ["--suite", "qsc", "--window", "4"],
+         {"qsc/semiclassical-factorization":
+          "{'shift_matches_curve': False, 'factor_product': False}"}),
+    ],
+}
 
-    monkeypatch.setattr(npoint, "bridge", planted)
 
-
-def _plant_closed_quotient(monkeypatch):
-    # the quotient of the closed form off by one at (-2, -3); the v-part
-    # quotient (no wx) is left alone
-    import gbgw.affine as affine
-    from gbgw.poly import u_add
-
-    real = affine._antisym_quotient
-
-    def planted(p1, p2, T, wx=0):
-        q = real(p1, p2, T, wx)
-        if wx:
-            q[(-2, -3)] = u_add(q.get((-2, -3), ()), (1,))
-        return q
-
-    monkeypatch.setattr(affine, "_antisym_quotient", planted)
-
-
-def _plant_special_deformation(monkeypatch):
-    import gbgw.correlators as corr
-
-    real = corr._dF0_series
-
-    def planted(nu, xlo):
-        out = real(nu, xlo)
-        if nu == (1,):
-            out[-4] = out.get(-4, 0) + 1
-        return out
-
-    monkeypatch.setattr(corr, "_dF0_series", planted)
-
-
-def _plant_type_b_stream(monkeypatch):
-    # the type-B omega_{0,2} stream off by one at z^2: the recursion never
-    # reads it, so only the kernel comparison can see it
-    import gbgw.eo as eo
-
-    real = eo._omega02_streams
-
-    def planted(top):
-        streams = real(top)
-        m, v = streams["typeB"][2]
-        streams["typeB"][2] = (m, v + 1)
-        return streams
-
-    monkeypatch.setattr(eo, "_omega02_streams", planted)
-
-
-def _plant_span_basis(monkeypatch):
-    # PhiB_2 off by one at z^-3; the annihilation check reads PhiB_0 only
-    import gbgw.quantum as quantum
-    from gbgw.poly import u_add
-
-    real = quantum._basis
-
-    def planted(k, depth):
-        d, coeffs = real(k, depth)
-        if k == 2:
-            coeffs = {**coeffs, -3: u_add(coeffs.get(-3, ()), (1,))}
-        return d, coeffs
-
-    monkeypatch.setattr(quantum, "_basis", planted)
-
-
-@pytest.mark.parametrize("identity, plant", [
-    ("virasoro/distinguished-part-independence", _plant_independence),
-    ("affine/cycle-sum-vs-virasoro-bridge-weight<=9", _plant_bridge),
-    ("affine/generating-series-closed-vs-direct", _plant_closed_quotient),
-    ("virasoro/special-deformation", _plant_special_deformation),
-    ("eo/kernel-comparison", _plant_type_b_stream),
-    ("qsc/span-stability", _plant_span_basis),
-])
-def test_check_fails_alone_on_its_planted_defect(monkeypatch, tmp_path, identity, plant):
-    # the defect goes into the code under check, never into the check; the
-    # memos are emptied so that no table built with it outlives the test
-    import gbgw
-
-    gbgw.reset_caches()
-    try:
-        plant(monkeypatch)
-        rc, text = run_cli(["verify", "--suite", "all"], tmp_path, "all.json")
-    finally:
-        gbgw.reset_caches()
+@pytest.mark.parametrize("default_name, plant, args, want", [
+    pytest.param(name, *case, id=f"{name}:{case[0].__name__}")
+    for name, cases in DEFECT_CASES.items() for case in cases])
+def test_planted_defect(fresh_caches, monkeypatch, tmp_path, default_name, plant, args, want):
+    plant(monkeypatch)
+    rc, text = run_cli(["verify", *args], tmp_path, "v.json")
     assert rc == 1
-    assert set(_failed(text)) == {identity}
-
-
-def test_kernel_comparison_fails_on_a_planted_omega02_factor(monkeypatch, tmp_path):
-    # omega_{0,2} off by one at k = 1 where the bracket reads it: the residue
-    # tables above (0,3) move with it, so the checks that read them fail too.
-    # omega_{0,3} reads only k = 0, so its closed form still holds
-    import gbgw
-    import gbgw.eo as eo
-
-    real = eo._factor
-
-    def planted(gf, nf, top):
-        factor = real(gf, nf, top)
-        if (gf, nf) == (0, 1):
-            factor[(1,)] = [(-1, 4)]
-        return factor
-
-    gbgw.reset_caches()
-    try:
-        monkeypatch.setattr(eo, "_factor", planted)
-        rc, text = run_cli(["verify", "--suite", "all"], tmp_path, "all.json")
-    finally:
-        gbgw.reset_caches()
-    assert rc == 1
+    # the check a row is keyed by, named at the row's bounds, is one that fails
+    assert _registry_names(["--u", "1/4", *args])[list(DEFECT_CASES).index(default_name)] in want
     failed = _failed(text)
-    assert set(failed) == {"eo/equivalence-with-virasoro-weight<=9",
-                           "eo/residue-vs-coefficient-recursion", "eo/kernel-comparison"}
-    assert failed["eo/kernel-comparison"].startswith(
-        "[(0, 3, 'standard, sigma=+1'), (0, 3, 'standard, sigma=-1'), (0, 3, 'typeB'), ")
-
-
-def test_equivalence_check_fails_on_a_defect_in_the_shared_orbits(monkeypatch, tmp_path):
-    # both EO routes solve only the orbits that eo._orbits lists, so a defect
-    # there moves both routes alike: eo/residue-vs-coefficient-recursion cannot
-    # see it, and the Virasoro equivalence must.  The orbits at sum == total are
-    # dropped where total > 0; the one (0,3) orbit, at total 0, stays, since the
-    # coefficient route seeds (0,3) and would differ there.  (1,2) loses its
-    # orbit (2,): its entries at (0, 2) are gone, and (1,3) and up are built on it
-    import gbgw
-    import gbgw.eo as eo
-
-    real = eo._orbits
-
-    def planted(length, total, top):
-        return [kk for kk in real(length, total, top) if sum(kk) < total or not total]
-
-    gbgw.reset_caches()
-    try:
-        monkeypatch.setattr(eo, "_orbits", planted)
-        rc, text = run_cli(["verify", "--suite", "all"], tmp_path, "all.json")
-    finally:
-        gbgw.reset_caches()
-    assert rc == 1
-    failed = _failed(text)
-    assert set(failed) == {"eo/equivalence-with-virasoro-weight<=9"}
-    assert failed["eo/equivalence-with-virasoro-weight<=9"].startswith("(1,2): [((0, 2), ")
+    assert {name: detail[:len(want[name])] if isinstance(want.get(name), Prefix) else detail
+            for name, detail in failed.items()} == want

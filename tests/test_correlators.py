@@ -114,6 +114,22 @@ def test_distinguished_part_independence():
             assert correlator(g, mu) == correlator_expand_distinguishing(g, mu), (g, mu)
 
 
+@st.composite
+def _odd_partition(draw):
+    """2 to 4 odd parts of sum at most 21, descending: the Virasoro range."""
+    n, parts = draw(st.integers(2, 4)), []
+    for i in range(n):
+        room = 21 - sum(parts) - (n - 1 - i)  # one left for each part still to draw
+        parts.append(2 * draw(st.integers(0, (room - 1) // 2)) + 1)
+    return tuple(sorted(parts, reverse=True))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 4), _odd_partition())
+def test_distinguished_part_independence_on_random_partitions(g, mu):
+    assert correlator(g, mu) == correlator_expand_distinguishing(g, mu)
+
+
 def test_genus_cancellation_at_quarter():
     # sum_g h^(2g-2+n) <p_mu>_g |_{ s -> h^2 u, u -> 1/4 } = 0.  The genus-g
     # term c s^e becomes c h^(2g-2+n+2e) u^e, and every g lands on h^|mu|,
@@ -344,16 +360,14 @@ def test_table_matches_the_recursion_as_stated():
     assert checked == 4 * len(odd_partitions(13, 4)) and nonzero > checked // 2
 
 
-def test_virasoro_table_reads_no_other_table():
+def test_virasoro_table_reads_no_other_table(fresh_caches):
     # the Virasoro route is an independent pipeline: its table builds no EO
     # table and no affine coordinate
-    import gbgw
     import gbgw.affine as affine
     import gbgw.correlators as corr
     import gbgw.eo as eo
     import gbgw.schurq as schurq
 
-    gbgw.reset_caches()
     assert (corr._cache, corr._split_cache) == ({}, {})
     for mu in odd_partitions(21, 4):
         for g in range(5):

@@ -235,24 +235,20 @@ def test_negative_s_exponent_raises(monkeypatch):
         omega_closed_step(2, 1)
 
 
-def test_closed_step_reads_no_residue_table():
+def test_closed_step_reads_no_residue_table(fresh_caches):
     # the coefficient route is an independent pipeline: it builds no omega table
-    import gbgw
     import gbgw.eo as eo
 
-    gbgw.reset_caches()
     omega_closed_step(3, 3)
     assert eo._omega_cache == {}
 
 
-def test_residue_route_reads_no_other_table():
+def test_residue_route_reads_no_other_table(fresh_caches):
     # the residue route is an independent pipeline: it builds no Virasoro
     # table and no coefficient-route table
-    import gbgw
     from gbgw import correlators
     import gbgw.eo as eo
 
-    gbgw.reset_caches()
     for (g, n) in STABLE_PAIRS:
         omega(g, n)
     assert eo._omega_cache
@@ -260,14 +256,12 @@ def test_residue_route_reads_no_other_table():
     assert eo._closed_cache == {}
 
 
-def test_flat_transform_reads_no_other_table():
+def test_flat_transform_reads_no_other_table(fresh_caches):
     # x_tensor reads the residue table only: no Virasoro table and no
     # coefficient-route table is built on the way
-    import gbgw
     from gbgw import correlators
     import gbgw.eo as eo
 
-    gbgw.reset_caches()
     for (g, n) in STABLE_PAIRS:
         assert x_tensor(g, n, 13).coeffs, (g, n)
     assert (correlators._cache, correlators._split_cache) == ({}, {})
@@ -309,13 +303,11 @@ def test_closed_step_pole_bound_guard(monkeypatch):
         omega_closed_step(1, 3)
 
 
-def test_closed_tables_store_one_entry_per_orbit():
+def test_closed_tables_store_one_entry_per_orbit(fresh_caches):
     # every stored key has nonincreasing externals, and each table holds one
     # entry per orbit: full storage, or a lost orbit, changes a stored count
-    import gbgw
     import gbgw.eo as eo
 
-    gbgw.reset_caches()
     omega_closed_step(3, 3)
     for (g, n), table in eo._closed_cache.items():
         for kk in table:
@@ -326,13 +318,11 @@ def test_closed_tables_store_one_entry_per_orbit():
         assert len(omega_closed_step(g, n).coeffs) == expanded, (g, n)
 
 
-def test_residue_tables_store_one_entry_per_orbit():
+def test_residue_tables_store_one_entry_per_orbit(fresh_caches):
     # the residue route stores the coefficient route's shape: nonincreasing
     # externals, one entry per orbit, and the same integers at every key
-    import gbgw
     import gbgw.eo as eo
 
-    gbgw.reset_caches()
     omega(3, 3)
     for (g, n), table in eo._omega_cache.items():
         for kk in table:

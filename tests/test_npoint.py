@@ -144,23 +144,25 @@ def test_cycle_sum_reads_the_planted_scalar(monkeypatch):
 
 def test_one_point_reads_a_broken_coordinate(monkeypatch):
     # a_{1,2} off by h^3 P_1 P_2 / 7 (antisymmetry broken) moves the one-point value at x^-3
-    real = npoint_module.affine_scalar
-    monkeypatch.setattr(npoint_module, "affine_scalar",
-                        lambda n, m: real(n, m) + Fraction(1, 7) if (n, m) == (1, 2) else real(n, m))
+    real = npoint_module.affine_coeff
+
+    def broken(n, m):
+        r, p = real(n, m)
+        return (r + Fraction(1, 7), p) if (n, m) == (1, 2) else (r, p)
+
+    monkeypatch.setattr(npoint_module, "affine_coeff", broken)
     series = one_point_affine(9)
     assert series[-3] != bridge((3,))
     assert series[-1] == bridge((1,))
 
 
-def test_cycle_sums_read_no_other_table():
+def test_cycle_sums_read_no_other_table(fresh_caches):
     # the affine route is an independent pipeline: its cycle sums build no
     # Virasoro table and no EO table
-    import gbgw
     import gbgw.correlators as correlators
     import gbgw.eo as eo
     import gbgw.schurq as schurq
 
-    gbgw.reset_caches()
     for n in (1, 2, 3):
         npoint_affine(n, 15 if n == 1 else 11)
     assert schurq._theta_prod_cache

@@ -178,6 +178,13 @@ def test_unpack_breaks_at_the_bound():
     assert u_unpack(u_pack((3, 128, -127), bits), bits) == (3, -128, -126)
 
 
+@pytest.mark.parametrize("x, bits", [(1, 1), (0, 1), (1, 0), (0, 0)])
+def test_unpack_rejects_digits_narrower_than_two_bits(x, bits):
+    # 1-bit balanced digits are -1 and 0, so x = 1 would never shrink
+    with pytest.raises(ValueError, match="bits >= 2"):
+        u_unpack(x, bits)
+
+
 def test_double_factorial():
     assert double_factorial(-1) == 1
     assert double_factorial(1) == 1
