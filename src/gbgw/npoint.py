@@ -106,6 +106,10 @@ def _pack_bits(n, at):
     With L the largest L1 norm of an entry of ``at``, a coefficient of the
     total at one key sums at most (n-1)! cycles times |at|^n paths, each
     term bounded by L^n, so it is below (n-1)! (|at| L)^n < 2^(bits-1).
+    For n >= 3, ``_npoint_once`` sums only (n-1)!/2 cycles and applies the
+    factor 2 after unpacking, so the bound covers them with a bit to spare.
+    It stays at (n-1)!: one bit is nothing against a width of over a
+    hundred, and the bound then also holds for the sum over every cycle.
     """
     norm = max(sum(map(abs, p)) for p in at.values())
     return (factorial(n - 1) * (len(at) * norm) ** n).bit_length() + 1
@@ -119,6 +123,21 @@ def _xi_factor(p, q, at):
     if p < q:
         return {(i, j): -c if j % 2 else c for (i, j), c in at.items()}
     return {(j, i): -c if i % 2 == 0 else c for (i, j), c in at.items()}  # -(-1)^i c
+
+
+def _xi_rows(p, q, at):
+    """The entries of ``_xi_factor(p, q, at)`` as rows keyed by the first slot.
+
+    Returns (even, odd): for each parity of i, the pairs (i, row) with i
+    ascending, each row [(j, packed int), ...] with j descending.
+    """
+    rows = {}
+    for (i, j), d in _xi_factor(p, q, at).items():
+        rows.setdefault(i, []).append((j, d))
+    split = ([], [])
+    for i in sorted(rows):
+        split[i % 2].append((i, sorted(rows[i], reverse=True)))
+    return split
 
 
 def _contract_cycle(order, at, budget):
@@ -143,46 +162,59 @@ def _contract_cycle(order, at, budget):
     tail-artifact cancellation at a key is complete once the window covers
     max |e_i|, which the caller guarantees for that band).  Open exponents
     are slots of ``at`` entries and need no check.
+
+    Both filters are loop bounds, so only the factor entries they keep are
+    visited.  Factor t is read as rows by its first slot i (``_xi_rows``).
+    A state with open exponent e finalizes e + i, which is odd and within
+    [-budget, budget] exactly when i has the parity opposite to e and lies
+    in [-budget - e, budget - e]: only rows of that parity are read, and
+    the walk over them stops past the upper end.  Within a row, the degree
+    -(sum(key) + i + j) stays within budget exactly while j >= -budget -
+    sum(key) - i, so the walk down the row stops at the first j below that
+    floor.  The last step also tests e_first entry by entry.
     Returns {tuple of exponents indexed by cycle position: packed int}.
     """
     n = len(order)
     state = _xi_factor(order[0], order[1], at)
     for t in range(1, n):
         last = t == n - 1
-        fac = _xi_factor(order[t], order[(t + 1) % n], at)
+        rows = _xi_rows(order[t], order[(t + 1) % n], at)
         nxt = {}
         for key, c in state.items():
-            base = sum(key)
-            for (i, j), d in fac.items():
-                if -(base + i + j) > budget:
+            first, e = key[0], key[1]
+            lo, hi = -budget - e, budget - e
+            floor = -budget - sum(key)
+            for i, row in rows[(e + 1) % 2]:
+                if i < lo:
                     continue
-                efin = key[1] + i
-                if efin % 2 == 0 or not -budget <= efin <= budget:
-                    continue
-                if last:
-                    efirst = key[0] + j
-                    if efirst % 2 == 0 or not -budget <= efirst <= budget:
-                        continue
-                    newkey = (efirst,) + key[2:] + (efin,)
-                else:
-                    newkey = (key[0], j) + key[2:] + (efin,)
-                nxt[newkey] = nxt.get(newkey, 0) + c * d
+                if i > hi:
+                    break
+                jmin = floor - i
+                fin = key[2:] + (e + i,)
+                for j, d in row:
+                    if j < jmin:
+                        break
+                    if last:
+                        efirst = first + j
+                        if efirst % 2 == 0 or not -budget <= efirst <= budget:
+                            continue
+                        newkey = (efirst,) + fin
+                    else:
+                        newkey = (first, j) + fin
+                    nxt[newkey] = nxt.get(newkey, 0) + c * d
         state = nxt
     return state
 
 
-def _npoint_once(n, max_weight, tail_hi, u_value=None):
-    """One cycle-sum pass (n >= 2) with the tail of At through tail_hi.
+def _packed_at(n, max_weight, tail_hi, u_value=None):
+    """The entries of At an n-point pass reads, packed: (at, L, bits).
 
-    It builds only the entries of At the sum reads: the triangle
-    n + m <= max_weight (with the boundary entries (-n, 0) and (0, -m)),
-    the constant (0, 0), and the tail (-i, i) for i <= tail_hi.  Each entry
-    is the (r, P) pair of ``_direct_a``, h^-(i+j) r P(u); at a rational
-    u_value it becomes (r P(u_value), (1,)).  The contraction runs on the
-    int u-tuples r L P, with L the lcm of the denominators of the r, each
-    packed into one int at the width ``_pack_bits`` gives; every output
-    key is a product of exactly n entries, so it is unpacked once and
-    leaves as h^(-sum key) * -2^(n-1) * tuple / L^n.
+    They are the triangle n + m <= max_weight (with the boundary entries
+    (-n, 0) and (0, -m)), the constant (0, 0), and the tail (-i, i) for
+    i <= tail_hi.  Each entry is the (r, P) pair of ``_direct_a``,
+    h^-(i+j) r P(u); at a rational u_value it becomes (r P(u_value), (1,)).
+    It is held as the int u-tuple r L P, with L the lcm of the denominators
+    of the r, packed into one int at the width ``_pack_bits`` gives.
     """
     keys = ((-i, -j) for i in range(max_weight + 1) for j in range(max_weight + 1 - i))
     at = _with_tail(_direct_a(keys), tail_hi)
@@ -193,14 +225,34 @@ def _npoint_once(n, max_weight, tail_hi, u_value=None):
     scale = lcm(*(r.denominator for r, _ in at.values()))
     at = {k: u_scale(p, r.numerator * scale // r.denominator) for k, (r, p) in at.items()}
     bits = _pack_bits(n, at)
-    at = {k: u_pack(p, bits) for k, p in at.items()}
+    return {k: u_pack(p, bits) for k, p in at.items()}, scale, bits
+
+
+def _npoint_once(n, max_weight, tail_hi, u_value=None):
+    """One cycle-sum pass (n >= 2) with the tail of At through tail_hi.
+
+    The contraction runs on the packed entries of ``_packed_at``, with L
+    its integer scale; every output key is a product of exactly n entries,
+    so it is unpacked once and leaves as h^(-sum key) * -2^(n-1) * tuple / L^n.
+
+    For n >= 3 only one cycle of each reversed pair is contracted, the one
+    with order[1] < order[-1], and the factor 2 joins the output scale.
+    By ``_xi_factor``, xi(x_q, -x_p) = -xi(x_p, -x_q) at x -> -x, so the
+    reversed cycle is (-1)^n times the forward one at -x; at a key of n
+    odd exponents, -x gives a further (-1)^n, and the two totals agree
+    key by key.  The budget pruning reads only the exponents, so it drops
+    the same paths from both.  At n = 2 the one cycle is its own reverse.
+    """
+    at, scale, bits = _packed_at(n, max_weight, tail_hi, u_value)
     total = {}
     for order in cycles(n):
+        if order[1] > order[-1]:  # the reverse of a cycle already summed (never at n = 2)
+            continue
         where = [order.index(v) for v in range(1, n + 1)]
         for key, c in _contract_cycle(order, at, max_weight).items():
             k = tuple(key[p] for p in where)
             total[k] = total.get(k, 0) + c
-    factor = Fraction(-(2 ** (n - 1)), scale ** n)
+    factor = Fraction(-(2 ** (n - 1)) * (1 if n == 2 else 2), scale ** n)
     total = {key: u_unpack(c, bits) for key, c in total.items() if c}
     if n == 2:
         # off-diagonal tail artifacts self-cancel within the window; the

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .affine import affine_scalar
+from .affine import affine_coeff, affine_scalar
 from .poly import ParamPoly, u_add, u_mul, u_scale
 from .schurq import theta_prod, theta_u
 
@@ -51,20 +51,25 @@ def _basis(k, depth):
 
     The coefficient at z^e is h^(k-e) times the tuple over d.  At z^-i it
     reads the affine coordinates in their (r, tuple) form: a_{k,i} and
-    a_{k,0} a_{0,i} share the tuple theta_prod(k) theta_prod(i).
+    a_{k,0} a_{0,i} share the tuple theta_prod(k) theta_prod(i), which for
+    i != k is the memoized tuple of ``affine_coeff(k, i)``.  Only i = k,
+    where ``affine_coeff`` holds (0, ()), builds its own product.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
     rk0 = affine_scalar(k, 0)
     rho = {}
     for i in range(1, depth + 1):
-        r = 2 * (affine_scalar(k, i) - rk0 * affine_scalar(0, i))
-        rho[-i] = -r if i % 2 else r
-    d = lcm(*(r.denominator for r in rho.values()))
+        rki, p = (0, u_mul(theta_prod(k), theta_prod(k))) if i == k else affine_coeff(k, i)
+        if not p:
+            raise ArithmeticError(f"r_{{{k},{i}}} = 0 leaves a_{{{k},{i}}} without its tuple")
+        r = 2 * (rki - rk0 * affine_scalar(0, i))
+        rho[-i] = (-r if i % 2 else r, p)
+    d = lcm(*(r.denominator for r, _ in rho.values()))
     coeffs = {k: (d,)}
-    for e, r in rho.items():
+    for e, (r, p) in rho.items():
         if r:
-            coeffs[e] = u_scale(u_mul(theta_prod(k), theta_prod(-e)), r.numerator * (d // r.denominator))
+            coeffs[e] = u_scale(p, r.numerator * (d // r.denominator))
     return d, coeffs
 
 

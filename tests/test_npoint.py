@@ -3,11 +3,13 @@ from itertools import permutations
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gbgw.npoint as npoint_module
 from gbgw.affine import _direct_a, _entry_poly, _with_tail
 from gbgw.correlators import odd_partitions
-from gbgw.poly import ParamPoly, u_add, u_mul, u_scale
+from gbgw.poly import ParamPoly, u_add, u_mul, u_pack, u_scale
 from gbgw.npoint import (
     WindowInstabilityError,
     bridge,
@@ -246,6 +248,55 @@ def test_packed_cycle_sum_fails_at_too_small_a_width(monkeypatch):
     # windows read back the same wrong values, so nothing else catches it
     monkeypatch.setattr(npoint_module, "_pack_bits", lambda n, at: 16)
     assert npoint_affine(3, 7).coeffs != want
+
+
+@settings(max_examples=80)
+@given(st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                       st.integers(-9, 9).filter(bool), min_size=6, max_size=24),
+       st.integers(1, 7), st.integers(2, 4))
+def test_indexed_contraction_matches_the_unindexed_oracle(at, budget, n):
+    # keys of both parities and positive slots, as the tail has; packed
+    # entries c are the length-1 tuples (c,), so both sides compare directly
+    tuples = {k: (c,) for k, c in at.items()}
+    for order in cycles(n):
+        want = {k: u_pack(c, 2) for k, c in _oracle_contract_cycle(order, tuples, budget).items()}
+        assert npoint_module._contract_cycle(order, at, budget) == want, order
+
+
+def _contracted(order, at, budget):
+    """One cycle's contraction with its keys in variable order, as _npoint_once maps them."""
+    where = [order.index(v) for v in range(1, len(order) + 1)]
+    return {tuple(key[p] for p in where): c
+            for key, c in npoint_module._contract_cycle(order, at, budget).items()}
+
+
+@pytest.mark.parametrize("n, max_weight", [(3, 7), (4, 5)])
+def test_each_cycle_sums_to_its_reverse(n, max_weight):
+    # the identity that lets _npoint_once contract one cycle of each reversed pair
+    at, _, _ = npoint_module._packed_at(n, max_weight, npoint_module._tail_hi(n, max_weight))
+    for order in cycles(n):
+        forward = _contracted(order, at, max_weight)
+        assert forward and forward == _contracted(order[:1] + order[:0:-1], at, max_weight), order
+
+
+def test_a_defect_in_one_edge_direction_is_seen(monkeypatch):
+    # every cycle kept has an edge p > q (the one closing on x_1), so a sign
+    # flipped only in that branch of _xi_factor reaches the output; the
+    # oracle sums every cycle with its own factors.  Each such flip of an
+    # entry the sum reads also leaves a positive-exponent artifact, which
+    # npoint_affine rejects, so the targets are compared on one pass
+    real = npoint_module._xi_factor
+
+    def planted(p, q, at):
+        out = real(p, q, at)
+        if p > q:
+            out[(-2, -1)] = -out[(-2, -1)]
+        return out
+
+    monkeypatch.setattr(npoint_module, "_xi_factor", planted)
+    assert _targets(3, 7, npoint_module._tail_hi(3, 7)) != _oracle_npoint(3, 7)
+    with pytest.raises(WindowInstabilityError, match="uncancelled positive exponent"):
+        npoint_affine(3, 7)
 
 
 def _targets(n, max_weight, tail_hi):

@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
 
+import gbgw.quantum as quantum_module
 from gbgw.affine import _int_basis
 from gbgw.poly import ParamPoly, H, u_add, u_eval, u_mul, u_scale
 from gbgw.schurq import theta_u
@@ -86,6 +88,15 @@ def test_phiB_leading_and_tail():
     assert p0[-1] == ParamPoly.from_u((-1, 4), 8, eh=1)  # -(h/8) theta(1)
     p1 = phiB(1, 8)
     assert p1[1] == 1
+
+
+def test_basis_refuses_a_coordinate_without_its_tuple(monkeypatch):
+    # r_{k,i} != 0 off the diagonal for k <= 24, i <= 40; a zero would leave
+    # affine_coeff(k, i) = (0, ()), and () is not the tuple a_{k,0} a_{0,i} needs
+    real = quantum_module.affine_coeff
+    monkeypatch.setattr(quantum_module, "affine_coeff", lambda k, i: (0, ()) if (k, i) == (2, 5) else real(k, i))
+    with pytest.raises(ArithmeticError, match=re.escape("r_{2,5} = 0")):
+        _basis(2, 8)
 
 
 def test_phiB0_trivial_at_quarter():
