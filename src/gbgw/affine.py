@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .pfaffian import pfaffian
-from .poly import ParamPoly, double_factorial, u_add, u_mul, u_pack, u_scale, u_unpack
+from .poly import ParamPoly, double_factorial, u_add, u_mul, u_norm_max, u_pack, u_scale, u_unpack
 from .schurq import check_strict, hypergeom_coeff, theta_prod, theta_u
 from .series import BiSeries
 
@@ -135,24 +135,47 @@ def _entry_poly(key, entry):
     return ParamPoly.from_u(u_scale(p, r.numerator), r.denominator, eh=-sum(key))
 
 
-def _antisym_quotient(p1, p2, T, wx=0):
-    """(wx (w - x) + p1(x) p2(w) - p1(w) p2(x)) / (w + x) on int u-tuples.
+def _quotient_bits(p1, p2, T, wx):
+    """A digit width that holds every coefficient of ``_antisym_quotient``.
 
-    Long division in w: q[i, j] = num[i+1, j] - q[i+1, j-1], descending in i.
+    With N1 and N2 the largest L1 norms of the entries of p1 and p2, each
+    coefficient of the numerator p1(x) p2(w) - p1(w) p2(x) + wx (w - x) is
+    at most 2 N1 N2 + |wx|, and each quotient entry is an alternating sum
+    of at most T + 1 numerator entries, so every coefficient is below
+    (T + 1)(2 N1 N2 + |wx|) < 2^(bits-1).  The bound is taken as at least
+    1, so that bits >= 2 (``u_unpack``).
     """
-    num = {(1, 0): (wx,), (0, 1): (-wx,)} if wx else {}
+    norm = 2 * u_norm_max(p1.values()) * u_norm_max(p2.values()) + abs(wx)
+    return ((T + 1) * norm or 1).bit_length() + 1
+
+
+def _antisym_quotient(p1, p2, T, wx=0):
+    """(wx (w - x) + p1(x) p2(w) - p1(w) p2(x)) / (w + x) for dicts
+    {exponent: int u-tuple} with exponents in [-T, 1], on packed ints.
+
+    Every tuple is packed into one int (``u_pack``) at the width of
+    ``_quotient_bits``, so each product and sum is one int operation.  Long
+    division in w: q[i, j] = num[i+1, j] - q[i+1, j-1], descending in i from
+    0 to -T.  Returns (q, bits): q maps each (i, j) to its nonzero packed
+    entry, which ``u_unpack(q[i, j], bits)`` reads back.  A packed entry is
+    0 exactly when its tuple is, since the width holds every coefficient.
+    """
+    bits = _quotient_bits(p1, p2, T, wx)
+    p2 = {e: u_pack(c, bits) for e, c in p2.items()}
+    num = {(1, 0): wx, (0, 1): -wx} if wx else {}
     for j, cx in p1.items():
+        cx = u_pack(cx, bits)
         for i, cw in p2.items():
-            c = u_mul(cx, cw)
-            num[(i, j)] = u_add(num.get((i, j), ()), c)
-            num[(j, i)] = u_add(num.get((j, i), ()), u_scale(c, -1))
+            c = cx * cw
+            num[(i, j)] = num.get((i, j), 0) + c
+            num[(j, i)] = num.get((j, i), 0) - c
     q = {}
     for i in range(0, -T - 1, -1):
         for j in range(T, -T - 1, -1):
-            val = u_add(num.get((i + 1, j), ()), u_scale(q.get((i + 1, j - 1), ()), -1))
+            val = num.get((i + 1, j), 0) - q.get((i + 1, j - 1), 0)
             if val:
                 q[(i, j)] = val
-    return q
+    return q, bits
 
 
 def gen_A(form, wlo, xlo, xhi, T=None):
@@ -165,9 +188,12 @@ def gen_A(form, wlo, xlo, xhi, T=None):
     vanishes -- and derives At from it; the result is sound on the triangle
     i + j >= 2 - T, recorded via ``min_total``.  The closed form runs at
     h = 1 on the integer basis of ``_int_basis``: the quotient at (i, j) is
-    h^-(i+j) times an int u-tuple over 4 d1 d2.  Both forms hold their
-    entries as the (r, P) pairs of ``_direct_a``; each entry of At becomes a
-    ParamPoly once, on the way out, and A reuses those values.
+    h^-(i+j) times an int u-tuple over 4 d1 d2.  Both quotients stay packed
+    (``_antisym_quotient``): the remainder and v-part checks test packed
+    ints for zero, and only the entries in the window are unpacked.  Both
+    forms hold their entries as the (r, P) pairs of ``_direct_a``; each
+    entry of At becomes a ParamPoly once, on the way out, and A reuses
+    those values.
     """
     if form == "direct":
         a = _direct_a((-n, -m) for n in range(-wlo + 1) for m in range(-xlo + 1))
@@ -185,16 +211,16 @@ def gen_A(form, wlo, xlo, xhi, T=None):
         # division is exact, which shows up as the absence of positive x-powers
         # in the quotient (a nonzero remainder would leak an infinite diagonal
         # tail of them); check it on the sound triangle
-        q = _antisym_quotient(p1, at_minus_z(p2u), T, wx=d1 * d2)
+        q, bits = _antisym_quotient(p1, at_minus_z(p2u), T, wx=d1 * d2)
         for i, j in q:
             if j > 0 and i + j >= 2 - T:
                 raise ArithmeticError("nonzero remainder dividing by (w + x): convention bug")
-        if _antisym_quotient(p1, at_minus_z(p2v), T):
+        if _antisym_quotient(p1, at_minus_z(p2v), T)[0]:
             raise ArithmeticError("v survived the antisymmetrized quotient: convention bug")
         min_total = 2 - T
         r = Fraction(1, 4 * d1 * d2)
         a = {
-            (i, j): (r, c)
+            (i, j): (r, u_unpack(c, bits))
             for (i, j), c in q.items()
             if wlo <= i and xlo <= j <= 0 and i + j >= min_total
         }
@@ -216,24 +242,30 @@ def verify_wronskian(T):
     Each identity is h-homogeneous coefficient by coefficient, so it is
     checked at h = 1 on the int tuples of ``_int_basis``, with the
     denominators d1 and d2 cleared and the v-part of phi2 compared on its
-    own (phi1 has none, so no v^2 arises).  The exponents compared are those
-    the truncation at z^-T determines.  Returns a dict mapping identity name
-    to bool.
+    own (phi1 has none, so no v^2 arises).  Every tuple is packed into one
+    int (``u_pack``) at the width of ``_wronskian_bits``, so each side of
+    each identity is a sum of int products and the two sides are compared
+    as ints.  The exponents compared are those the truncation at z^-T
+    determines.  Returns a dict mapping identity name to bool.
     """
     d1, p1, d2, p2u, p2v = _int_basis(T)
+    s = d2 // d1
+    bits = _wronskian_bits(T, d1, p1, d2, p2u, p2v)
+    p1, p2u, p2v = ({e: u_pack(c, bits) for e, c in p.items()} for p in (p1, p2u, p2v))
     report = {}
 
     def pair_sum(terms):  # [u-part, v-part] of sum sign p1[i] phi2[j] over (i, j, sign)
-        out = [(), ()]
+        u = v = 0
         for i, j, sign in terms:
-            for part, q in enumerate((p2u, p2v)):
-                out[part] = u_add(out[part], u_scale(u_mul(p1.get(i, ()), q.get(j, ())), sign))
-        return out
+            a = sign * p1.get(i, 0)
+            u += a * p2u.get(j, 0)
+            v += a * p2v.get(j, 0)
+        return [u, v]
 
     # (i) at z^n, times d1 d2: sum_{i+j=n} p1[i] p2[j] ((-1)^i - (-1)^j)
     report["wronskian_2z"] = all(
         pair_sum((i, n - i, 2 if i % 2 == 0 else -2) for i in range(n - 1, 1) if (n - i) % 2 != i % 2)
-        == [(2 * d1 * d2,) if n == 1 else (), ()]
+        == [2 * d1 * d2 if n == 1 else 0, 0]
         for n in range(1 - T, 2))
 
     # (ii) G is assembled from the even/odd parts a_k of phi1 and b_k of
@@ -241,26 +273,49 @@ def verify_wronskian(T):
     report["det_g_one"] = all(
         pair_sum([(-2 * p, 1 - 2 * (n - p), 1) for p in range(n + 1)]
                  + [(1 - 2 * (n - p), -2 * p, -1) for p in range(n)])
-        == [(d1 * d2,) if n == 0 else (), ()]
+        == [d1 * d2 if n == 0 else 0, 0]
         for n in range((T - 1) // 2 + 1))
 
-    # (iii) at z^n, times 4 d1: 4n(n-1) a_n + 8(n-1) a_(n-1) = (4u - 1) a_n
+    # (iii) at z^n, times 4 d1: 4n(n-1) a_n + 8(n-1) a_(n-1) = (4u - 1) a_n,
+    # where 4u - 1 packs to 4 2^bits - 1
+    four_u_minus_one = (4 << bits) - 1
     report["phi1_ode"] = all(
-        u_add(u_scale(p1.get(n, ()), 4 * n * (n - 1)) if n * (n - 1) else (),
-              u_scale(p1[n - 1], 8 * (n - 1)) if n != 1 else ())
-        == u_mul((-1, 4), p1.get(n, ()))
+        4 * n * (n - 1) * p1.get(n, 0) + 8 * (n - 1) * p1[n - 1]
+        == four_u_minus_one * p1.get(n, 0)
         for n in range(1 - T, 2))
 
     # (iv) at z^n, times 2 d2, with s = d2 / d1: the u-part is
     # s ((2n - 1) a_n + 2 a_(n-1)) = 2 b_n and the v-part s a_n = b_n
-    s = d2 // d1
     report["phi2_from_phi1"] = all(
-        u_add(u_scale(p1.get(n, ()), s * (2 * n - 1)), u_scale(p1[n - 1], 2 * s))
-        == u_scale(p2u.get(n, ()), 2)
-        and u_scale(p1.get(n, ()), s) == p2v.get(n, ())
+        s * ((2 * n - 1) * p1.get(n, 0) + 2 * p1[n - 1]) == 2 * p2u.get(n, 0)
+        and s * p1.get(n, 0) == p2v.get(n, 0)
         for n in range(1 - T, 2))
 
     return report
+
+
+def _wronskian_bits(T, d1, p1, d2, p2u, p2v):
+    """A digit width at which ``verify_wronskian`` compares packed ints exactly.
+
+    Packing is a ring map, so equal tuples pack to equal ints at any width.
+    The converse holds when every coefficient c of the difference D of the
+    two sides has |c| < 2^bits: the lowest nonzero c would have to be a
+    multiple of 2^bits for D(2^bits) to vanish.  With N1 and N2 the largest
+    L1 norms of the entries of p1 and of p2u, p2v, and s = d2 // d1, the
+    coefficients of D are at most
+      (i), (ii)  2 (T + 1) N1 N2 + 2 d1 d2: at most T + 1 products, each
+                 times 2, against 2 d1 d2 (and (ii) is a sum of at most T);
+      (iii)      4 (T^2 + T + 1) N1: |n (n - 1)| <= T (T - 1) and
+                 |n - 1| <= T for 1 - T <= n <= 1, and 4u - 1 adds 4 N1;
+      (iv)       s (2T + 1) N1 + 2 N2, since |2n - 1| <= 2T - 1.
+    bits is the bit length of the largest, at least 1, with no sign bit
+    added as the unpacking widths have, since nothing is unpacked.
+    """
+    n1, n2 = u_norm_max(p1.values()), u_norm_max([*p2u.values(), *p2v.values()])
+    bound = max(2 * (T + 1) * n1 * n2 + 2 * d1 * d2,
+                4 * (T * T + T + 1) * n1,
+                d2 // d1 * (2 * T + 1) * n1 + 2 * n2)
+    return (bound or 1).bit_length()
 
 
 def _pfaffian_bits(entries):
@@ -272,7 +327,7 @@ def _pfaffian_bits(entries):
     taken as at least 1, so that bits >= 2 (``u_unpack``) for a zero matrix.
     """
     m = len(entries) // 2
-    norm = max((sum(map(abs, p)) for row in entries for p in row), default=0) or 1
+    norm = u_norm_max([p for row in entries for p in row]) or 1
     return (double_factorial(2 * m - 1) * norm ** m).bit_length() + 1
 
 

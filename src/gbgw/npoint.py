@@ -38,7 +38,7 @@ from math import factorial, lcm
 
 from .affine import _direct_a, _entry_poly, _with_tail, affine_coeff
 from .correlators import check_odd_partition, correlator_monomial, odd_partitions
-from .poly import ParamPoly, u_add, u_eval, u_pack, u_scale, u_unpack
+from .poly import ParamPoly, u_add, u_eval, u_norm_max, u_pack, u_scale, u_unpack
 from .series import SparseTensor
 
 __all__ = [
@@ -111,7 +111,7 @@ def _pack_bits(n, at):
     It stays at (n-1)!: one bit is nothing against a width of over a
     hundred, and the bound then also holds for the sum over every cycle.
     """
-    norm = max(sum(map(abs, p)) for p in at.values())
+    norm = u_norm_max(at.values())
     return (factorial(n - 1) * (len(at) * norm) ** n).bit_length() + 1
 
 

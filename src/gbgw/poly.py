@@ -17,8 +17,13 @@ Each value has a fixed shape: an affine coordinate is h^(n+m) times a
 rational times a polynomial in u, and a correlator or omega entry is one
 monomial c s^e.  So the arithmetic runs on that shape alone: a polynomial
 in u is a dense int tuple (index = power of u) combined by ``u_add``,
-``u_mul`` and ``u_scale``, or packed into one int by ``u_pack``, and
-``u_eval`` evaluates it at a rational u.  ParamPoly is the output format,
+``u_mul`` and ``u_scale``, and ``u_eval`` evaluates it at a rational u.
+Where a sum of products is long, each tuple is packed once into the int
+p(2^bits) by ``u_pack``, the work runs on ints, and only the values kept
+are read back by ``u_unpack``: the Pfaffian of ``affine``, the cycle sum
+of ``npoint``, and the closed generating series and Wronskian suite of
+``affine``.  Each path proves its width from ``u_norm_max``, the largest
+L1 norm of its inputs.  ParamPoly is the output format,
 with no arithmetic: a value is built as a ParamPoly once, where it leaves
 a module, and is then only compared, read and printed.  Keeping s distinct
 from h^2*u makes the two natural normalizations of the theory coexist;
@@ -44,6 +49,7 @@ __all__ = [
     "u_eval",
     "u_pack",
     "u_unpack",
+    "u_norm_max",
 ]
 
 _GENS = ("h", "u", "s")
@@ -178,8 +184,11 @@ def u_eval(p, q):
 def u_pack(p, bits):
     """The int u-tuple p as the single int p(2^bits); signed coefficients.
     Packing is a ring map Z[u] -> Z, so sums and products of packed tuples
-    are int sums and products."""
-    return sum(c << (bits * e) for e, c in enumerate(p))
+    are int sums and products.  Horner's rule, with no call per digit."""
+    x = 0
+    for c in reversed(p):
+        x = (x << bits) + c
+    return x
 
 
 def u_unpack(x, bits):
@@ -197,6 +206,13 @@ def u_unpack(x, bits):
         out.append(d)
         x = (x - d) >> bits
     return tuple(out)
+
+
+def u_norm_max(tuples):
+    """The largest L1 norm (sum of |coefficient|) of the int u-tuples, 0 for
+    none: the one input of every packing width, since a coefficient of a
+    product of tuples is at most the product of their L1 norms."""
+    return max([sum(map(abs, p)) for p in tuples], default=0)
 
 
 def double_factorial(n):

@@ -2,10 +2,14 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gbgw.poly import ParamPoly, double_factorial, u_eval
+import gbgw.affine as affine
+from gbgw.poly import ParamPoly, double_factorial, u_add, u_eval, u_mul, u_scale, u_unpack
 from gbgw.schurq import strict_partitions
 from gbgw.affine import (
+    _antisym_quotient,
     _int_basis,
     _with_tail,
     affine_coeff,
@@ -159,6 +163,80 @@ def test_wronskian_suite_small():
         "phi1_ode": True,
         "phi2_from_phi1": True,
     }
+
+
+# -- the packed quotient against the tuple long division ----------------------
+
+
+def _oracle_antisym_quotient(p1, p2, T, wx=0):
+    """(wx (w - x) + p1(x) p2(w) - p1(w) p2(x)) / (w + x) on int u-tuples:
+    long division in w, q[i, j] = num[i+1, j] - q[i+1, j-1], descending in i."""
+    num = {(1, 0): (wx,), (0, 1): (-wx,)} if wx else {}
+    for j, cx in p1.items():
+        for i, cw in p2.items():
+            c = u_mul(cx, cw)
+            num[(i, j)] = u_add(num.get((i, j), ()), c)
+            num[(j, i)] = u_add(num.get((j, i), ()), u_scale(c, -1))
+    q = {}
+    for i in range(0, -T - 1, -1):
+        for j in range(T, -T - 1, -1):
+            val = u_add(num.get((i + 1, j), ()), u_scale(q.get((i + 1, j - 1), ()), -1))
+            if val:
+                q[(i, j)] = val
+    return q
+
+
+def _unpacked_quotient(p1, p2, T, wx=0):
+    q, bits = _antisym_quotient(p1, p2, T, wx)
+    return {key: u_unpack(c, bits) for key, c in q.items()}
+
+
+@st.composite
+def _quotient_inputs(draw):
+    """(p1, p2, T, wx): dicts keyed in [-T, 1] of signed int u-tuples."""
+    T = draw(st.integers(1, 8))
+    tuples = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=5).map(tuple)
+    keys = st.integers(-T, 1)
+    p1, p2 = (draw(st.dictionaries(keys, tuples, max_size=T + 2)) for _ in range(2))
+    wx = draw(st.sampled_from([0, draw(st.integers(-10 ** 12, 10 ** 12).filter(bool))]))
+    return p1, p2, T, wx
+
+
+@settings(max_examples=150)
+@given(_quotient_inputs())
+def test_packed_quotient_matches_tuple_oracle(case):
+    assert _unpacked_quotient(*case) == _oracle_antisym_quotient(*case)
+
+
+def test_packed_quotient_fails_at_too_small_a_width(monkeypatch):
+    # p1 = N and p2 = (-1)^e M at every exponent: along the diagonal that
+    # ends at (-T, j), j = T mod 2, all T + 1 numerator entries 2 N M (-1)^a
+    # add with one sign, so the entry attains the bound (T + 1) 2 N M
+    T, N, M = 6, 10 ** 6, 999_999
+    p1 = {e: (N,) for e in range(-T, 2)}
+    p2 = {e: (-M if e % 2 else M,) for e in range(-T, 2)}
+    want = _oracle_antisym_quotient(p1, p2, T)
+    assert want[(-T, T % 2)] == ((-1) ** (T + 1) * (T + 1) * 2 * N * M,)
+    assert _unpacked_quotient(p1, p2, T) == want
+    real = affine._quotient_bits
+    monkeypatch.setattr(affine, "_quotient_bits", lambda *args: real(*args) - 1)
+    assert _unpacked_quotient(p1, p2, T) != want
+
+
+def test_wronskian_suite_misses_a_defect_at_too_small_a_width(monkeypatch):
+    # A basis at T = 1 with phi2 = 0 and d2 = 0, so only (iii) has a nonzero
+    # bound, 12 N1.  With phi1 = x + y/z, the difference of the two sides of
+    # (iii) at z^0 is (1 - 4u) x - 8 y = X - u for X = 2^k: a nonzero defect
+    # that the width bit_length(12 N1) = k + 1 sees, and that packs to 0 one
+    # bit narrower, at u = 2^k
+    X = 2 ** 10
+    basis = (1, {0: (0, -1, -4), -1: (-X // 8, 0, 0, 2)}, 0, {}, {})
+    monkeypatch.setattr(affine, "_int_basis", lambda T: basis)
+    assert affine._wronskian_bits(1, *basis) == 11
+    assert verify_wronskian(1)["phi1_ode"] is False
+    real = affine._wronskian_bits
+    monkeypatch.setattr(affine, "_wronskian_bits", lambda *args: real(*args) - 1)
+    assert all(verify_wronskian(1).values())
 
 
 def test_pfaffian_expansion_lambda_1():

@@ -11,6 +11,7 @@ from gbgw.poly import (
     u_add,
     u_eval,
     u_mul,
+    u_norm_max,
     u_pack,
     u_scale,
     u_unpack,
@@ -176,6 +177,12 @@ def test_unpack_breaks_at_the_bound():
     assert u_unpack(u_pack((), bits), bits) == ()
     assert u_unpack(u_pack((3, 127, -127), bits), bits) == (3, 127, -127)
     assert u_unpack(u_pack((3, 128, -127), bits), bits) == (3, -128, -126)
+
+
+def test_norm_max_is_the_largest_l1_norm():
+    # every packed path proves its width from it; no tuples give 0
+    assert u_norm_max([]) == 0
+    assert u_norm_max(iter([(3, -4), (), (-6,)])) == 7
 
 
 @pytest.mark.parametrize("x, bits", [(1, 1), (0, 1), (1, 0), (0, 0)])
