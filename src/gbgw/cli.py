@@ -221,7 +221,7 @@ def _equivalence(cfg):
 def _closed_step(cfg):
     pairs = _stable_pairs(cfg)
     for (g, n) in pairs:
-        if eo.omega_closed_step(g, n) != eo.normalized(eo.omega(g, n)):
+        if eo._closed(g, n) != eo._omega(g, n):
             return False, f"({g},{n})", len(pairs)
     return True, "", len(pairs)
 

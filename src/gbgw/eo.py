@@ -21,8 +21,8 @@ at z^(-2j) prod z_i^(-2k_i-2).  Only the positions the kernel step reads
 are built: 0 <= j <= bound + 4, where bound = omega_support_bound(g, n)
 (entries up to m = bound + 3 are formed, so that the pole-bound guard sees
 the slots just past the support).  Each table is stored one entry per
-orbit, index 0 free, as the recursion singles out index 0 only, and
-_orderings expands it where it leaves the module.
+orbit, index 0 free, as the recursion singles out index 0 only; on the way
+out, one value per orbit (_with_s) is placed at every ordering (_orderings).
 
 One recursion serves the standard and the type-B Bergman kernel, by
 induction on 2g-2+n.  The (1,1) entry is seeded, since the type-B bracket
@@ -116,8 +116,10 @@ def omega(g, n):
     """Raw coefficient tensor of omega_{g,n}: value at (k_1..k_n) multiplies
     prod z_i^(-2 k_i - 2)."""
     _check_stable(g, n)
-    den = 8 ** (2 * g - 2 + n)  # the residue table's scale, divided out once
-    return _with_s(g, n, {kk: Fraction(v, den) for kk, v in _orderings(_omega(g, n)).items()})
+    den = 8 ** (2 * g - 2 + n)  # the residue table's scale, divided out once per orbit
+    t = _with_s(g, n, {k: Fraction(v, den) for k, v in _omega(g, n).items()})
+    t.coeffs = _orderings(t.coeffs)  # each orbit's value, the same object at every ordering
+    return t
 
 
 def _omega(g, n):
@@ -244,17 +246,19 @@ def omega_closed_step(g, n):
                       + sum_{k0<m} sigma(m,k0) D^{k0,kvec} ],
 
     a division-free recurrence on integers.  The division by
-    8^(2g-2+n) prod (2k_i+1)!! happens once, here, where the table leaves
-    the module.
+    8^(2g-2+n) prod (2k_i+1)!! happens once per orbit, here, where the table
+    leaves the module; verify compares the stored D with the residue route's.
 
-    Only nonincreasing kvec are solved, one per orbit, and expanded to every
-    ordering here.  The sub-tables are scattered once by their externals: a split
-    half and (g, n-1) read subsequences of kvec, (g-1, n+1) reads (a, b, kvec) at
-    (a, kvec with b inserted in its place); only products with a + b < mmax count.
+    Only nonincreasing kvec are solved, one per orbit, and each orbit's value is
+    placed at every ordering.  The sub-tables are scattered once by their externals:
+    a split half and (g, n-1) read subsequences of kvec, (g-1, n+1) reads (a, b, kvec)
+    at (a, kvec with b inserted in its place); only products with a + b < mmax count.
     """
     _check_stable(g, n)
     den = 8 ** (2 * g - 2 + n)
-    return _with_s(g, n, _orderings({kk: Fraction(v, den * _dfact(kk)) for kk, v in _closed(g, n).items()}))
+    t = _with_s(g, n, {k: Fraction(v, den * _dfact(k)) for k, v in _closed(g, n).items()})
+    t.coeffs = _orderings(t.coeffs)
+    return t
 
 
 def _closed(g, n):
@@ -364,7 +368,7 @@ def _dfact(kk):
 
 
 def normalized(tensor):
-    """Divide raw coefficients by prod (2k_i + 1)!!: the A-normalization."""
+    """The A-normalization: raw coefficients over prod (2k_i + 1)!!.  Called by bench/checks.py and tests."""
     return SparseTensor(tensor.arity, {kk: ParamPoly({e: q / _dfact(kk) for e, q in v.terms.items()})
                                        for kk, v in tensor.coeffs.items()})
 

@@ -277,6 +277,22 @@ def test_eo_equivalence_fails_when_nothing_checked(tmp_path):
     assert status["eo/equivalence-with-virasoro-weight<=0"] == "fail"
 
 
+def test_eo_suite_compares_the_stored_tables(fresh_caches, monkeypatch, tmp_path):
+    # the two EO routes are compared on their stored integer tables: the
+    # suite never builds the public coefficient-route tensor or the
+    # A-normalization of the residue tensor
+    import gbgw.eo as eo
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the EO suite read a public tensor it does not compare")
+
+    monkeypatch.setattr(eo, "omega_closed_step", unused)
+    monkeypatch.setattr(eo, "normalized", unused)
+    rc, text = run_cli(["verify", "--suite", "eo"], tmp_path, "eo.json")
+    assert rc == 0
+    assert all(c["status"] == "pass" for c in json.loads(text)["checks"])
+
+
 def test_computational_failure_exit_code(monkeypatch, tmp_path, capsys):
     import gbgw.cli as cli
     from gbgw.npoint import WindowInstabilityError
@@ -587,13 +603,13 @@ DEFECT_CASES = {
           "[((1,), -4, Fraction(-2, 1)), ((1,), -6, Fraction(-1, 1)), ((1,), -8, Fraction(1, 4))]"}),
     ],
     "eo/closed-form-invariants": [
-        # omega_{1,1} broken; the kernel comparison skips (1, 1), so it needs
-        # arity 2 to have the pair (1, 2) to compare, and reads no omega table
+        # the public omega_{1,1} broken; the kernel comparison skips (1, 1), so
+        # it needs arity 2 to have the pair (1, 2) to compare, and reads no
+        # omega table; the comparison of the two routes reads the stored tables
         (_wrap("eo.omega", lambda t, g, n:
                SparseTensor(1, {(0,): ParamPoly.const(Fraction(1, 3))}) if (g, n) == (1, 1) else t),
          ["--suite", "eo", "--genus-max", "1", "--arity-max", "2", "--weight-max", "3"],
-         {"eo/closed-form-invariants": "omega_{1,1}",
-          "eo/residue-vs-coefficient-recursion": "(1,1)"}),
+         {"eo/closed-form-invariants": "omega_{1,1}"}),
     ],
     "eo/equivalence-with-virasoro-weight<=9": [
         # the weight of a shift 0 -> 1 of one index off by one; the other EO

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 from math import factorial, prod
 
 import pytest
@@ -98,6 +99,116 @@ def test_omega_closed_step_full_range():
     pairs = [(g, n) for g in range(0, 4) for n in range(1, 5) if 2 * g - 2 + n > 0]
     for (g, n) in pairs:
         assert omega_closed_step(g, n) == normalized(omega(g, n)), (g, n)
+
+
+# The Eynard-Orantin recursion (math-ph/0702045), run by sympy from the curve
+# alone: it reads neither route's tables, seeds or kernel expansion.  The
+# pairs go by 2g - 2 + n, so each reads only the pairs before it
+ORACLE_PAIRS = [(1, 1), (0, 3), (1, 2), (2, 1)]
+
+
+@cache
+def _curve_oracle():
+    """{(g, n): {k: ParamPoly}} on ORACLE_PAIRS, keyed as omega is.
+
+    From x = sqrt(z^2 - s), y = z/x and B(z1, z2) = dz1 dz2/(z1 - z2)^2: the
+    branch point is the zero of dx, the involution sigma fixes x, and
+    K(z0, z) = (1/2) int_{sigma(z)}^{z} B(z0, .) / ((y(z) - y(sigma(z))) dx(z)).
+    W_{g,n}(z0, J) is the residue at the branch point of K(z0, z) times
+    W_{g-1,n+1}(z, sigma(z), J) + sum' W(z, I) W(sigma(z), J - I), times
+    d sigma(z)/dz from the second differential.  omega_{0,1} is left out,
+    omega_{0,2} is B, and (1,1) is recursed, not seeded."""
+    import sympy as sp
+
+    s, z, w = sp.symbols("s z w")
+    zs = sp.symbols("z0:3")
+    x = sp.sqrt(z ** 2 - s)
+    y = z / x
+    (branch,) = sp.roots(sp.numer(sp.together(sp.diff(x, z))), z)
+    sigma = -z
+    assert branch == 0 and x.subs(z, sigma) == x
+
+    def bergman(a, b):
+        return 1 / (a - b) ** 2
+
+    primitive = sp.integrate(bergman(zs[0], w), w)
+    kernel = sp.cancel((primitive.subs(w, z) - primitive.subs(w, sigma))
+                       / (2 * (y - y.subs(z, sigma)) * sp.diff(x, z))) * sp.diff(sigma, z)
+
+    def residue(factors):
+        # the z^-1 coefficient of the product of the factors' Laurent series
+        # at z = 0, each the Taylor series of its regular part z^order f over
+        # z^order; terms past z^(total - order - 1) cannot reach z^-1
+        parts = []
+        for f in map(sp.cancel, factors):
+            order = sp.Poly(sp.denom(f), z).monoms()[-1][0]
+            parts.append((sp.cancel(f * z ** order), order))
+        total = sum(order for _, order in parts)
+        series = {0: 1}
+        for f, order in parts:
+            terms = {}
+            for p in range(total):
+                terms[p - order] = f.subs(z, branch) / factorial(p)
+                f = sp.diff(f, z)
+            convolved = {}
+            for a, c in series.items():
+                for b, d in terms.items():
+                    convolved[a + b] = convolved.get(a + b, 0) + c * d
+            series = convolved
+        return series.get(-1, 0)
+
+    forms = {}
+
+    def form(g, n, points):
+        return bergman(*points) if (g, n) == (0, 2) else forms[g, n].xreplace(dict(zip(zs, points)))
+
+    out = {}
+    for g, n in ORACLE_PAIRS:
+        rest = zs[1:n]
+        brackets = [[form(g - 1, n + 1, (z, sigma, *rest))]] if g else []
+        for g1 in range(g + 1):
+            for size in range(n):
+                for part in combinations(rest, size):
+                    other = tuple(v for v in rest if v not in part)
+                    if (g1 or part) and (g - g1 or other):
+                        brackets.append([form(g1, size + 1, (z, *part)),
+                                         form(g - g1, len(other) + 1, (sigma, *other))])
+        forms[g, n] = sp.cancel(sum(residue([kernel, *bracket]) for bracket in brackets))
+        # W_{g,n} = sum_k W[k] s^e prod z_i^(-2k_i-2), read off at z_i = 1/t_i
+        ts = sp.symbols(f"t0:{n}")
+        raw = forms[g, n].xreplace({v: 1 / t for v, t in zip(zs, ts)}) / prod(t ** 2 for t in ts)
+        table = {}
+        for (*powers, e), q in sp.Poly(sp.cancel(raw), *ts, s).terms():
+            assert all(p % 2 == 0 for p in powers), (g, n, powers)
+            table.setdefault(tuple(p // 2 for p in powers), {})[(0, 0, e, 0)] = Fraction(int(q.p), int(q.q))
+        out[g, n] = {k: ParamPoly(terms) for k, terms in table.items()}
+    return out
+
+
+def _oracle_mismatches():
+    """The ORACLE_PAIRS where omega, and where omega_closed_step (the
+    A-normalization, W^k / prod (2k_i + 1)!!), differ from the oracle."""
+    def dfact(k):  # prod (2k_i + 1)!!, with (2i + 1)!! = (2i + 1)! / (2^i i!)
+        return prod(factorial(2 * i + 1) // (2 ** i * factorial(i)) for i in k)
+
+    raw = _curve_oracle()
+    normalized_ = {gn: {k: ParamPoly({e: q / dfact(k) for e, q in v.terms.items()}) for k, v in table.items()}
+                   for gn, table in raw.items()}
+    return ([gn for gn, want in raw.items() if omega(*gn).coeffs != want],
+            [gn for gn, want in normalized_.items() if omega_closed_step(*gn).coeffs != want])
+
+
+def test_both_routes_match_the_curve_oracle():
+    # entry by entry, s-exponents included, on ORACLE_PAIRS
+    assert _oracle_mismatches() == ([], [])
+
+
+def test_curve_oracle_sees_a_planted_seed(fresh_caches, monkeypatch):
+    # the residue route's omega_{1,1} off at k = 1, and every pair that reads it
+    import gbgw.eo as eo
+
+    monkeypatch.setitem(eo._omega_cache, (1, 1), {(0,): -1, (1,): 2})
+    assert _oracle_mismatches() == ([(1, 1), (1, 2), (2, 1)], [])
 
 
 def test_b01_b02_instances():
@@ -346,6 +457,14 @@ def test_closed_step_expands_a_planted_orbit_to_every_ordering(monkeypatch):
     got = omega_closed_step(1, 3).coeffs
     want = normalized(omega(1, 3)).coeffs
     assert {kk for kk in got.keys() | want.keys() if got.get(kk) != want.get(kk)} == {(0, 1, 0), (0, 0, 1)}
+
+
+def test_public_values_are_built_once_per_orbit():
+    # (0,1,0) and (0,0,1) are one orbit of the externals: both routes build
+    # its public value once and place the same object at both orderings
+    for route in (omega, omega_closed_step):
+        coeffs = route(1, 3).coeffs
+        assert coeffs[(0, 1, 0)] is coeffs[(0, 0, 1)], route.__name__
 
 
 @settings(max_examples=100)
