@@ -133,16 +133,14 @@ def _pfaffian_expansion(cfg):
 def _closed_vs_direct(cfg):
     T = cfg.window
     lo = -min(T - 2, 10)
-    ad, atd = affine.gen_A("direct", lo, lo, -lo)
-    ac, atc = affine.gen_A("closed", lo, lo, -lo, T=T)
+    ad = affine.gen_A("direct", lo, lo, -lo)[0]
+    ac = affine.gen_A("closed", lo, lo, -lo, T=T)[0]
     compared = 0  # entries of A at positions both forms know
-    for name, direct, closed in (("At", atd, atc), ("A", ad, ac)):
-        for i, j in sorted(direct.coeffs.keys() | closed.coeffs.keys()):
-            if direct.known(i, j) and closed.known(i, j):
-                if direct.coeff(i, j) != closed.coeff(i, j):
-                    return False, f"{name} mismatch at {(i, j)}", compared
-                if name == "A":
-                    compared += 1
+    for i, j in sorted(ad.coeffs.keys() | ac.coeffs.keys()):
+        if ad.known(i, j) and ac.known(i, j):
+            if ad.coeff(i, j) != ac.coeff(i, j):
+                return False, f"A mismatch at {(i, j)}", compared
+            compared += 1
     return True, "", compared
 
 
@@ -318,13 +316,9 @@ def cmd_npoint(cfg):
         t = corr.wgn(g, n, cfg.weight_max).coeffs
         entries = [{"mu": [-e - 1 for e in key], "value": _poly(t[key], "s")} for key in sorted(t)]
         meta = {"normalization": "W_{g,n} coefficients in s", "g": g}
-    else:  # eo: the flat-coordinate tensor, each coefficient times (-1)^n prod (2k+1)!!
+    else:  # eo: the W coefficients (-1)^n (2l+1)!! B^l of the flat-coordinate tensor
         t = eo.x_tensor(g, n, cfg.weight_max).coeffs
-        sign = (-1) ** n
-        entries = [{"mu": [2 * k + 1 for k in key],
-                    "value": _poly(ParamPoly({e: sign * eo._dfact(key) * q
-                                              for e, q in t[key].terms.items()}), "s")}
-                   for key in sorted(t)]
+        entries = [{"mu": [2 * k + 1 for k in key], "value": _poly(t[key], "s")} for key in sorted(t)]
         meta = {"normalization": "W_{g,n} coefficients in s (flat coordinate)", "g": g}
     _write(_csv({"g": g, **e} for e in entries) if cfg.format == "csv" else
            _json({"command": "npoint", "pipeline": cfg.pipeline, "n": n,

@@ -48,7 +48,8 @@ module.  It stores one entry per orbit of the externals as well, and
 solves one orbit at a time.  The flat-coordinate
 transform is graded too: each shift m_i of an index multiplies by s^(m_i),
 so the B-entry at l sits at s^(|l|+1-g) as well: the transform runs on the
-s = 1 tables, and x_tensor attaches s^e at the same boundary.
+s = 1 tables, and x_tensor attaches s^e at the same boundary, handing out
+(-1)^n (2l+1)!! B^l, the W coefficient of the equivalence theorem.
 
 The transform runs on integers as well.  Its weight (-1/2)^m / m! for a
 shift m of one index has a denominator dividing Z = 2^lmax lmax!, where
@@ -447,9 +448,12 @@ def _b02(k1, k2):
 
 
 def x_tensor(g, n, max_weight):
-    """Normalized B-coefficients of omega_{g,n} in the flat coordinate."""
+    """The W coefficients of omega_{g,n} in the flat coordinate:
+    (-1)^n (2l+1)!! B^l at l, which by the equivalence theorem is the
+    correlator <p_{2l_1+1} ... p_{2l_n+1}>_g."""
     t, scale = _x_table(g, n, max_weight)
-    return _with_s(g, n, {ll: Fraction(v, scale * _dfact(ll)) for ll, v in t.items()})
+    scale *= (-1) ** n
+    return _with_s(g, n, {ll: Fraction(v, scale) for ll, v in t.items()})
 
 
 def _x_table(g, n, max_weight):

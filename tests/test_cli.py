@@ -320,6 +320,27 @@ def test_resource_errors_exit_one(monkeypatch, tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
 
 
+def test_npoint_eo_keeps_the_negative_exponent_guard(fresh_caches, tmp_path, capsys):
+    # a residue table entry of omega_{2,1} at k = (0,) sits at s-exponent -1
+    import gbgw.eo as eo
+
+    eo._omega_cache[(2, 1)] = {(0,): 1}
+    rc = main(["npoint", "--pipeline", "eo", "--genus-max", "2", "--arity-max", "1", "--weight-max", "5",
+               "--out", str(tmp_path / "e.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ArithmeticError: ")
+    assert err.endswith("negative s-exponent -1\n")
+
+
+def test_poly_refuses_a_generator_it_does_not_keep():
+    from gbgw.cli import _poly
+
+    assert _poly(ParamPoly.monomial(Fraction(3, 4), es=2), "s") == [[2, "3/4"]]
+    with pytest.raises(ValueError, match="not a polynomial in 's' alone"):
+        _poly(ParamPoly.monomial(Fraction(1), eh=1, es=2), "s")
+
+
 def test_span_stability_fails_when_nothing_compared(monkeypatch, tmp_path):
     import gbgw.cli as cli
 
@@ -386,6 +407,14 @@ def test_virasoro_checks_fail_when_nothing_compared(tmp_path, weight):
     (["npoint", "--pipeline", "virasoro", "--genus-max", "2", "--arity-max", "3", "--weight-max", "13",
       "--format", "csv"],
      "8b5b9ee0425e45af32af2116967c4b1eec91c4fbef54871d5fbf35ad37ed5ddc"),
+    # the eo pipeline's (0,1) and (0,2) closed forms, and an odd arity, where (-1)^n shows
+    (["npoint", "--pipeline", "eo", "--genus-max", "0", "--arity-max", "1", "--weight-max", "15"],
+     "a3d828676a839856bdb89a889ffd5946ce82adaab7fd279d4d95774b5b13cf3b"),
+    (["npoint", "--pipeline", "eo", "--genus-max", "0", "--arity-max", "2", "--weight-max", "14"],
+     "b9aa996a3faaa86dd404f16109f84db616394fe9d747fef5ba3e4b8995749ac6"),
+    (["npoint", "--pipeline", "eo", "--genus-max", "1", "--arity-max", "3", "--weight-max", "13",
+      "--format", "csv"],
+     "9d3bf26b651bfaef80f8c5e072a8b2623fb196295f1eea8744e57bcab657a6fa"),
 ])
 def test_out_bytes_are_pinned(tmp_path, args, digest):
     # the --out bytes of these commands are fixed; a faster table must not move them
@@ -546,7 +575,7 @@ DEFECT_CASES = {
         (_wrap("affine.affine_coeff", lambda rp, n, m: (2 * rp[0], rp[1]) if {n, m} == {1, 2} else rp),
          ["--suite", "affine", "--weight-max", "3", "--window", "8"],
          {"affine/pfaffian-vs-expansion-weights": "mismatch at (2, 1)",
-          "affine/generating-series-closed-vs-direct": "At mismatch at (-2, -1)",
+          "affine/generating-series-closed-vs-direct": "A mismatch at (-2, -1)",
           "affine/cycle-sum-vs-virasoro-bridge-weight<=3": "1 mismatches of 6"}),
     ],
     "affine/generating-series-closed-vs-direct": [
@@ -556,7 +585,7 @@ DEFECT_CASES = {
         (_wrap("affine._antisym_quotient", lambda qb, p1, p2, T, wx=0:
                ({**qb[0], (-2, -3): qb[0].get((-2, -3), 0) + 1}, qb[1]) if wx else qb),
          ["--suite", "all"],
-         {"affine/generating-series-closed-vs-direct": "At mismatch at (-2, -3)"}),
+         {"affine/generating-series-closed-vs-direct": "A mismatch at (-2, -3)"}),
     ],
     "affine/cycle-sum-vs-virasoro-bridge-weight<=9": [
         # every bridge value has h-degree |mu| > 0, so + 1 is a new constant term
@@ -574,7 +603,7 @@ DEFECT_CASES = {
             if (n, m) == (2, 3) else rp),
          ["--suite", "affine", "--u", "1/4", "--weight-max", "3", "--window", "8"],
          {"affine/trivialization-at-u=1/4": "a[2,3] nonzero",
-          "affine/generating-series-closed-vs-direct": "At mismatch at (-2, -3)"}),
+          "affine/generating-series-closed-vs-direct": "A mismatch at (-2, -3)"}),
     ],
     "virasoro/one-point-closed-form": [
         (_wrap("correlators.one_point_closed", lambda p, n: _doubled(p) if n == 2 else p),

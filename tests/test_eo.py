@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gbgw.poly import ParamPoly, double_factorial
 from gbgw.series import SparseTensor
-from gbgw.correlators import correlator, correlator_monomial
+from gbgw.correlators import correlator
 from gbgw.eo import (
     compare_kernels,
     from_x_coords,
@@ -214,27 +214,26 @@ def test_curve_oracle_sees_a_planted_seed(fresh_caches, monkeypatch):
 def test_b01_b02_instances():
     # the (0,1) and (0,2) flat-coordinate tensors come from the closed forms
     # B^k_{0,1} = -(-s)^(k+1) / (2^(k+1) (k+1)! (2k+1)) and
-    # B^{k1,k2}_{0,2} = (-s)^w / (2^w k1! k2! w), w = k1 + k2 + 1
-    assert x_tensor(0, 1, 1).coeffs == {(0,): mono(Fraction(1, 2), 1)}
+    # B^{k1,k2}_{0,2} = (-s)^w / (2^w k1! k2! w), w = k1 + k2 + 1;
+    # x_tensor hands out the W coefficients (-1)^n (2l+1)!! B^l
+    assert x_tensor(0, 1, 1).coeffs == {(0,): mono(Fraction(-1, 2), 1)}
+    assert x_tensor(0, 1, 3).get((1,)) == mono(Fraction(1, 8), 2)
     assert x_tensor(0, 2, 2).coeffs == {(0, 0): mono(Fraction(-1, 2), 1)}
-    assert x_tensor(0, 2, 4).get((1, 0)) == mono(Fraction(1, 8), 2)
+    assert x_tensor(0, 2, 4).get((1, 0)) == mono(Fraction(3, 8), 2)
 
 
-def test_b01_b02_match_correlators():
-    # B_{0,1}^k (2k+1)!! = -<p_{2k+1}>_0 and B_{0,2} pairs likewise
-    b01 = x_tensor(0, 1, 11).coeffs
-    assert set(b01) == {(k,) for k in range(6)}
-    for k in range(0, 6):
-        e, c = correlator_monomial(0, (2 * k + 1,))
-        assert b01[(k,)] == mono(-c / double_factorial(2 * k + 1), e)
-    b02 = x_tensor(0, 2, 14).coeffs
-    assert set(b02) == {(k1, k2) for k1 in range(7) for k2 in range(7 - k1)}
-    for k1 in range(0, 4):
-        for k2 in range(0, 4):
-            d = double_factorial(2 * k1 + 1) * double_factorial(2 * k2 + 1)
-            mu = tuple(sorted((2 * k1 + 1, 2 * k2 + 1), reverse=True))
-            e, c = correlator_monomial(0, mu)
-            assert b02[(k1, k2)] == mono(c / d, e)
+def test_x_tensor_entries_are_the_correlators():
+    # omega_{g,n} = (-1)^n W_{g,n} dx_1...dx_n: the entry at l is
+    # <p_{2l_1+1} ... p_{2l_n+1}>_g, s-exponent included, and zero where no key is
+    w = 13
+    for (g, n) in [(0, 1), (0, 2)] + [(g, n) for (g, n) in STABLE_PAIRS if g <= 2 and n <= 3]:
+        lmax = (w - n) // 2
+        ls = [ll for ll in product(range(lmax + 1), repeat=n) if sum(ll) <= lmax]
+        t = x_tensor(g, n, w)
+        assert t.coeffs.keys() <= set(ls), (g, n)
+        for ll in ls:
+            mu = tuple(sorted((2 * k + 1 for k in ll), reverse=True))
+            assert t.get(ll) == correlator(g, mu), (g, n, ll)
 
 
 def test_transform_roundtrip():
@@ -274,11 +273,11 @@ def test_equivalence_theorem_small():
 
 
 def test_w11_x_expansion():
-    # -W_{1,1} = -(1/(8x^2) - 5s/(16x^4) + 35s^2/(64x^6) - ...)
+    # W_{1,1} = 1/(8x^2) - 5s/(16x^4) + 35s^2/(64x^6) - ...
     b = x_tensor(1, 1, 9)
-    assert b.get((0,)) == mono(Fraction(-1, 8) / double_factorial(1))
-    assert b.get((1,)) == mono(Fraction(5, 16) / double_factorial(3), 1)
-    assert b.get((2,)) == mono(Fraction(-35, 64) / double_factorial(5), 2)
+    assert b.get((0,)) == mono(Fraction(1, 8))
+    assert b.get((1,)) == mono(Fraction(-5, 16), 1)
+    assert b.get((2,)) == mono(Fraction(35, 64), 2)
 
 
 def test_kernel_equivalence_small():
@@ -301,22 +300,6 @@ def test_kernel_comparison_needs_a_recursed_pair(tmp_path):
                  "--out", str(out)]) == 1
     checks = {c["identity"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["eo/kernel-comparison"]["detail"] == "no instance checked"
-
-
-def test_s_zero_specialization_is_original_model():
-    # at s = 0 the B-coefficients reproduce the original-model correlators
-    for (g, n) in [(1, 1), (1, 2), (2, 1)]:
-        b = x_tensor(g, n, 9)
-        for kk, v in b.coeffs.items():
-            d = 1
-            for k in kk:
-                d *= double_factorial(2 * k + 1)
-            mu = tuple(sorted((2 * k + 1 for k in kk), reverse=True))
-            lhs = d * v.coeff(es=0)
-            rhs = correlator(g, mu).coeff(es=0)
-            if n % 2:
-                rhs = -rhs
-            assert lhs == rhs, (g, n, kk)
 
 
 def test_equivalence_beyond_acceptance_range():
