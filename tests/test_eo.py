@@ -222,6 +222,30 @@ def test_b01_b02_instances():
     assert x_tensor(0, 2, 4).get((1, 0)) == mono(Fraction(3, 8), 2)
 
 
+def test_b01_b02_match_correlators():
+    # W_{0,1}^k = -(2k+1)!! B_{0,1}^k = <p_{2k+1}>_0 and W_{0,2} pairs likewise,
+    # with an entry at every index of the weight range
+    b01 = x_tensor(0, 1, 11).coeffs
+    assert set(b01) == {(k,) for k in range(6)}
+    for k in range(6):
+        assert b01[(k,)] == correlator(0, (2 * k + 1,)), k
+    b02 = x_tensor(0, 2, 14).coeffs
+    assert set(b02) == {(k1, k2) for k1 in range(7) for k2 in range(7 - k1)}
+    for (k1, k2) in b02:
+        mu = tuple(sorted((2 * k1 + 1, 2 * k2 + 1), reverse=True))
+        assert b02[(k1, k2)] == correlator(0, mu), (k1, k2)
+
+
+def test_s_zero_specialization_is_original_model():
+    # at s = 0 the W coefficients reproduce the original-model correlators
+    for (g, n) in [(1, 1), (1, 2), (2, 1)]:
+        w = x_tensor(g, n, 9)
+        assert w.coeffs, (g, n)
+        for kk, v in w.coeffs.items():
+            mu = tuple(sorted((2 * k + 1 for k in kk), reverse=True))
+            assert v.coeff(es=0) == correlator(g, mu).coeff(es=0), (g, n, kk)
+
+
 def test_x_tensor_entries_are_the_correlators():
     # omega_{g,n} = (-1)^n W_{g,n} dx_1...dx_n: the entry at l is
     # <p_{2l_1+1} ... p_{2l_n+1}>_g, s-exponent included, and zero where no key is
