@@ -349,11 +349,11 @@ def build_parser():
         add("--out", default=None, help="output path (stdout if omitted)")
 
     sp = sub.add_parser("correlators", help="emit connected correlators")
-    common(sp, {"g": 2, "n": 3, "w": 9}, omit=("--window", "--u"))
+    common(sp, {}, omit=("--window", "--u"))
     sp.set_defaults(func=cmd_correlators)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp, {"g": 2, "n": 3, "w": 9, "window": 20}, omit=("--format",))
+    common(sp, {}, omit=("--format",))
     sp.add_argument("--suite", choices=SUITES + ("all",), default="all")
     sp.set_defaults(func=cmd_verify)
 

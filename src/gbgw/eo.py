@@ -23,6 +23,9 @@ are built: 0 <= j <= bound + 4, where bound = omega_support_bound(g, n)
 the slots just past the support).  Each table is stored one entry per
 orbit, index 0 free, as the recursion singles out index 0 only; on the way
 out, one value per orbit (_with_s) is placed at every ordering (_orderings).
+Both recursions read a stored table in one layout, grouped by its externals:
+{(k_1..k_{n-1}): [(k_0 + shift, value), ...]} (_grouped), with shift 1 in the
+residue route, where k_0 sits at the power z^(-2k_0-2) of the bracket (_factor).
 
 One recursion serves the standard and the type-B Bergman kernel, by
 induction on 2g-2+n.  The (1,1) entry is seeded, since the type-B bracket
@@ -69,7 +72,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from operator import mul
 
 from .correlators import _insert, _splits, correlator_monomial
@@ -80,8 +83,6 @@ __all__ = [
     "omega",
     "omega_closed_step",
     "omega_support_bound",
-    "to_x_coords",
-    "from_x_coords",
     "verify_equivalence_theorem",
     "compare_kernels",
 ]
@@ -147,9 +148,9 @@ def _bracket(g, next_n):
     of z^(-2j) prod z_i^(-2k_i-2), for j = 0..bound+4.  _recurse reads row[m]
     and row[m + 1] for m <= bound + 3 only, so nothing past bound + 4 is
     built, and nothing at a positive power of z.  (1, 1) is seeded, so the
-    (g-1, n+2) term is stable.  The sub-tables hold one entry per orbit too:
-    the (g-1, n+2) term reads (a, b, ext) at (a, ext with b inserted in its
-    place), and each split half reads a subsequence of ext.
+    (g-1, n+2) term is stable.  Each factor is a sub-table in the grouped
+    layout (_factor): the (g-1, n+2) term reads (a, b, ext) at (a, ext with
+    b inserted in its place), and each split half reads a subsequence of ext.
     """
     n = next_n - 1
     bound = omega_support_bound(g, next_n)
@@ -187,9 +188,9 @@ def _bracket(g, next_n):
 
 
 def _factor(gf, nf, top):
-    """omega_{gf, nf+1}(+-z, z_1..z_nf) in index space, grouped by its
-    external indices: {(k_1..k_nf): [(j, value), ...]}, each term at
-    z^(-2j) prod z_i^(-2k_i-2).  The caller excludes omega_{0,1}.
+    """omega_{gf, nf+1}(+-z, z_1..z_nf) in index space, in the grouped layout
+    {(k_1..k_nf): [(j, value), ...]}, each term at z^(-2j) prod z_i^(-2k_i-2).
+    The caller excludes omega_{0,1}.
 
     A stable entry at (k_0, k_1..k_nf), stored with k_1 >= ... >= k_nf, sits
     at j = k_0 + 1; its power of z is even, so the sign of z drops out.
@@ -198,9 +199,14 @@ def _factor(gf, nf, top):
     """
     if gf == 0 and nf == 1:
         return {(k,): [(-k, 2 * k + 1)] for k in range(top + 1)}
+    return _grouped(_omega(gf, nf + 1), 1)
+
+
+def _grouped(table, shift=0):
+    """A stored table grouped by its externals: {kk[1:]: [(kk[0] + shift, value), ...]}."""
     out = defaultdict(list)
-    for kk, v in _omega(gf, nf + 1).items():
-        out[kk[1:]].append((kk[0] + 1, v))
+    for kk, v in table.items():
+        out[kk[1:]].append((kk[0] + shift, v))
     return out
 
 
@@ -251,9 +257,9 @@ def omega_closed_step(g, n):
     leaves the module; verify compares the stored D with the residue route's.
 
     Only nonincreasing kvec are solved, one per orbit, and each orbit's value is
-    placed at every ordering.  The sub-tables are scattered once by their externals:
-    a split half and (g, n-1) read subsequences of kvec, (g-1, n+1) reads (a, b, kvec)
-    at (a, kvec with b inserted in its place); only products with a + b < mmax count.
+    placed at every ordering.  Each sub-table is read grouped (_grouped): a split half
+    and (g, n-1) read subsequences of kvec, (g-1, n+1) reads (a, b, kvec) at
+    (a, kvec with b inserted in its place); only products with a + b < mmax count.
     """
     _check_stable(g, n)
     den = 8 ** (2 * g - 2 + n)
@@ -286,15 +292,18 @@ def _closed_solve(g, n):
     bound = omega_support_bound(g, n)
     mmax = bound + 3
     sigma = [[comb(m, k) * (-1) ** (m - k) for k in range(m + 1)] for m in range(mmax + 2)]
-    upper = _scatter(g - 1, n + 1) if g >= 1 else {}
-    lower = _scatter(g, n - 1) if ext_n else {}
+    # every sub-table read is stable: off the seeds (1, 1) and (0, 3), (g-1, n+1)
+    # at g >= 1 and (g, n-1) at n >= 2 have 2g'-2+n' = 2g-3+n >= 1, and a split
+    # half (g1, |I|+1) has 2g1-1+|I| >= 1, as |I| >= 2 when g1 = 0
+    upper = _grouped(_closed(g - 1, n + 1)) if g >= 1 else {}
+    lower = _grouped(_closed(g, n - 1)) if ext_n else {}
     halves = _splits(range(ext_n))
     # the splittings exclude one- and two-point factors; each names its half by
-    # index, and each factor table is scattered once per solve
+    # index, and each factor table is grouped once per solve
     pairs = [(h, (g1, len(I) + 1), (g - g1, len(J) + 1))
              for g1 in range(g + 1) for h, (I, J) in enumerate(halves)
              if (g1 or len(I) > 1) and (g1 < g or len(J) > 1)]
-    tables = {key: _scatter(*key) for key in {key for _, *keys in pairs for key in keys}}
+    tables = {key: _grouped(_closed(*key)) for key in {key for _, *keys in pairs for key in keys}}
     splits = [(h, tables[left], tables[right]) for h, left, right in pairs]
     t = {}
     # one external tuple per orbit, its total index bounded by the pole order
@@ -304,16 +313,16 @@ def _closed_solve(g, n):
         # the bracket depends on a + b only; (a, b, kvec) is stored at (a, _insert(kvec, b))
         inner = [0] * mmax
         for b in range(mmax) if upper else ():
-            for a, v in upper.get(_insert(kvec, b), {}).items():
+            for a, v in upper.get(_insert(kvec, b), ()):
                 if a + b < mmax:
                     inner[a + b] += v
         # the (left, right) keys of each half, shared by its g + 1 splits: subsequences of kvec
         keys = _splits(kvec) if splits else ()
         for h, left, right in splits:
             lkey, rkey = keys[h]
-            rights = right.get(rkey, {})
-            for a, lv in left.get(lkey, {}).items():
-                for b, rv in rights.items():
+            rights = right.get(rkey, ())
+            for a, lv in left.get(lkey, ()):
+                for b, rv in rights:
                     if a + b < mmax:
                         inner[a + b] += lv * rv
         # (2k_i + 1) times the (g, n-1) entries at (k_i + k0 - 1, rest), 0 <= k0.
@@ -322,7 +331,7 @@ def _closed_solve(g, n):
         # k0 = idx - k_i + 1 <= bound < len(sub)
         sub = [0] * (mmax + 2)
         for pos, ki in enumerate(kvec):
-            for idx, v in lower.get(kvec[:pos] + kvec[pos + 1:], {}).items():
+            for idx, v in lower.get(kvec[:pos] + kvec[pos + 1:], ()):
                 k0 = idx - ki + 1
                 if k0 >= 0:
                     sub[k0] += (2 * ki + 1) * v
@@ -338,17 +347,6 @@ def _closed_solve(g, n):
                     raise ArithmeticError(f"closed-step support exceeds pole bound for ({g},{n})")
                 t[(m,) + kvec] = v
     return t
-
-
-def _scatter(g, n):
-    """The stored closed table of (g, n) as {kk[1:]: {kk[0]: value}}.  Every
-    request is stable: off the seeds (1, 1) and (0, 3), (g-1, n+1) at g >= 1 and
-    (g, n-1) at n >= 2 have 2g'-2+n' = 2g-3+n >= 1, and a split half (g1, |I|+1)
-    has 2g1-1+|I| >= 1, as |I| >= 2 when g1 = 0."""
-    out = {}
-    for kk, v in _closed(g, n).items():
-        out.setdefault(kk[1:], {})[kk[0]] = v
-    return out
 
 
 def _orbits(length, total, top):
@@ -374,46 +372,16 @@ def normalized(tensor):
                                        for kk, v in tensor.coeffs.items()})
 
 
-def to_x_coords(a_tensor, max_weight):
-    """B from A:  B^l = sum_{k+m=l} prod (-s)^(m_i)/(2^(m_i) m_i!) A^k,
-    for all l with sum(2l_i + 1) <= max_weight.  Both tensors are taken
-    at s = 1 (Fraction entries).
-
-    The sum runs on integers.  With lmax = (max_weight - n) // 2 and
-    Z = 2^lmax lmax!, each one-index weight times Z is the integer
-    (-1)^m 2^(lmax-m) lmax!/m!.  The entries are scaled by the lcm L of
-    their denominators and by prod (2k_i+1)!!, the scatter yields
-    L Z^n prod (2l_i+1)!! B^l, and each entry is divided once.  The shift
-    weight is a product over indices, so the sum runs one index at a time;
-    every shift raises |l|, so a partial sum past lmax is dropped at once."""
-    return _rescaled(a_tensor, max_weight, -1)
-
-
-def from_x_coords(b_tensor, max_weight):
-    """Inverse transform (s -> -s in the weights), at s = 1."""
-    return _rescaled(b_tensor, max_weight, 1)
-
-
-def _rescaled(tensor, max_weight, sign):
-    """The Fraction tensors of to_x_coords / from_x_coords through the
-    integer scatter: scale up, scatter, divide once."""
-    n = tensor.arity
-    den = lcm(*(v.denominator for v in tensor.coeffs.values()))
-    raw = {kk: v.numerator * (den // v.denominator) * _dfact(kk) for kk, v in tensor.coeffs.items()}
-    t, scale = _flat_scatter(raw, n, max_weight, sign)
-    return SparseTensor(n, {ll: Fraction(v, den * scale * _dfact(ll)) for ll, v in t.items()})
-
-
-def _flat_scatter(raw, n, max_weight, sign):
+def _flat_scatter(raw, n, max_weight):
     """The z -> x transform on integers (module docstring), from raw
-    coefficients W^k = (2k+1)!! A^k: returns (T, Z^n) with
-    T[l] / Z^n = (2l+1)!! B^l for every l with |l| <= lmax, B the transform
-    of to_x_coords (sign -1) or from_x_coords (sign +1).  Empty when
+    coefficients W^k = (2k+1)!! A^k at s = 1: returns (T, Z^n) with
+    T[l] / Z^n = (2l+1)!! B^l for every l with |l| <= lmax, where
+    B^l = sum_{k+m=l} prod (-s)^(m_i)/(2^(m_i) m_i!) A^k.  Empty when
     max_weight < n."""
     lmax = (max_weight - n) // 2
     if lmax < 0:
         return {}, 1
-    rows = _flat_weights(lmax, sign)
+    rows = _flat_weights(lmax)
     for i in range(n):
         out = {}
         for kk, v in raw.items():
@@ -429,9 +397,9 @@ def _flat_scatter(raw, n, max_weight, sign):
     return {ll: v for ll, v in raw.items() if v}, (2 ** lmax * factorial(lmax)) ** n
 
 
-def _flat_weights(lmax, sign):
-    """rows[k][m] = sign^m 2^(lmax-m) lmax!/m! (2k+2m+1)!!/(2k+1)!!, k + m <= lmax."""
-    return [[sign ** m * 2 ** (lmax - m) * (factorial(lmax) // factorial(m))
+def _flat_weights(lmax):
+    """rows[k][m] = (-1)^m 2^(lmax-m) lmax!/m! (2k+2m+1)!!/(2k+1)!!, k + m <= lmax."""
+    return [[(-1) ** m * 2 ** (lmax - m) * (factorial(lmax) // factorial(m))
              * (double_factorial(2 * (k + m) + 1) // double_factorial(2 * k + 1))
              for m in range(lmax - k + 1)] for k in range(lmax + 1)]
 
@@ -467,7 +435,7 @@ def _x_table(g, n, max_weight):
                 for k1 in range(kmax + 1) for k2 in range(kmax - k1 + 1)}, 1
     _check_stable(g, n)
     # the residue table holds 8^(2g-2+n) W at s = 1, the raw coefficients
-    t, scale = _flat_scatter(_orderings(_omega(g, n)), n, max_weight, -1)
+    t, scale = _flat_scatter(_orderings(_omega(g, n)), n, max_weight)
     return t, 8 ** (2 * g - 2 + n) * scale
 
 

@@ -161,7 +161,7 @@ def verify_ks(k_max, depth):
       b^(k)_{e-1} theta(k+1) theta(0)
           = theta(e) [theta(0) b^(k+1)_e + theta(k+1) b^(k)_{-1} b^(0)_e].
 
-    Returns a report dict with pass flags, c_{k+1} and d_k as (numerator,
+    Returns a report dict with pass flags, c_{k+1} as (numerator,
     denominator) pairs, and the number of exponents compared for P and for
     Q (z^(k+1) and z^0, which fix c_{k+1} and d_k, are not counted: they
     cannot fail).
@@ -170,7 +170,7 @@ def verify_ks(k_max, depth):
     D = lcm(*(d for d, _ in bases))
     b = [{e: u_scale(c, D // d) for e, c in coeffs.items()} for d, coeffs in bases]
     th0 = theta_u(0)
-    report = {"p_ok": True, "q_ok": True, "q_leading": [], "q_phi0": [], "failures": [],
+    report = {"p_ok": True, "q_ok": True, "q_leading": [], "failures": [],
               "p_checked": 0, "q_checked": 0}
     for k in range(k_max + 1):
         got = _apply_P(b[k], -depth)
@@ -201,7 +201,6 @@ def verify_ks(k_max, depth):
             report["q_ok"] = False
             report["failures"].append(("Q", k, bad))
         report["q_leading"].append((k + 1, _q_coeff(k, b[k][k], D, 0)))
-        report["q_phi0"].append((k, _q_coeff(-1, b[k].get(-1, ()), D, k + 1)))
     return report
 
 

@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbgw.poly import ParamPoly, double_factorial
-from gbgw.series import SparseTensor
 from gbgw.correlators import correlator
 from gbgw.eo import (
+    _flat_scatter,
     compare_kernels,
-    from_x_coords,
     normalized,
     omega,
     omega_closed_step,
-    to_x_coords,
     verify_equivalence_theorem,
     x_tensor,
 )
@@ -260,33 +258,15 @@ def test_x_tensor_entries_are_the_correlators():
             assert t.get(ll) == correlator(g, mu), (g, n, ll)
 
 
-def test_transform_roundtrip():
-    for (g, n) in [(1, 1), (1, 2), (0, 3)]:
-        # the transforms act on tables at s = 1; entry kk sits at s^(|kk|+1-g)
-        table = normalized(omega(g, n)).coeffs
-        a = SparseTensor(n, {kk: v.coeff(es=sum(kk) + 1 - g) for kk, v in table.items()})
-        assert a.coeffs.keys() == table.keys()
-        b = to_x_coords(a, 15)
-        back = from_x_coords(b, 15)
-        # the round trip reproduces a on the computed weight range
-        for kk, v in a.coeffs.items():
-            if sum(2 * k + 1 for k in kk) <= 9:
-                assert back.get(kk) == v, (g, n, kk)
-        for kk, v in back.coeffs.items():
-            if sum(2 * k + 1 for k in kk) <= 9 and not a.get(kk):
-                assert not v, (g, n, kk)
-
-
 def test_transform_consistency_with_binomial_closed_form():
     # z^(-2k-2) dz = sum_m C(-k-3/2, m) s^m x^(-2m-2k-2) dx: the transform of
-    # a unit A-entry at k, in normalized B-coefficients, at s = 1, is
-    # (2k+1)!! C(-k-3/2, m)/(2k+2m+1)!! = (-1)^m/(2^m m!)
-    from math import factorial
-
+    # a unit A-entry at k (raw coefficient (2k+1)!!), in normalized
+    # B-coefficients, at s = 1, is (2k+1)!! C(-k-3/2, m)/(2k+2m+1)!! = (-1)^m/(2^m m!)
     for k in range(0, 5):
-        b = to_x_coords(SparseTensor(1, {(k,): Fraction(1)}), 2 * (k + 4) + 1)
+        t, scale = _flat_scatter({(k,): double_factorial(2 * k + 1)}, 1, 2 * (k + 4) + 1)
+        b = {ll: Fraction(v, scale * double_factorial(2 * ll[0] + 1)) for ll, v in t.items()}
         expect = {(k + m,): Fraction((-1) ** m, 2 ** m * factorial(m)) for m in range(0, 5)}
-        assert b.coeffs == expect, k
+        assert b == expect, k
 
 
 def test_equivalence_theorem_small():
@@ -389,10 +369,9 @@ def test_flat_transform_reads_no_other_table(fresh_caches):
 def test_flat_transform_empty_weight_range():
     # max_weight < n admits no index: every result is empty, nothing raises
     for n in range(1, 5):
-        a = SparseTensor(n, {(0,) * n: Fraction(1), (1,) * n: Fraction(-3, 7)})
+        raw = {(0,) * n: 1, (1,) * n: -3}
         for w in range(n):
-            assert to_x_coords(a, w).coeffs == {}
-            assert from_x_coords(a, w).coeffs == {}
+            assert _flat_scatter(raw, n, w) == ({}, 1)
     for (g, n) in STABLE_PAIRS + [(0, 1), (0, 2)]:
         for w in range(n):
             assert x_tensor(g, n, w).coeffs == {}, (g, n, w)

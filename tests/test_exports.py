@@ -62,15 +62,14 @@ def package_sources():
     return {path.stem: path.read_text() for path in sorted(root.glob("*.py"))}
 
 
-PUBLIC_ONLY = {"reset_caches", "to_x_coords", "from_x_coords", "omega_closed_step", "normalized"}
+PUBLIC_ONLY = {"reset_caches", "omega_closed_step", "normalized"}
 
 
 def test_every_package_definition_is_used_in_the_package():
-    # helpers that only tests call belong in the tests; the flat transforms
-    # are the public handle of the flat-coordinate property tests.
-    # omega_closed_step and normalized stay public for bench/workloads.py,
-    # bench/checks.py and the tests; verify compares the two EO routes on
-    # their stored tables, so the package calls neither
+    # helpers that only tests call belong in the tests.  omega_closed_step and
+    # normalized stay public for bench/workloads.py, bench/checks.py and the
+    # tests; verify compares the two EO routes on their stored tables, so the
+    # package calls neither
     assert unreferenced(package_sources()) == PUBLIC_ONLY
 
 
