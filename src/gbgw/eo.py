@@ -320,11 +320,12 @@ def _closed_solve(g, n):
         keys = _splits(kvec) if splits else ()
         for h, left, right in splits:
             lkey, rkey = keys[h]
-            rights = right.get(rkey, ())
-            for a, lv in left.get(lkey, ()):
-                for b, rv in rights:
-                    if a + b < mmax:
-                        inner[a + b] += lv * rv
+            rights = right.get(rkey)
+            if rights:
+                for a, lv in left.get(lkey, ()):
+                    for b, rv in rights:
+                        if a + b < mmax:
+                            inner[a + b] += lv * rv
         # (2k_i + 1) times the (g, n-1) entries at (k_i + k0 - 1, rest), 0 <= k0.
         # k0 <= bound needs no test: the (g, n-1) table obeys its pole bound (it
         # is seeded, or its own guard raises), so idx <= bound - 1 and

@@ -27,7 +27,8 @@ exact bridge for an odd partition mu with n parts is
 
     2^-n * h^n * sum_g h^(2g-2) <p_mu>_g |_{s -> h^2 u},
 
-a finite sum by homogeneity, with total h-degree |mu|.
+a finite sum by homogeneity, with total h-degree |mu|.  All of it is in
+(h, u); a rational u is substituted once, where a value leaves (``poly.at_u``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import factorial, lcm
 
 from .affine import _direct_a, _entry_poly, _with_tail, affine_coeff
 from .correlators import check_odd_partition, correlator_monomial, odd_partitions
-from .poly import ParamPoly, u_add, u_eval, u_norm_max, u_pack, u_scale, u_unpack
+from .poly import ParamPoly, u_add, u_norm_max, u_pack, u_scale, u_unpack
 from .series import SparseTensor
 
 __all__ = [
@@ -72,7 +73,7 @@ def cycles(n):
     return [(1,) + rest for rest in permutations(range(2, n + 1))]
 
 
-def one_point_affine(max_weight, u_value=None):
+def one_point_affine(max_weight):
     """One-point series A(-x, x) from the direct double sum.
 
     At x^-mu (mu odd) it is a_{0,mu} + sum_{n+m=mu} (-1)^(m+1) a_{n,m}, the
@@ -80,11 +81,9 @@ def one_point_affine(max_weight, u_value=None):
     Every a_{n,m} = h^mu r_{n,m} P_n P_m with n + m = mu shares the power of
     h, so the sum runs on the memoized (r, P) pairs of ``affine_coeff``, on
     int u-tuples over L, the lcm of the denominators of the r_{n,m}, and
-    leaves as one ParamPoly h^mu tuple / L; at a rational u_value the tuple
-    is evaluated there first.
+    leaves as one ParamPoly h^mu tuple / L.
     Returns {exponent: value} for odd exponents.
     """
-    u = None if u_value is None else Fraction(u_value)
     out = {}
     for mu in range(1, max_weight + 1, 2):
         pairs = [affine_coeff(n, mu - n) for n in range(mu)]  # n != mu - n: every r is nonzero
@@ -92,11 +91,8 @@ def one_point_affine(max_weight, u_value=None):
         total = ()
         for n, (r, p) in enumerate(pairs):
             total = u_add(total, u_scale(p, (-1) ** n * r.numerator * scale // r.denominator))
-        entry = (Fraction(1, scale), total)
-        if u is not None:
-            entry = (entry[0] * u_eval(total, u), (1,))
-        if entry[0] and entry[1]:
-            out[-mu] = _entry_poly((-mu,), entry)
+        if total:
+            out[-mu] = _entry_poly((-mu,), (Fraction(1, scale), total))
     return out
 
 
@@ -206,29 +202,25 @@ def _contract_cycle(order, at, budget):
     return state
 
 
-def _packed_at(n, max_weight, tail_hi, u_value=None):
+def _packed_at(n, max_weight, tail_hi):
     """The entries of At an n-point pass reads, packed: (at, L, bits).
 
     They are the triangle n + m <= max_weight (with the boundary entries
     (-n, 0) and (0, -m)), the constant (0, 0), and the tail (-i, i) for
     i <= tail_hi.  Each entry is the (r, P) pair of ``_direct_a``,
-    h^-(i+j) r P(u); at a rational u_value it becomes (r P(u_value), (1,)).
-    It is held as the int u-tuple r L P, with L the lcm of the denominators
-    of the r, packed into one int at the width ``_pack_bits`` gives.
+    h^-(i+j) r P(u).  It is held as the int u-tuple r L P, with L the lcm
+    of the denominators of the r, packed into one int at the width
+    ``_pack_bits`` gives.
     """
     keys = ((-i, -j) for i in range(max_weight + 1) for j in range(max_weight + 1 - i))
     at = _with_tail(_direct_a(keys), tail_hi)
-    if u_value is not None:
-        u = Fraction(u_value)
-        at = {k: (r * u_eval(p, u), (1,)) for k, (r, p) in at.items()}
-        at = {k: entry for k, entry in at.items() if entry[0]}
     scale = lcm(*(r.denominator for r, _ in at.values()))
     at = {k: u_scale(p, r.numerator * scale // r.denominator) for k, (r, p) in at.items()}
     bits = _pack_bits(n, at)
     return {k: u_pack(p, bits) for k, p in at.items()}, scale, bits
 
 
-def _npoint_once(n, max_weight, tail_hi, u_value=None):
+def _npoint_once(n, max_weight, tail_hi):
     """One cycle-sum pass (n >= 2) with the tail of At through tail_hi.
 
     The contraction runs on the packed entries of ``_packed_at``, with L
@@ -243,7 +235,7 @@ def _npoint_once(n, max_weight, tail_hi, u_value=None):
     key by key.  The budget pruning reads only the exponents, so it drops
     the same paths from both.  At n = 2 the one cycle is its own reverse.
     """
-    at, scale, bits = _packed_at(n, max_weight, tail_hi, u_value)
+    at, scale, bits = _packed_at(n, max_weight, tail_hi)
     total = {}
     for order in cycles(n):
         if order[1] > order[-1]:  # the reverse of a cycle already summed (never at n = 2)
@@ -292,7 +284,7 @@ def _tail_hi(n, max_weight):
     return max_weight if n <= 2 else 2 * max_weight + 1
 
 
-def npoint_affine(n, max_weight, u_value=None):
+def npoint_affine(n, max_weight):
     """Cycle-sum n-point tensor with negative odd exponents up to |mu| <= max_weight.
 
     n = 1 is the direct one-point sum.  For n >= 2 the window protocol
@@ -303,9 +295,9 @@ def npoint_affine(n, max_weight, u_value=None):
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return SparseTensor(1, {(e,): c for e, c in one_point_affine(max_weight, u_value).items()})
+        return SparseTensor(1, {(e,): c for e, c in one_point_affine(max_weight).items()})
     tail_hi = _tail_hi(n, max_weight)
-    runs = [_npoint_once(n, max_weight, t, u_value) for t in (tail_hi, tail_hi + 4)]
+    runs = [_npoint_once(n, max_weight, t) for t in (tail_hi, tail_hi + 4)]
 
     def targets(t):
         return SparseTensor(n, {k: c for k, c in t.coeffs.items() if all(e <= -1 for e in k)})
@@ -321,7 +313,7 @@ def npoint_affine(n, max_weight, u_value=None):
     return cleaned[0]
 
 
-def bridge(mu, u_value=None):
+def bridge(mu):
     """Exact Virasoro-side value of the cycle-sum coefficient for mu."""
     mu = check_odd_partition(mu)
     n = len(mu)
@@ -333,13 +325,10 @@ def bridge(mu, u_value=None):
         e, c = correlator_monomial(g, mu)
         if e is not None:
             terms[(w, e, 0, 0)] = c / 2 ** n
-    if u_value is None:
-        return ParamPoly(terms)
-    u = Fraction(u_value)
-    return ParamPoly.monomial(sum(c * u ** e for (_, e, _, _), c in terms.items()), eh=w)
+    return ParamPoly(terms)
 
 
-def crosscheck_affine_vs_virasoro(n_max, weight_max, one_point_weight=None, u_value=None):
+def crosscheck_affine_vs_virasoro(n_max, weight_max, one_point_weight=None):
     """Compare cycle-sum coefficients against bridged correlators.
 
     Every ordering of the exponents of mu is read: the bridge is symmetric,
@@ -352,11 +341,11 @@ def crosscheck_affine_vs_virasoro(n_max, weight_max, one_point_weight=None, u_va
     checked = 0
     for n in range(1, n_max + 1):
         w = weight_max if (n > 1 or one_point_weight is None) else one_point_weight
-        tensor = npoint_affine(n, w, u_value=u_value)
+        tensor = npoint_affine(n, w)
         for mu in odd_partitions(w, n):
             if len(mu) != n:
                 continue
-            want = bridge(mu, u_value=u_value)
+            want = bridge(mu)
             checked += 1
             for key in sorted(set(permutations(tuple(-m for m in mu)))):
                 got = tensor.get(key)

@@ -27,7 +27,9 @@ L1 norm of its inputs.  ParamPoly is the output format,
 with no arithmetic: a value is built as a ParamPoly once, where it leaves
 a module, and is then only compared, read and printed.  Keeping s distinct
 from h^2*u makes the two natural normalizations of the theory coexist;
-npoint.bridge applies s -> h^2*u to the correlator monomials.
+npoint.bridge applies s -> h^2*u to the correlator monomials.  Values are
+computed with u symbolic; a finished ParamPoly meets a rational u only in
+``at_u``, where it leaves.
 
 A key is the exponent tuple (eh, eu, es, ev) with ev always 0: serialized
 terms are read as four exponent columns (h, u, s, v), so the slot stays.
@@ -47,6 +49,7 @@ __all__ = [
     "u_add",
     "u_scale",
     "u_eval",
+    "at_u",
     "u_pack",
     "u_unpack",
     "u_norm_max",
@@ -179,6 +182,15 @@ def u_eval(p, q):
     for c in reversed(p):
         num, den = num * a + c * den * b, den * b
     return Fraction(num, den)
+
+
+def at_u(value, q):
+    """The ParamPoly ``value`` at the exact rational u = q: terms that differ
+    only in their power of u are summed, zeros dropped, ZERO if all vanish."""
+    q, terms = Fraction(q), {}
+    for (eh, eu, es, ev), c in value.terms.items():
+        terms[eh, 0, es, ev] = terms.get((eh, 0, es, ev), 0) + c * q ** eu
+    return ParamPoly({key: c for key, c in terms.items() if c}) or ZERO
 
 
 def u_pack(p, bits):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gbgw.poly import ParamPoly, H, double_factorial, u_eval
+from gbgw.poly import ParamPoly, H, at_u, double_factorial, u_eval
 from gbgw import affine, correlators as corr, eo, npoint, quantum, schurq
 
 
@@ -163,9 +163,10 @@ def test_criterion_12_trivialization_at_quarter():
         for m in range(0, 13):
             r, p = affine.affine_coeff(n, m)
             assert r * u_eval(p, quarter) == 0, (n, m)
+    # computed in (h, u), each value substituted once at u = 1/4
     for mu in corr.odd_partitions(11, 3):
-        assert npoint.bridge(mu, u_value=quarter) == 0, mu
-    assert npoint.one_point_affine(15, u_value=quarter) == {}
-    assert not npoint.npoint_affine(2, 11, u_value=quarter)
-    assert not npoint.npoint_affine(3, 11, u_value=quarter)
+        assert at_u(npoint.bridge(mu), quarter) == 0, mu
+    values = [*npoint.one_point_affine(15).values(), *npoint.npoint_affine(2, 11).coeffs.values(),
+              *npoint.npoint_affine(3, 11).coeffs.values()]
+    assert values and not any(at_u(v, quarter) for v in values)
     _report(12, "affine table, bridged sums, and cycle sums all vanish at u = 1/4", t0)

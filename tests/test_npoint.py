@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import gbgw.npoint as npoint_module
 from gbgw.affine import _direct_a, _entry_poly, _with_tail
 from gbgw.correlators import odd_partitions
-from gbgw.poly import ParamPoly, u_add, u_mul, u_pack, u_scale
+from gbgw.poly import ZERO, ParamPoly, at_u, u_add, u_mul, u_pack, u_scale
 from gbgw.npoint import (
     WindowInstabilityError,
     bridge,
@@ -58,8 +58,14 @@ def test_one_point_matches_bridge():
 
 
 def test_one_point_vanishes_at_quarter():
-    series = one_point_affine(9, u_value=Fraction(1, 4))
-    assert series == {}
+    series = one_point_affine(9)
+    assert len(series) == 5
+    assert all(at_u(v, Fraction(1, 4)) is ZERO for v in series.values())
+
+
+def test_npoint_needs_at_least_one_point():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        npoint_affine(0, 5)
 
 
 def test_two_point_small_matches_bridge():
@@ -82,7 +88,8 @@ def test_two_point_symmetric(transposition_defects):
 
 
 def test_two_point_trivial_at_quarter():
-    assert not npoint_affine(2, 7, u_value=Fraction(1, 4))
+    t = npoint_affine(2, 7)
+    assert t.coeffs and all(at_u(c, Fraction(1, 4)) is ZERO for c in t.coeffs.values())
 
 
 def test_three_point_small_matches_bridge():
@@ -114,21 +121,9 @@ def test_one_point_deep_genus():
         assert series.get(-m, 0) == bridge((m,)), m
 
 
-def test_rational_u_matches_symbolic_substitution():
-    # a rational point changes the integer scale L of the cycle-sum core
-    u = Fraction(3, 7)
-    symbolic = npoint_affine(3, 7)
-    # each entry is h^(-sum key) times a polynomial in u, evaluated term by term
-    want = {k: ParamPoly.monomial(sum(q * u ** eu for (_, eu, _, _), q in c.terms.items()), eh=-sum(k))
-            for k, c in symbolic.coeffs.items()}
-    want = {k: v for k, v in want.items() if v}
-    assert want
-    assert npoint_affine(3, 7, u_value=u).coeffs == want
-
-
 def test_cycle_sum_reads_the_planted_scalar(monkeypatch):
-    # r at (-1, -2) off by a factor breaks antisymmetry of A; both the
-    # symbolic core and the evaluation at a rational u must carry it through
+    # r at (-1, -2) off by a factor breaks antisymmetry of A; the cycle sum
+    # carries it through, and it survives substituting a rational u on output
     real = npoint_module._direct_a
 
     def planted(keys):
@@ -138,10 +133,11 @@ def test_cycle_sum_reads_the_planted_scalar(monkeypatch):
         return a
 
     monkeypatch.setattr(npoint_module, "_direct_a", planted)
-    for u_value in (None, Fraction(3, 7)):
-        ok, mismatches, _ = crosscheck_affine_vs_virasoro(2, 5, u_value=u_value)
-        assert not ok, u_value
-        assert all(len(mu) == 2 for mu, _, _ in mismatches)
+    ok, mismatches, _ = crosscheck_affine_vs_virasoro(2, 5)
+    assert not ok
+    assert all(len(mu) == 2 for mu, _, _ in mismatches)
+    u = Fraction(3, 7)
+    assert all(at_u(got, u) != at_u(want, u) for _, got, want in mismatches)
 
 
 def test_one_point_reads_a_broken_coordinate(monkeypatch):
@@ -237,9 +233,14 @@ def _oracle_npoint(n, max_weight, u_value=None):
 @pytest.mark.parametrize("u_value", [None, Fraction(1, 4), Fraction(3, 7)])
 @pytest.mark.parametrize("n, max_weight", [(2, 9), (3, 7), (4, 5)])
 def test_packed_cycle_sum_matches_tuple_oracle(n, max_weight, u_value):
+    # the oracle evaluates At at a rational u before it contracts, and the
+    # cycle sum is substituted after: the two orders agree
     want = _oracle_npoint(n, max_weight, u_value)
     assert want or u_value == Fraction(1, 4)  # every cycle sum vanishes at u = 1/4
-    assert npoint_affine(n, max_weight, u_value=u_value).coeffs == want
+    got = npoint_affine(n, max_weight).coeffs
+    if u_value is not None:
+        got = {k: v for k, c in got.items() if (v := at_u(c, u_value))}
+    assert got == want
 
 
 def test_packed_cycle_sum_fails_at_too_small_a_width(monkeypatch):

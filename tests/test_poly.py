@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from gbgw.poly import (
     ParamPoly,
     ZERO,
+    at_u,
     double_factorial,
     u_add,
     u_eval,
@@ -190,6 +191,20 @@ def test_unpack_rejects_digits_narrower_than_two_bits(x, bits):
     # 1-bit balanced digits are -1 and 0, so x = 1 would never shrink
     with pytest.raises(ValueError, match="bits >= 2"):
         u_unpack(x, bits)
+
+
+def test_at_u_sums_each_h_s_power_and_drops_zeros():
+    # h^2 (2 - 9u + 4u^2) + h s u - 3/2 at u = 1/2: the h^2 terms sum to
+    # 2 - 9/2 + 1, the h s term is 1/2, and the constant has no u to substitute
+    value = ParamPoly({(2, 0, 0, 0): Fraction(2), (2, 1, 0, 0): Fraction(-9), (2, 2, 0, 0): Fraction(4),
+                       (1, 1, 1, 0): Fraction(1), (0, 0, 0, 0): Fraction(-3, 2)})
+    assert at_u(value, Fraction(1, 2)).terms == {
+        (2, 0, 0, 0): Fraction(-3, 2), (1, 0, 1, 0): Fraction(1, 2), (0, 0, 0, 0): Fraction(-3, 2)}
+    # at u = 1/4 the h^2 terms, (2 - u)(1 - 4u), cancel and are dropped, not kept as a zero
+    assert at_u(value, Fraction(1, 4)).terms == {(1, 0, 1, 0): Fraction(1, 4), (0, 0, 0, 0): Fraction(-3, 2)}
+    theta = ParamPoly.from_u((1, -4), 16, eh=1)
+    assert at_u(theta, Fraction(1, 4)) is ZERO and at_u(ZERO, 3) is ZERO
+    assert at_u(theta, -3) == ParamPoly.monomial(Fraction(13, 16), eh=1)
 
 
 def test_double_factorial():
