@@ -23,10 +23,11 @@ __version__ = "0.1.0"
 
 
 def reset_caches():
-    """Empty the six module memos: the Virasoro table with its split keys,
-    the two EO tables and the affine coordinates with their theta products."""
+    """Empty the six module memos: the per-genus Virasoro table with its
+    per-(parts, pick) step keys, the two EO tables and the affine
+    coordinates with their theta products."""
     from . import affine, correlators, eo, schurq
 
-    for memo in (correlators._cache, correlators._split_cache, eo._omega_cache,
+    for memo in (correlators._cache, correlators._step_cache, eo._omega_cache,
                  eo._closed_cache, affine._affine_cache, schurq._theta_prod_cache):
         memo.clear()

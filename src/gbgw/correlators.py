@@ -25,13 +25,17 @@ known from its key; C is divided and s^e attached where a value leaves.
 The sum is symmetric under a <-> b: the split term (a, g1, I) equals the
 term (b, g2, J), and the upper term is the same for (a, b) and (b, a).  So
 a step sums over a <= b only, with weight 2 when a != b and weight 1 when
-a = b.  The subsets of the remaining parts are enumerated once per
-(rest, a, b), as pairs of descending tuples shared by every genus, and each
-key is formed by inserting a part into its place rather than by sorting.
+a = b.  Every sub-key of a step (the upper keys, the split pairs over the
+subsets of the remaining parts, the merged keys) is formed once per
+(parts, pick) and shared by every genus; each key is formed by inserting a
+part into its place, or by doubling over a descending tuple, rather than by
+sorting.  The table holds one dict per genus, so a read is one lookup on the
+parts alone.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, lcm, prod
@@ -50,8 +54,10 @@ __all__ = [
     "odd_partitions",
 ]
 
-_cache = {}  # (g, parts) -> the int 2^(|parts|+2g) * coefficient at s = 1
-_split_cache = {}  # (rest, a, b) -> [(I + a, J + b)] over the splits I|J of rest, descending
+_cache = defaultdict(dict)  # g -> {parts: the int 2^(|parts|+2g) * coefficient at s = 1}
+# (parts, pick) -> ([(weight, upper key, [(I + a, J + b)] over the splits I|J of rest)]
+#                   per a <= b, [(mu_i, merged key)]), every key descending
+_step_cache = {}
 _SEEDS = {0: -1, 1: 1}  # <p_1>_0 = -s/2 and <p_1>_1 = 1/8, scaled
 
 
@@ -94,72 +100,92 @@ def _graded(g, parts, scaled):
 
 
 def _corr(g, parts):
-    key = (g, parts)
-    out = _cache.get(key)
+    """C(g, parts), computed and stored on a miss: the one place that fills the
+    table.  Callers that hold a genus table read it inline and call this only
+    on a miss."""
+    table = _cache[g]
+    out = table.get(parts)
     if out is None:
-        out = _SEEDS.get(g, 0) if parts == (1,) else _expand(g, parts, 0)
-        _cache[key] = out
+        out = table[parts] = _SEEDS.get(g, 0) if parts == (1,) else _expand(g, parts, 0)
     return out
 
 
 def _insert(parts, p):
     """The descending tuple ``parts`` with the part ``p`` added in its place."""
-    i = 0
-    while i < len(parts) and parts[i] > p:
-        i += 1
-    return parts[:i] + (p,) + parts[i:]
+    for i, q in enumerate(parts):
+        if q <= p:
+            return parts[:i] + (p,) + parts[i:]
+    return parts + (p,)
 
 
 def _expand(g, parts, pick):
     """One recursion step distinguishing the part at position ``pick`` of the
     descending-sorted tuple, on the scaled table.  Every sub-key drops in weight
     by one or more (see the module docstring)."""
-    big = parts[pick]
-    rest = parts[:pick] + parts[pick + 1:]
-    k = (big - 1) // 2
+    splits, merges = _step_cache.get((parts, pick)) or _step_keys(parts, pick)
     upper = pairs = total = 0
 
-    if k > 0:
-        for a in range(1, k + 1, 2):
-            b = 2 * k - a
-            weight = 1 if a == b else 2
-            if g >= 1:
-                upper += weight * _corr(g - 1, _insert(_insert(rest, a), b))
-            keys = _split_cache.get((rest, a, b))
-            if keys is None:
-                keys = _split_keys(rest, a, b)
-            step = 0
-            for g1 in range(g + 1):
-                g2 = g - g1
-                for left, right in keys:
+    lower = _cache[g - 1] if g >= 1 else None
+    for weight, up, keys in splits:
+        if lower is not None:
+            c = lower.get(up)
+            if c is None:
+                c = _corr(g - 1, up)
+            upper += weight * c
+        step = 0
+        for g1 in range(g + 1):
+            g2 = g - g1
+            t1, t2 = _cache[g1], _cache[g2]
+            for left, right in keys:
+                cl = t1.get(left)
+                if cl is None:
                     cl = _corr(g1, left)
-                    if cl:
+                if cl:
+                    cr = t2.get(right)
+                    if cr is None:
                         cr = _corr(g2, right)
-                        if cr:
-                            step += cl * cr
-            pairs += weight * step
-    for i in range(len(rest)):
-        c = _corr(g, _insert(rest[:i] + rest[i + 1:], rest[i] + 2 * k))
+                    if cr:
+                        step += cl * cr
+        pairs += weight * step
+    same = _cache[g]
+    for m, key in merges:
+        c = same.get(key)
+        if c is None:
+            c = _corr(g, key)
         if c:
-            total += rest[i] * c
+            total += m * c
     return 4 * upper + pairs + 2 * total
 
 
-def _splits(parts):
-    """The 2^n splits I|J of the tuple ``parts``, as pairs of subsequences,
-    built by doubling over ``parts`` from its end: a descending tuple splits
-    into descending halves."""
+def _splits(parts, left=-1, right=-1):
+    """The splits I|J of the tuple ``parts``, as pairs of subsequences,
+    built by doubling over ``parts``: a descending tuple splits into
+    descending halves.  All 2^n splits, or the 2^(n-2) that put parts[left]
+    in I and parts[right] in J."""
     splits = [((), ())]
-    for p in reversed(parts):
-        splits = [((p,) + I, J) for I, J in splits] + [(I, (p,) + J) for I, J in splits]
+    for at, p in enumerate(parts):
+        splits = (([(I + (p,), J) for I, J in splits] if at != right else [])
+                  + ([(I, J + (p,)) for I, J in splits] if at != left else []))
     return splits
 
 
-def _split_keys(rest, a, b):
-    """The 2^n key pairs (I + a, J + b) over the splits I|J of the descending
-    tuple ``rest``, memoized per (rest, a, b)."""
-    keys = _split_cache[(rest, a, b)] = [(_insert(I, a), _insert(J, b)) for I, J in _splits(rest)]
-    return keys
+def _step_keys(parts, pick):
+    """The sub-keys of one step distinguishing ``parts[pick]``, memoized per
+    (parts, pick): per a <= b with a + b = parts[pick] - 1, the weight, the
+    upper key rest + a + b and the 2^n key pairs (I + a, J + b) over the
+    splits I|J of rest, read off the upper key with a pinned to I and b to
+    J; and per remaining part mu_i, the merged key."""
+    rest = parts[:pick] + parts[pick + 1:]
+    k = (parts[pick] - 1) // 2
+    splits = []
+    for a in range(1, k + 1, 2):
+        b = 2 * k - a
+        up = _insert(_insert(rest, a), b)
+        j = up.index(b)  # b >= a comes first; a tied with b sits just after it
+        splits.append((1 if a == b else 2, up, _splits(up, j + 1 if a == b else up.index(a), j)))
+    merges = [(m, _insert(rest[:i] + rest[i + 1:], m + 2 * k)) for i, m in enumerate(rest)]
+    out = _step_cache[(parts, pick)] = (splits, merges)
+    return out
 
 
 def correlator_expand_distinguishing(g, parts):

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbgw.poly import ParamPoly
@@ -44,6 +44,25 @@ def test_rejects_even_parts():
         correlator(0, (2,))
     with pytest.raises(ValueError):
         correlator(0, (3, 0))
+    with pytest.raises(ValueError):
+        correlator_monomial(0, ())
+
+
+def test_seed_and_negative_genus_paths(fresh_caches):
+    # a recomputation of <p_1>_g returns the seed; genus -1 is zero and, like
+    # every step of the table, opens no table at a negative genus
+    import gbgw.correlators as corr
+
+    for g in range(4):
+        assert correlator_expand_distinguishing(g, (1,)) == correlator(g, (1,))
+    assert correlator_expand_distinguishing(1, (1,)) == ParamPoly.const(Fraction(1, 8))
+    assert correlator_monomial(-1, (3, 1)) == (None, 0)
+    assert correlator(-1, (1,)) == 0
+    for mu in odd_partitions(15, 4):
+        for g in range(4):
+            correlator(g, mu)
+            correlator_expand_distinguishing(g, mu)
+    assert sorted(corr._cache) == [0, 1, 2, 3]
 
 
 def test_one_point_closed_form():
@@ -256,7 +275,7 @@ def test_special_deformation_names_a_wrong_genus_zero_value(monkeypatch):
     import gbgw.correlators as corr
 
     assert verify_special_deformation(degree=3, min_order=-10, part_cap=7)[0]
-    monkeypatch.setitem(corr._cache, (0, (3, 1)), corr._cache[(0, (3, 1))] + 1)
+    monkeypatch.setitem(corr._cache[0], (3, 1), corr._cache[0][(3, 1)] + 1)
     ok, failures, _ = verify_special_deformation(degree=3, min_order=-10, part_cap=7)
     assert not ok
     assert failures[0][:2] == ((1,), -4)
@@ -266,7 +285,7 @@ def test_negative_s_exponent_raises(monkeypatch):
     # <p_1>_2 sits at s-exponent -1, so a nonzero table value there is an error
     import gbgw.correlators as corr
 
-    monkeypatch.setitem(corr._cache, (2, (1,)), Fraction(1, 8))
+    monkeypatch.setitem(corr._cache[2], (1,), Fraction(1, 8))
     with pytest.raises(ArithmeticError):
         correlator(2, (1,))
     with pytest.raises(ArithmeticError):
@@ -281,7 +300,7 @@ def test_correlator_denominators_divide_their_power_of_two():
         for g in range(5):
             _, c = correlator_monomial(g, mu)
             assert (c * 2 ** (sum(mu) + 2 * g)).denominator == 1, (g, mu)
-    assert corr._cache and all(type(v) is int for v in corr._cache.values())
+    assert corr._cache and all(type(v) is int for table in corr._cache.values() for v in table.values())
 
 
 def test_scaled_one_point_is_signed_catalan():
@@ -297,7 +316,7 @@ def test_distinguished_part_recomputation_bypasses_its_own_memo(monkeypatch, g, 
     import gbgw.correlators as corr
 
     assert correlator(g, mu) == correlator_expand_distinguishing(g, mu)
-    monkeypatch.setitem(corr._cache, (g, mu), corr._cache[(g, mu)] + 1)
+    monkeypatch.setitem(corr._cache[g], mu, corr._cache[g][mu] + 1)
     assert correlator(g, mu) != correlator_expand_distinguishing(g, mu)
 
 
@@ -368,37 +387,63 @@ def test_virasoro_table_reads_no_other_table(fresh_caches):
     import gbgw.eo as eo
     import gbgw.schurq as schurq
 
-    assert (corr._cache, corr._split_cache) == ({}, {})
+    assert (corr._cache, corr._step_cache) == ({}, {})
     for mu in odd_partitions(21, 4):
         for g in range(5):
             correlator(g, mu)
-    assert corr._cache and corr._split_cache
+    assert corr._cache and corr._step_cache
     assert (eo._omega_cache, eo._closed_cache, affine._affine_cache, schurq._theta_prod_cache) == (
         {}, {}, {}, {})
 
 
+def _descending(parts):
+    return tuple(sorted(parts, reverse=True))
+
+
 @st.composite
-def _split_case(draw):
-    """(rest, a, b): a descending tuple of at most 5 odd parts, and odd a <= b."""
-    rest = tuple(sorted(draw(st.lists(st.integers(0, 6), max_size=5)), reverse=True))
-    a, b = sorted(draw(st.lists(st.integers(0, 6), min_size=2, max_size=2)))
-    return tuple(2 * p + 1 for p in rest), 2 * a + 1, 2 * b + 1
+def _step_case(draw):
+    """(parts, pick): a descending tuple of 1 to 6 odd parts, and pick 0 or
+    len - 1 (the two parts the recursion distinguishes)."""
+    parts = _descending(2 * p + 1 for p in draw(st.lists(st.integers(0, 6), min_size=1, max_size=6)))
+    return parts, draw(st.sampled_from((0, len(parts) - 1)))
 
 
 @settings(max_examples=200)
-@given(_split_case())
+@given(_step_case())
 def test_split_keys_are_the_per_mask_enumeration(case):
-    # the memoized keys equal the per-mask enumeration of the splits I|J of
-    # rest as a multiset of 2^n pairs (I + a, J + b), each side descending
-    from gbgw.correlators import _split_cache, _split_keys
+    # the memoized step keys of (parts, pick) equal the oracles built by
+    # sorting: per a <= b, the weight, the upper key and the per-mask
+    # enumeration of the splits I|J of rest as a multiset of 2^n pairs
+    # (I + a, J + b); per remaining part, the merged key
+    from gbgw.correlators import _step_cache, _step_keys
 
-    rest, a, b = case
-    n = len(rest)
-    want = Counter((tuple(sorted([rest[i] for i in range(n) if mask >> i & 1] + [a], reverse=True)),
-                    tuple(sorted([rest[i] for i in range(n) if not mask >> i & 1] + [b], reverse=True)))
-                   for mask in range(1 << n))
-    keys = _split_keys(rest, a, b)
-    assert len(keys) == 1 << n
-    assert Counter(keys) == want
-    assert all(list(side) == sorted(side, reverse=True) for pair in keys for side in pair)
-    assert _split_cache[(rest, a, b)] is keys
+    parts, pick = case
+    rest = parts[:pick] + parts[pick + 1:]
+    n, k = len(rest), (parts[pick] - 1) // 2
+    splits, merges = keys = _step_keys(parts, pick)
+    assert [(w, up) for w, up, _ in splits] == [
+        (1 if a == 2 * k - a else 2, _descending(rest + (a, 2 * k - a))) for a in range(1, k + 1, 2)]
+    for (_, _, pairs), a in zip(splits, range(1, k + 1, 2)):
+        b = 2 * k - a
+        want = Counter((_descending([rest[i] for i in range(n) if mask >> i & 1] + [a]),
+                        _descending([rest[i] for i in range(n) if not mask >> i & 1] + [b]))
+                       for mask in range(1 << n))
+        assert len(pairs) == 1 << n
+        assert Counter(pairs) == want
+        assert all(list(side) == sorted(side, reverse=True) for pair in pairs for side in pair)
+    assert merges == [(m, _descending(rest[:i] + rest[i + 1:] + (m + 2 * k,))) for i, m in enumerate(rest)]
+    assert _step_cache.get((parts, pick)) is keys
+
+
+@settings(max_examples=200)
+@example((), 3)
+@example((5, 3, 3, 1), 3)
+@example((5, 3, 3, 1), 7)
+@example((5, 3, 3, 1), 0)
+@given(st.lists(st.integers(-3, 12), max_size=6).map(_descending), st.integers(-4, 13))
+def test_insert_places_a_part_as_sorting_would(parts, p):
+    # ties, the empty tuple and p above or below every part; both EO routes
+    # form their keys through _insert as well
+    from gbgw.correlators import _insert
+
+    assert _insert(parts, p) == _descending(parts + (p,))

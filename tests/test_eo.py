@@ -350,7 +350,7 @@ def test_residue_route_reads_no_other_table(fresh_caches):
     for (g, n) in STABLE_PAIRS:
         omega(g, n)
     assert eo._omega_cache
-    assert (correlators._cache, correlators._split_cache) == ({}, {})
+    assert (correlators._cache, correlators._step_cache) == ({}, {})
     assert eo._closed_cache == {}
 
 
@@ -362,7 +362,7 @@ def test_flat_transform_reads_no_other_table(fresh_caches):
 
     for (g, n) in STABLE_PAIRS:
         assert x_tensor(g, n, 13).coeffs, (g, n)
-    assert (correlators._cache, correlators._split_cache) == ({}, {})
+    assert (correlators._cache, correlators._step_cache) == ({}, {})
     assert eo._closed_cache == {}
 
 
@@ -479,7 +479,7 @@ def test_reset_caches_empties_every_memo():
     import gbgw
     from gbgw import affine, correlators, eo, schurq
 
-    memos = (correlators._cache, correlators._split_cache, eo._omega_cache, eo._closed_cache,
+    memos = (correlators._cache, correlators._step_cache, eo._omega_cache, eo._closed_cache,
              affine._affine_cache, schurq._theta_prod_cache)
     correlator(1, (3,))
     omega(1, 2)

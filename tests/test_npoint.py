@@ -164,7 +164,7 @@ def test_cycle_sums_read_no_other_table(fresh_caches):
     for n in (1, 2, 3):
         npoint_affine(n, 15 if n == 1 else 11)
     assert schurq._theta_prod_cache
-    assert (correlators._cache, correlators._split_cache, eo._omega_cache, eo._closed_cache) == (
+    assert (correlators._cache, correlators._step_cache, eo._omega_cache, eo._closed_cache) == (
         {}, {}, {}, {})
 
 
