@@ -23,9 +23,17 @@ are built: 0 <= j <= bound + 4, where bound = omega_support_bound(g, n)
 the slots just past the support).  Each table is stored one entry per
 orbit, index 0 free, as the recursion singles out index 0 only; on the way
 out, one value per orbit (_with_s) is placed at every ordering (_orderings).
-Both recursions read a stored table in one layout, grouped by its externals:
-{(k_1..k_{n-1}): [(k_0 + shift, value), ...]} (_grouped), with shift 1 in the
-residue route, where k_0 sits at the power z^(-2k_0-2) of the bracket (_factor).
+Both recursions read each sub-table once per distinct key of an orbit.  A
+split half reads its table grouped by the externals: {(k_1..k_{n-1}):
+[(k_0 + shift, value), ...]} (_grouped), with shift 1, where k_0 sits at the
+power z^(-2k_0-2) of the bracket (_factor).  The term one genus down reads
+(a, b, ext) through the contracted view (_contracted): each entry is filed
+under its externals with one distinct b removed, at k_0 + b + 2, so an orbit
+reads every b in one lookup.  An orbit walks its distinct splits I|J once
+(_split_classes, doubling over the runs of tied externals), and scales each
+left value by the number of splits by position that give the same pair of
+keys.  The coefficient route reads its (g, n-1) term off the same classes:
+a class with |I| = 1 removes one k_i, weighted by the count of k_i.
 
 One recursion serves the standard and the type-B Bergman kernel, by
 induction on 2g-2+n.  The (1,1) entry is seeded, since the type-B bracket
@@ -75,7 +83,7 @@ from itertools import permutations, product
 from math import comb, factorial, prod
 from operator import mul
 
-from .correlators import _insert, _splits, correlator_monomial
+from .correlators import correlator_monomial
 from .poly import ParamPoly, double_factorial
 from .series import SparseTensor
 
@@ -148,41 +156,41 @@ def _bracket(g, next_n):
     of z^(-2j) prod z_i^(-2k_i-2), for j = 0..bound+4.  _recurse reads row[m]
     and row[m + 1] for m <= bound + 3 only, so nothing past bound + 4 is
     built, and nothing at a positive power of z.  (1, 1) is seeded, so the
-    (g-1, n+2) term is stable.  Each factor is a sub-table in the grouped
-    layout (_factor): the (g-1, n+2) term reads (a, b, ext) at (a, ext with
-    b inserted in its place), and each split half reads a subsequence of ext.
+    (g-1, n+2) term is stable.  That term reads its table through the
+    contracted view (_contracted), one lookup per orbit for every b.  Each
+    split half reads a factor in the grouped layout (_factor), once per
+    distinct split of ext (_split_classes), its left values scaled by the
+    number of splits by position that give the same pair of keys.
     """
     n = next_n - 1
     bound = omega_support_bound(g, next_n)
     top = bound + 4
     # 1. the (g-1, n+2) term at (z, -z, externals): z^(-2a-2) (-z)^(-2b-2) sits at
-    #    j = a + b + 2, so it scatters as a factor whose externals include b
-    upper = _factor(g - 1, n + 1, top) if g >= 1 else {}
-    # 2. splittings by position; each factor is omega_{0,2} with one external
-    #    variable, or a stable entry; omega_{0,1} factors are excluded.
-    #    Split h of ext is _splits(ext)[h], with halves of the sizes of halves[h];
-    #    every factor but omega_{g,n+1} itself pairs with one that is not omega_{0,1}.
-    halves = _splits(range(n))
+    #    j = a + b + 2
+    upper = _contracted(_omega(g - 1, n + 2)) if g >= 1 else {}
+    # 2. splittings; each factor is omega_{0,2} with one external variable, or a
+    #    stable entry; omega_{0,1} factors are excluded.  by_size[|I|] lists the
+    #    factor pairs of a split whose left half has |I| externals; every factor
+    #    but omega_{g,n+1} itself pairs with one that is not omega_{0,1}.
     factors = {(gf, nf): _factor(gf, nf, top) for gf in range(g + 1) for nf in range(n + 1)
                if (gf or nf) and (gf < g or nf < n)}
-    splits = [(h, factors[g1, len(I)], factors[g - g1, len(J)])
-              for g1 in range(g + 1) for h, (I, J) in enumerate(halves) if (g1 or I) and (g1 < g or J)]
+    by_size = [[(factors[g1, size], factors[g - g1, n - size]) for g1 in range(g + 1)
+                if (g1 or size) and (g1 < g or size < n)] for size in range(n + 1)]
     rows = {}
     for ext in _orbits(n, bound, bound):
         row = [0] * (top + 1)
-        for b in range(top - 1) if upper else ():
-            for j, v in upper.get(_insert(ext, b), ()):
-                if j + b < top:
-                    row[j + b + 1] += v
-        keys = _splits(ext)
-        for h, left, right in splits:
-            lkey, rkey = keys[h]
-            terms2 = right.get(rkey)
-            if terms2:
-                for j1, v1 in left.get(lkey, ()):
-                    for j2, v2 in terms2:
-                        if 0 <= j1 + j2 <= top:
-                            row[j1 + j2] += v1 * v2
+        for j, v in upper.get(ext, ()):
+            if j <= top:
+                row[j] += v
+        for size, lkey, rkey, mult in _split_classes(ext):
+            for left, right in by_size[size]:
+                terms2 = right.get(rkey)
+                if terms2:
+                    for j1, v1 in left.get(lkey, ()):
+                        v1 *= mult
+                        for j2, v2 in terms2:
+                            if 0 <= j1 + j2 <= top:
+                                row[j1 + j2] += v1 * v2
         rows[ext] = row
     return rows
 
@@ -208,6 +216,44 @@ def _grouped(table, shift=0):
     for kk, v in table.items():
         out[kk[1:]].append((kk[0] + shift, v))
     return out
+
+
+def _contracted(table):
+    """A stored table as the term one genus down reads it, with one external b
+    folded into k_0: {ext without b: [(k_0 + b + 2, value), ...]}, one term
+    per distinct value b of ext.  An orbit kvec reads, in one lookup, the
+    entry at (a, kvec with b inserted in its place) for every b, at a + b + 2:
+    the bracket position of z^(-2a-2) (-z)^(-2b-2) in the residue route, and
+    the binomial index sigma(m+1, a+b+2) in the coefficient route."""
+    out = defaultdict(list)
+    for kk, v in table.items():
+        ext = kk[1:]
+        for i, b in enumerate(ext):
+            if not i or b != ext[i - 1]:  # a tied b removes to the same key
+                out[ext[:i] + ext[i + 1:]].append((kk[0] + b + 2, v))
+    return out
+
+
+def _split_classes(kvec):
+    """The distinct splits I|J of a nonincreasing tuple into two
+    subsequences, as (len(I), I, J, mult): mult counts the splits by
+    position that give the pair, the product of C(c, t) over the runs of c
+    equal values of which t go to I.  Built by doubling over the runs."""
+    classes = [(0, (), (), 1)]
+    n = len(kvec)
+    start = 0
+    while start < n:
+        end = start + 1
+        while end < n and kvec[end] == kvec[start]:
+            end += 1
+        c = end - start
+        binomials = [1] * (c + 1)
+        for t in range(1, c):
+            binomials[t] = binomials[t - 1] * (c - t + 1) // t
+        classes = [(size + t, I + kvec[start:start + t], J + kvec[start + t:end], mult * w)
+                   for size, I, J, mult in classes for t, w in enumerate(binomials)]
+        start = end
+    return classes
 
 
 def _recurse(g, next_n):
@@ -257,9 +303,19 @@ def omega_closed_step(g, n):
     leaves the module; verify compares the stored D with the residue route's.
 
     Only nonincreasing kvec are solved, one per orbit, and each orbit's value is
-    placed at every ordering.  Each sub-table is read grouped (_grouped): a split half
-    and (g, n-1) read subsequences of kvec, (g-1, n+1) reads (a, b, kvec) at
-    (a, kvec with b inserted in its place); only products with a + b < mmax count.
+    placed at every ordering.  A split half and (g, n-1) read subsequences of
+    kvec in the grouped layout (_grouped), once per distinct split or removal
+    (_split_classes), weighted by its multiplicity; (g-1, n+1) reads (a, b, kvec)
+    at (a, kvec with b inserted in its place), for every b in one lookup of the
+    contracted view (_contracted).  Only products with a + b < mmax count.
+
+    The first two sums are dotted with the same row sigma(m+1, .), so they are
+    accumulated into one right-hand side, a quarter of it:
+    rhs[k] = 2 sub[k] + inner[k-2], with 8 sub the (g, n-1) sum and inner the
+    bracket.  Each row then makes two sums.  The system is still solved row by
+    row: its closed inverse, 4 (rhs[m] - rhs[m+1]), is the residue route's
+    kernel step, and would make the comparison of the two routes compare that
+    step with itself.
     """
     _check_stable(g, n)
     den = 8 ** (2 * g - 2 + n)
@@ -294,54 +350,56 @@ def _closed_solve(g, n):
     sigma = [[comb(m, k) * (-1) ** (m - k) for k in range(m + 1)] for m in range(mmax + 2)]
     # every sub-table read is stable: off the seeds (1, 1) and (0, 3), (g-1, n+1)
     # at g >= 1 and (g, n-1) at n >= 2 have 2g'-2+n' = 2g-3+n >= 1, and a split
-    # half (g1, |I|+1) has 2g1-1+|I| >= 1, as |I| >= 2 when g1 = 0
-    upper = _grouped(_closed(g - 1, n + 1)) if g >= 1 else {}
+    # half (g1, |I|+1) has 2g1-1+|I| >= 1, as |I| >= 2 when g1 = 0.  The bracket
+    # terms land at rhs[a + b + 2]: the contracted view puts them there, and
+    # the split halves are grouped at shift 1
+    upper = _contracted(_closed(g - 1, n + 1)) if g >= 1 else {}
     lower = _grouped(_closed(g, n - 1)) if ext_n else {}
-    halves = _splits(range(ext_n))
-    # the splittings exclude one- and two-point factors; each names its half by
-    # index, and each factor table is grouped once per solve
-    pairs = [(h, (g1, len(I) + 1), (g - g1, len(J) + 1))
-             for g1 in range(g + 1) for h, (I, J) in enumerate(halves)
-             if (g1 or len(I) > 1) and (g1 < g or len(J) > 1)]
-    tables = {key: _grouped(_closed(*key)) for key in {key for _, *keys in pairs for key in keys}}
-    splits = [(h, tables[left], tables[right]) for h, left, right in pairs]
+    # the splittings exclude one- and two-point factors; by_size[|I|] lists the
+    # factor pairs of a split whose left half has |I| externals, and each
+    # factor table is grouped once per solve
+    pairs = [[((g1, size + 1), (g - g1, ext_n - size + 1)) for g1 in range(g + 1)
+              if (g1 or size > 1) and (g1 < g or ext_n - size > 1)] for size in range(ext_n + 1)]
+    tables = {key: _grouped(_closed(*key), 1) for key in {key for row in pairs for pair in row for key in pair}}
+    by_size = [[(tables[left], tables[right]) for left, right in row] for row in pairs]
     t = {}
     # one external tuple per orbit, its total index bounded by the pole order
     # of (g, n); the residue route shares _orbits, so the Virasoro equivalence
     # guards this, not the entrywise comparison of the two routes
     for kvec in _orbits(ext_n, bound, bound):
-        # the bracket depends on a + b only; (a, b, kvec) is stored at (a, _insert(kvec, b))
-        inner = [0] * mmax
-        for b in range(mmax) if upper else ():
-            for a, v in upper.get(_insert(kvec, b), ()):
-                if a + b < mmax:
-                    inner[a + b] += v
-        # the (left, right) keys of each half, shared by its g + 1 splits: subsequences of kvec
-        keys = _splits(kvec) if splits else ()
-        for h, left, right in splits:
-            lkey, rkey = keys[h]
-            rights = right.get(rkey)
-            if rights:
-                for a, lv in left.get(lkey, ()):
-                    for b, rv in rights:
-                        if a + b < mmax:
-                            inner[a + b] += lv * rv
-        # (2k_i + 1) times the (g, n-1) entries at (k_i + k0 - 1, rest), 0 <= k0.
-        # k0 <= bound needs no test: the (g, n-1) table obeys its pole bound (it
-        # is seeded, or its own guard raises), so idx <= bound - 1 and
-        # k0 = idx - k_i + 1 <= bound < len(sub)
-        sub = [0] * (mmax + 2)
-        for pos, ki in enumerate(kvec):
-            for idx, v in lower.get(kvec[:pos] + kvec[pos + 1:], ()):
-                k0 = idx - ki + 1
-                if k0 >= 0:
-                    sub[k0] += (2 * ki + 1) * v
-        # row m; each map stops at the shorter list: k0 <= m+1, a+b <= m-1, k0 < m
-        solved = []
+        # a quarter of the right-hand side: rhs[k] = 2 sub[k] + inner[k - 2], where
+        # inner[a + b] is the bracket, read for a + b <= mmax - 1 only
+        rhs = [0] * (mmax + 2)
+        for j, v in upper.get(kvec, ()):
+            if j <= mmax + 1:
+                rhs[j] += v
+        # each distinct split once, weighted by mult.  A split with |I| = 1 is
+        # also a distinct removal of one k_i for the (g, n-1) term: sub[k0] is
+        # (2k_i + 1) times the (g, n-1) entries at (k_i + k0 - 1, rest), 0 <= k0,
+        # weighted by the count of k_i.  k0 <= bound needs no test: the
+        # (g, n-1) table obeys its pole bound (it is seeded, or its own guard
+        # raises), so idx <= bound - 1 and k0 = idx - k_i + 1 <= bound
+        for size, lkey, rkey, mult in _split_classes(kvec):
+            if size == 1:
+                ki = lkey[0]
+                weight = 2 * (2 * ki + 1) * mult
+                for idx, v in lower.get(rkey, ()):
+                    k0 = idx - ki + 1
+                    if k0 >= 0:
+                        rhs[k0] += weight * v
+            for left, right in by_size[size]:
+                rights = right.get(rkey)
+                if rights:
+                    for a, lv in left.get(lkey, ()):
+                        lv *= mult
+                        for b, rv in rights:
+                            if a + b <= mmax + 1:
+                                rhs[a + b] += lv * rv
+        # row m; each map stops at the shorter list: k <= m+1 and k0 <= m, where
+        # solved[m] is still 0
+        solved = [0] * (mmax + 1)
         for m in range(mmax + 1):
-            row = sigma[m + 1]
-            solved.append(-(8 * sum(map(mul, row, sub)) + 4 * sum(map(mul, row[2:], inner))
-                            + sum(map(mul, sigma[m], solved))))
+            solved[m] = -(4 * sum(map(mul, sigma[m + 1], rhs)) + sum(map(mul, sigma[m], solved)))
         for m, v in enumerate(solved):
             if v:
                 if m > bound:

@@ -460,6 +460,15 @@ def _registry_names(args):
     return [name for name in (identity(cfg) for _, identity, _ in CHECKS) if name is not None]
 
 
+def _contracted_by_position(view, table):
+    """The contracted view with a tied b filed once per position, not once."""
+    out = {}
+    for kk, v in table.items():
+        for i, b in enumerate(kk[1:]):
+            out.setdefault(kk[1:i + 1] + kk[i + 2:], []).append((kk[0] + b + 2, v))
+    return out
+
+
 # Every registered check, by its identity at default bounds: verify arguments
 # and either None (the check compares nothing there, so it must fail) or the
 # size of the fixed range it compares there.
@@ -568,6 +577,15 @@ def _closed_entry(monkeypatch):
     planted = dict(eo._closed(1, 2))
     planted[(0, 0)] += 1
     monkeypatch.setitem(eo._closed_cache, (1, 2), planted)
+
+
+def _contracted_by_position(view, table):
+    """The contracted view with a tied b filed once per position, not once."""
+    out = {}
+    for kk, v in table.items():
+        for i, b in enumerate(kk[1:]):
+            out.setdefault(kk[1:i + 1] + kk[i + 2:], []).append((kk[0] + b + 2, v))
+    return out
 
 
 # Every registered check, by its identity at default bounds: the defects
@@ -709,6 +727,29 @@ DEFECT_CASES = {
          {"eo/equivalence-with-virasoro-weight<=9":
           "(1,2): [((0, 1), Fraction(-21, 16), Fraction(-15, 16)), "
           "((0, 2), Fraction(275, 64), Fraction(175, 64))]"}),
+        # both EO routes read each distinct split of the externals once, through
+        # eo._split_classes, and the coefficient route reads its distinct
+        # removals there too.  A multiplicity above 1 comes from a tied run;
+        # off by one, it moves both routes alike, except at (0,3), which the
+        # coefficient route seeds: the residue route's omega_{0,3} reads the
+        # split (0)|(0) of the externals (0, 0) twice
+        (_wrap("eo._split_classes", lambda classes, kvec:
+               [(size, I, J, mult + (mult > 1)) for size, I, J, mult in classes]),
+         ["--suite", "all"],
+         {"eo/closed-form-invariants": "omega_{0,3}",
+          "eo/equivalence-with-virasoro-weight<=9":
+          "(0,3): [((0, 0, 0), Fraction(3, 2), Fraction(1, 1)), "
+          "((0, 0, 1), Fraction(-9, 4), Fraction(-3, 2))]",
+          "eo/residue-vs-coefficient-recursion": "(0,3)"}),
+        # both EO routes read the term one genus down through eo._contracted;
+        # filed once per position, a tied b of the upper table counts twice.
+        # omega_{0,3}, at the externals (0, 0), is the upper table of (1,2), so
+        # both routes move alike there, and only the Virasoro equivalence sees it
+        (_wrap("eo._contracted", _contracted_by_position),
+         ["--suite", "all"],
+         {"eo/equivalence-with-virasoro-weight<=9":
+          "(1,2): [((1, 0), Fraction(-23, 16), Fraction(-15, 16)), "
+          "((1, 1), Fraction(117, 32), Fraction(93, 32))]"}),
     ],
     "eo/residue-vs-coefficient-recursion": [
         (_closed_entry,

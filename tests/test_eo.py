@@ -5,7 +5,7 @@ from itertools import combinations, product
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbgw.poly import ParamPoly, double_factorial
@@ -209,6 +209,18 @@ def test_curve_oracle_sees_a_planted_seed(fresh_caches, monkeypatch):
 
     monkeypatch.setitem(eo._omega_cache, (1, 1), {(0,): -1, (1,): 2})
     assert _oracle_mismatches() == ([(1, 1), (1, 2), (2, 1)], [])
+
+
+def test_curve_oracle_sees_a_tied_multiplicity(fresh_caches, monkeypatch):
+    # a multiplicity above 1 comes from tied externals; off by one on orbits of
+    # three or more externals, it moves (0,4) alone among ORACLE_PAIRS, in the
+    # residue route's splits and in the coefficient route's removals
+    import gbgw.eo as eo
+
+    real = eo._split_classes
+    monkeypatch.setattr(eo, "_split_classes", lambda kvec: [
+        (size, I, J, mult + (mult > 1 and len(kvec) > 2)) for size, I, J, mult in real(kvec)])
+    assert _oracle_mismatches() == ([(0, 4)], [(0, 4)])
 
 
 def test_b01_b02_instances():
@@ -475,6 +487,45 @@ def test_orderings_expand_an_orbit_to_its_distinct_permutations(k0, ext):
     assert set(expanded.values()) == {7}
     assert all(kk[0] == k0 and tuple(sorted(kk[1:], reverse=True)) == ext for kk in expanded)
     assert len(expanded) == factorial(len(ext)) // prod(factorial(m) for m in Counter(ext).values())
+
+
+_desc_tuples = st.lists(st.integers(0, 3), max_size=7).map(lambda ks: tuple(sorted(ks, reverse=True)))
+
+
+@settings(max_examples=200)
+@given(_desc_tuples)
+@example(())
+def test_split_classes_count_the_splits_by_position(kvec):
+    # each distinct pair of halves once, with the number of splits by
+    # position that give it; the halves of a nonincreasing tuple stay so
+    from gbgw.correlators import _splits
+    from gbgw.eo import _split_classes
+
+    classes = _split_classes(kvec)
+    assert all(size == len(I) for size, I, _, _ in classes)
+    assert len({(I, J) for _, I, J, _ in classes}) == len(classes)
+    assert {(I, J): mult for _, I, J, mult in classes} == Counter(_splits(kvec))
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4).flatmap(lambda n: st.dictionaries(
+    st.tuples(st.integers(0, 4), st.lists(st.integers(0, 3), min_size=n, max_size=n)).map(
+        lambda kk: (kk[0],) + tuple(sorted(kk[1], reverse=True))),
+    st.integers(-9, 9), max_size=12).map(lambda table: (n, table))))
+def test_contracted_view_reads_what_inserting_b_reads(sized_table):
+    # one lookup of kvec in the contracted view holds, for every b, the entries
+    # at (a, kvec with b inserted in its place), at a + b + 2
+    from gbgw.correlators import _insert
+    from gbgw.eo import _contracted, _grouped, _orbits
+
+    n, table = sized_table
+    kvecs = _orbits(n - 1, 3 * n, 3)
+    grouped = _grouped(table)
+    view = _contracted(table)
+    assert set(view) <= set(kvecs)
+    for kvec in kvecs:
+        want = Counter((a + b + 2, v) for b in range(4) for a, v in grouped.get(_insert(kvec, b), ()))
+        assert Counter(view.get(kvec, ())) == want, kvec
 
 
 def test_reset_caches_empties_every_memo():

@@ -212,3 +212,8 @@ def test_double_factorial():
     assert double_factorial(1) == 1
     assert double_factorial(5) == 15
     assert double_factorial(7) == 105
+
+
+def test_double_factorial_rejects_below_minus_one():
+    with pytest.raises(ValueError, match=r"^double factorial needs n >= -1$"):
+        double_factorial(-3)

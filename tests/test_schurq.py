@@ -65,6 +65,13 @@ def test_single_row_is_q():
         assert Q_lambda((n,), coup) == q[n]
 
 
+def test_empty_partition_is_one():
+    # Q_() = 1 at any couplings, zero couplings included
+    for coup in (DELTA, {}):
+        q = Q_lambda((), coup)
+        assert q == 1 and type(q) is Fraction
+
+
 def test_q21_two_routes():
     # Pfaffian route q2*q1 - 2*q3 and the closed product both give 4/3.
     assert Q_lambda((2, 1), DELTA) == Fraction(4, 3)
